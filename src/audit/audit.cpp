@@ -22,7 +22,7 @@ struct Emitter {
 
   void emit(core::DiagCode code, core::Severity severity,
             std::string message, std::string element,
-            const circuit::SourceLoc* loc,
+            const circuit::SourceLoc& loc,
             double condition_estimate = -1.0) {
     core::Diagnostic d;
     d.code = code;
@@ -30,10 +30,10 @@ struct Emitter {
     d.message = std::move(message);
     d.element = std::move(element);
     d.condition_estimate = condition_estimate;
-    if (loc != nullptr && loc->known()) {
-      d.file = loc->file;
-      d.line = loc->line;
-      d.column = loc->column;
+    if (loc.known()) {
+      d.file = loc.file;
+      d.line = loc.line;
+      d.column = loc.column;
     }
     switch (severity) {
       case core::Severity::Info: ++report->infos; break;
@@ -43,11 +43,16 @@ struct Emitter {
     report->diagnostics.push_back(std::move(d));
   }
 
-  const circuit::SourceLoc* gate_loc(const std::string& gate) const {
-    return sources == nullptr ? nullptr : sources->gate_loc(gate);
+  circuit::SourceLoc gate_loc(const std::string& gate) const {
+    return sources == nullptr ? circuit::SourceLoc{} : sources->gate_loc(gate);
   }
-  const circuit::SourceLoc* net_loc(const std::string& net) const {
-    return sources == nullptr ? nullptr : sources->net_loc(net);
+  circuit::SourceLoc net_loc(const std::string& net) const {
+    return sources == nullptr ? circuit::SourceLoc{} : sources->net_loc(net);
+  }
+  circuit::SourceLoc element_loc(const std::string& net,
+                                 std::size_t index) const {
+    return sources == nullptr ? circuit::SourceLoc{}
+                              : sources->element_loc(net, index);
   }
 };
 
@@ -69,7 +74,8 @@ void run_graph_tier(const timing::Design& design,
     em.emit(core::DiagCode::CombinationalCycle, core::Severity::Error,
             "combinational cycle: " + join_path(cycle.gates),
             cycle.gates.empty() ? std::string() : cycle.gates.front(),
-            cycle.gates.empty() ? nullptr : em.gate_loc(cycle.gates.front()));
+            cycle.gates.empty() ? circuit::SourceLoc{}
+                                : em.gate_loc(cycle.gates.front()));
   }
   for (const std::string& gate : report.graph.undriven) {
     em.emit(core::DiagCode::UndrivenEndpoint, core::Severity::Warning,
@@ -302,11 +308,8 @@ void run_repetition_tier(const timing::Design& design,
           << "' are identical up to one value (element " << diff_index
           << ": " << miss.value_a << " vs " << miss.value_b
           << "); aligning them would dedup the reduction";
-      const circuit::SourceLoc* loc =
-          em.sources == nullptr
-              ? nullptr
-              : em.sources->element_loc(other.name, diff_index);
-      if (loc == nullptr) loc = em.net_loc(other.name);
+      circuit::SourceLoc loc = em.element_loc(other.name, diff_index);
+      if (!loc.known()) loc = em.net_loc(other.name);
       em.emit(core::DiagCode::NearDuplicate, core::Severity::Warning,
               msg.str(), other.name, loc);
       report.near_misses.push_back(std::move(miss));
@@ -344,7 +347,6 @@ AuditReport audit_circuit(const circuit::Circuit& circuit,
                           const AuditOptions& options,
                           const std::string& filename) {
   AuditReport report;
-  Emitter em{&report, nullptr};
   if (!options.conditioning) return report;
   NetAssessment assessment;
   assessment.net = filename.empty() ? "circuit" : filename;

@@ -1,83 +1,119 @@
 #include "audit/design_netlist.h"
 
-#include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "netlist/parser.h"
+#include "obs/trace.h"
 
 namespace awesim::audit {
 
 namespace {
 
+using LineColumn = DesignSourceMap::LineColumn;
+
 struct Token {
-  std::string text;
+  std::string_view text;
   std::size_t column = 0;  // 1-based
 };
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return s;
+bool is_space(char c) {
+  return std::isspace(static_cast<unsigned char>(c)) != 0;
 }
 
-/// Whitespace-split one line; a token starting with '*' begins a
-/// comment that eats the rest of the line.
-std::vector<Token> tokenize(std::string_view line) {
-  std::vector<Token> tokens;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
-    if (i >= line.size() || line[i] == '*') break;
-    const std::size_t start = i;
-    while (i < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
-    tokens.push_back(
-        {std::string(line.substr(start, i - start)), start + 1});
+std::string lower(std::string_view s) {
+  std::string out(s);
+  for (char& c : out) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
-  return tokens;
+  return out;
+}
+
+/// Case-insensitive match against a lowercase directive.
+bool is_directive(std::string_view token, std::string_view directive) {
+  if (token.size() != directive.size()) return false;
+  for (std::size_t i = 0; i < token.size(); ++i) {
+    if (std::tolower(static_cast<unsigned char>(token[i])) !=
+        static_cast<unsigned char>(directive[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The line scanner: splits `text` at '\n' (a last line without one
+/// included) and whitespace-splits each line into `tokens`, which is
+/// reused across lines; a token starting with '*' begins a comment that
+/// eats the rest of the line.  Calls visit(tokens, line_no) for every
+/// line, empty ones included, until visit returns false.  Returns the
+/// number of lines visited.
+template <typename Visit>
+std::size_t scan_lines(std::string_view text, Visit visit) {
+  std::vector<Token> tokens;
+  std::size_t line_no = 0;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t end = text.find('\n', pos);
+    if (end == std::string_view::npos) end = text.size();
+    const std::string_view line = text.substr(pos, end - pos);
+    pos = end + 1;
+    ++line_no;
+    tokens.clear();
+    std::size_t i = 0;
+    while (i < line.size()) {
+      while (i < line.size() && is_space(line[i])) ++i;
+      if (i >= line.size() || line[i] == '*') break;
+      const std::size_t start = i;
+      while (i < line.size() && !is_space(line[i])) ++i;
+      tokens.push_back({line.substr(start, i - start), start + 1});
+    }
+    if (!visit(tokens, line_no)) break;
+  }
+  return line_no;
+}
+
+/// netlist::parse_value, with plain decimals ("1.5e-15") read by
+/// std::from_chars.  Everything else -- engineering suffixes, a leading
+/// '+', results that are zero, subnormal or not finite, malformed text --
+/// goes to parse_value, so the value and any error message are its own.
+double parse_number(std::string_view token) {
+  double value = 0.0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec == std::errc() && ptr == end && std::isnormal(value)) return value;
+  return netlist::parse_value(token);
 }
 
 struct Parser {
-  std::string filename;
   DesignParse out;
 
   // Declaration-ordered collections, assembled into a Design at the end.
   std::vector<timing::Gate> gates;
-  std::map<std::string, std::size_t> gate_ids;
+  std::unordered_set<std::string> gate_names;
   struct PendingNet {
     std::string driver;
     timing::Net net;
-    circuit::SourceLoc loc;
+    LineColumn loc;
+    std::vector<LineColumn> element_locs;
   };
   std::vector<PendingNet> nets;
-  std::map<std::string, std::size_t> net_ids;
-  std::vector<std::pair<std::string, circuit::SourceLoc>> primary_inputs;
+  std::unordered_set<std::string> net_names;
+  std::vector<std::pair<std::string, LineColumn>> primary_inputs;
 
   std::optional<PendingNet> open;  // the .net currently being filled
-
-  circuit::SourceLoc loc(std::size_t line, std::size_t column) const {
-    circuit::SourceLoc l;
-    l.file = filename;
-    l.line = line;
-    l.column = column;
-    return l;
-  }
 
   void error(std::size_t line, std::size_t column, std::string message) {
     core::Diagnostic d;
     d.code = core::DiagCode::ParseError;
     d.severity = core::Severity::Error;
     d.message = std::move(message);
-    d.file = filename;
+    d.file = out.sources.file;
     d.line = line;
     d.column = column;
     out.diagnostics.push_back(std::move(d));
@@ -85,7 +121,7 @@ struct Parser {
 
   bool parse_double(const Token& t, std::size_t line, double* value) {
     try {
-      *value = netlist::parse_value(t.text);
+      *value = parse_number(t.text);
       return true;
     } catch (const std::invalid_argument& e) {
       error(line, t.column, e.what());
@@ -99,20 +135,21 @@ struct Parser {
       return;
     }
     timing::Gate gate;
-    gate.name = tok[1].text;
-    if (gate_ids.count(gate.name) != 0) {
+    gate.name = std::string(tok[1].text);
+    if (gate_names.count(gate.name) != 0) {
       error(line, tok[1].column, "duplicate gate '" + gate.name + "'");
       return;
     }
     for (std::size_t i = 2; i < tok.size(); ++i) {
       const std::size_t eq = tok[i].text.find('=');
-      if (eq == std::string::npos) {
+      if (eq == std::string_view::npos) {
         error(line, tok[i].column,
-              ".gate parameter is not key=value: '" + tok[i].text + "'");
+              ".gate parameter is not key=value: '" +
+                  std::string(tok[i].text) + "'");
         continue;
       }
       const std::string key = lower(tok[i].text.substr(0, eq));
-      Token value{tok[i].text.substr(eq + 1), tok[i].column + eq + 1};
+      const Token value{tok[i].text.substr(eq + 1), tok[i].column + eq + 1};
       double v = 0.0;
       if (!parse_double(value, line, &v)) continue;
       if (key == "rdrive") {
@@ -125,8 +162,8 @@ struct Parser {
         error(line, tok[i].column, "unknown .gate parameter '" + key + "'");
       }
     }
-    gate_ids.emplace(gate.name, gates.size());
-    out.sources.gates.emplace(gate.name, loc(line, tok[1].column));
+    gate_names.insert(gate.name);
+    out.sources.gates.emplace(gate.name, LineColumn{line, tok[1].column});
     gates.push_back(std::move(gate));
   }
 
@@ -141,10 +178,10 @@ struct Parser {
       return;
     }
     PendingNet pending;
-    pending.driver = tok[1].text;
-    pending.net.name = tok[2].text;
-    pending.loc = loc(line, tok[2].column);
-    if (net_ids.count(pending.net.name) != 0) {
+    pending.driver = std::string(tok[1].text);
+    pending.net.name = std::string(tok[2].text);
+    pending.loc = {line, tok[2].column};
+    if (net_names.count(pending.net.name) != 0) {
       error(line, tok[2].column,
             "duplicate net '" + pending.net.name + "'");
       return;
@@ -155,7 +192,8 @@ struct Parser {
   void element_card(const std::vector<Token>& tok, std::size_t line) {
     if (!open.has_value()) {
       error(line, tok[0].column,
-            "element card outside .net/.endnet: '" + tok[0].text + "'");
+            "element card outside .net/.endnet: '" +
+                std::string(tok[0].text) + "'");
       return;
     }
     if (tok.size() != 4) {
@@ -170,16 +208,14 @@ struct Parser {
       case 'l': e.kind = timing::NetElement::Kind::Inductor; break;
       default:
         error(line, tok[0].column,
-              "unknown element card '" + tok[0].text +
+              "unknown element card '" + std::string(tok[0].text) +
                   "' (design nets take R/C/L only)");
         return;
     }
-    e.node_a = tok[1].text;
-    e.node_b = tok[2].text;
+    e.node_a = std::string(tok[1].text);
+    e.node_b = std::string(tok[2].text);
     if (!parse_double(tok[3], line, &e.value)) return;
-    out.sources.net_elements.emplace(
-        std::make_pair(open->net.name, open->net.parasitics.size()),
-        loc(line, tok[0].column));
+    open->element_locs.push_back({line, tok[0].column});
     open->net.parasitics.push_back(std::move(e));
   }
 
@@ -192,15 +228,46 @@ struct Parser {
       error(line, tok[0].column, ".sink needs GATE and NODE");
       return;
     }
-    open->net.sink_node[tok[1].text] = tok[2].text;
+    open->net.sink_node[std::string(tok[1].text)] = std::string(tok[2].text);
   }
 
   void close_net() {
     if (!open.has_value()) return;
     out.sources.nets.emplace(open->net.name, open->loc);
-    net_ids.emplace(open->net.name, nets.size());
+    out.sources.net_elements.emplace(open->net.name,
+                                     std::move(open->element_locs));
+    net_names.insert(open->net.name);
     nets.push_back(std::move(*open));
     open.reset();
+  }
+
+  void card(const std::vector<Token>& tok, std::size_t line) {
+    const std::string_view head = tok[0].text;
+    if (is_directive(head, ".gate")) {
+      gate_card(tok, line);
+    } else if (is_directive(head, ".input")) {
+      if (tok.size() < 2) {
+        error(line, tok[0].column, ".input needs a gate name");
+      } else {
+        primary_inputs.emplace_back(std::string(tok[1].text),
+                                    LineColumn{line, tok[1].column});
+      }
+    } else if (is_directive(head, ".net")) {
+      net_card(tok, line);
+    } else if (is_directive(head, ".sink")) {
+      sink_card(tok, line);
+    } else if (is_directive(head, ".endnet")) {
+      if (!open.has_value()) {
+        error(line, tok[0].column, ".endnet without .net");
+      } else {
+        close_net();
+      }
+    } else if (head[0] == '.') {
+      error(line, tok[0].column,
+            "unknown directive '" + std::string(head) + "'");
+    } else {
+      element_card(tok, line);
+    }
   }
 
   void finish(std::size_t last_line) {
@@ -209,22 +276,22 @@ struct Parser {
       close_net();
     }
     for (const auto& [name, pi_loc] : primary_inputs) {
-      if (gate_ids.count(name) == 0) {
+      if (gate_names.count(name) == 0) {
         error(pi_loc.line, pi_loc.column,
               ".input names unknown gate '" + name + "'");
       }
     }
     for (const PendingNet& pending : nets) {
-      if (gate_ids.count(pending.driver) == 0) {
+      if (gate_names.count(pending.driver) == 0) {
         error(pending.loc.line, pending.loc.column,
               ".net driver '" + pending.driver + "' is not a gate");
       }
     }
     if (count_at_least(out.diagnostics, core::Severity::Error) > 0) return;
     timing::Design design;
-    for (const timing::Gate& gate : gates) design.add_gate(gate);
+    for (timing::Gate& gate : gates) design.add_gate(std::move(gate));
     for (PendingNet& pending : nets) {
-      design.add_net(pending.driver, std::move(pending.net));
+      design.add_net(std::move(pending.driver), std::move(pending.net));
     }
     for (const auto& [name, pi_loc] : primary_inputs) {
       (void)pi_loc;
@@ -236,75 +303,53 @@ struct Parser {
 
 }  // namespace
 
-const circuit::SourceLoc* DesignSourceMap::gate_loc(
-    const std::string& gate) const {
+circuit::SourceLoc DesignSourceMap::gate_loc(const std::string& gate) const {
+  circuit::SourceLoc loc;
   const auto it = gates.find(gate);
-  return it == gates.end() ? nullptr : &it->second;
+  if (it != gates.end()) loc = {file, it->second.line, it->second.column};
+  return loc;
 }
 
-const circuit::SourceLoc* DesignSourceMap::net_loc(
-    const std::string& net) const {
+circuit::SourceLoc DesignSourceMap::net_loc(const std::string& net) const {
+  circuit::SourceLoc loc;
   const auto it = nets.find(net);
-  return it == nets.end() ? nullptr : &it->second;
+  if (it != nets.end()) loc = {file, it->second.line, it->second.column};
+  return loc;
 }
 
-const circuit::SourceLoc* DesignSourceMap::element_loc(
-    const std::string& net, std::size_t index) const {
-  const auto it = net_elements.find(std::make_pair(net, index));
-  return it == net_elements.end() ? nullptr : &it->second;
+circuit::SourceLoc DesignSourceMap::element_loc(const std::string& net,
+                                                std::size_t index) const {
+  circuit::SourceLoc loc;
+  const auto it = net_elements.find(net);
+  if (it != net_elements.end() && index < it->second.size()) {
+    const LineColumn& lc = it->second[index];
+    loc = {file, lc.line, lc.column};
+  }
+  return loc;
 }
 
 bool looks_like_design(std::string_view text) {
-  std::istringstream in{std::string(text)};
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::vector<Token> tok = tokenize(line);
-    if (!tok.empty() && lower(tok[0].text) == ".gate") return true;
-  }
-  return false;
+  bool found = false;
+  scan_lines(text, [&](const std::vector<Token>& tok, std::size_t) {
+    found = !tok.empty() && is_directive(tok[0].text, ".gate");
+    return !found;
+  });
+  return found;
 }
 
 DesignParse parse_design(std::string_view text, std::string filename) {
+  AWESIM_TRACE_SPAN("audit.parse");
   Parser p;
-  p.filename = std::move(filename);
-  std::istringstream in{std::string(text)};
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::vector<Token> tok = tokenize(line);
-    if (tok.empty()) continue;
-    const std::string head = lower(tok[0].text);
-    if (head == ".gate") {
-      p.gate_card(tok, line_no);
-    } else if (head == ".input") {
-      if (tok.size() < 2) {
-        p.error(line_no, tok[0].column, ".input needs a gate name");
-      } else {
-        p.primary_inputs.emplace_back(tok[1].text,
-                                      p.loc(line_no, tok[1].column));
-      }
-    } else if (head == ".net") {
-      p.net_card(tok, line_no);
-    } else if (head == ".sink") {
-      p.sink_card(tok, line_no);
-    } else if (head == ".endnet") {
-      if (!p.open.has_value()) {
-        p.error(line_no, tok[0].column, ".endnet without .net");
-      } else {
-        p.close_net();
-      }
-    } else if (head == ".end") {
-      break;
-    } else if (head[0] == '.') {
-      p.error(line_no, tok[0].column,
-              "unknown directive '" + tok[0].text + "'");
-    } else {
-      p.element_card(tok, line_no);
-    }
-  }
-  p.finish(line_no == 0 ? 1 : line_no);
-  return p.out;
+  p.out.sources.file = std::move(filename);
+  const std::size_t lines =
+      scan_lines(text, [&](const std::vector<Token>& tok, std::size_t line) {
+        if (tok.empty()) return true;
+        if (is_directive(tok[0].text, ".end")) return false;
+        p.card(tok, line);
+        return true;
+      });
+  p.finish(lines == 0 ? 1 : lines);
+  return std::move(p.out);
 }
 
 DesignParse parse_design_file(const std::string& path) {

@@ -31,7 +31,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
+#include <vector>
 
 #include "circuit/circuit.h"
 #include "core/diagnostic.h"
@@ -40,18 +40,25 @@
 namespace awesim::audit {
 
 /// Where each design entity was declared (1-based lines; absent entries
-/// mean "not netlist-derived").
+/// mean "not netlist-derived").  Locations are (line, column) pairs; the
+/// file they refer to is stored once.
 struct DesignSourceMap {
-  std::map<std::string, circuit::SourceLoc> gates;
-  std::map<std::string, circuit::SourceLoc> nets;
-  /// (net name, parasitic index) -> the element card.
-  std::map<std::pair<std::string, std::size_t>, circuit::SourceLoc>
-      net_elements;
+  struct LineColumn {
+    std::size_t line = 0;
+    std::size_t column = 0;
+  };
 
-  const circuit::SourceLoc* gate_loc(const std::string& gate) const;
-  const circuit::SourceLoc* net_loc(const std::string& net) const;
-  const circuit::SourceLoc* element_loc(const std::string& net,
-                                        std::size_t index) const;
+  std::string file;
+  std::map<std::string, LineColumn> gates;
+  std::map<std::string, LineColumn> nets;
+  /// Per net, the element card of each parasitic, in element order.
+  std::map<std::string, std::vector<LineColumn>> net_elements;
+
+  /// Each lookup yields an unknown location (line 0) when absent.
+  circuit::SourceLoc gate_loc(const std::string& gate) const;
+  circuit::SourceLoc net_loc(const std::string& net) const;
+  circuit::SourceLoc element_loc(const std::string& net,
+                                 std::size_t index) const;
 };
 
 /// Outcome of parsing one design netlist.  `design` is present iff no

@@ -649,6 +649,52 @@ LintReport lint(const circuit::Circuit& ckt, const LintOptions& options) {
   return std::move(linter.report);
 }
 
+bool index_one_structure(const circuit::Circuit& ckt) {
+  const auto n = ckt.node_count();
+  // A capacitor/voltage-source loop: with every capacitor (and, to stay
+  // conservative, every macro's ports and ground -- a macro may stamp
+  // capacitance between any of them) inserted first, a voltage source
+  // whose endpoints are already joined closes such a loop.
+  UnionFind capacitive(n);
+  // An inductor/current-source cutset: a current source whose endpoints
+  // no other kind of branch joins.
+  UnionFind non_inductive(n);
+  for (const auto& m : ckt.macros()) {
+    for (const NodeId port : m.ports) {
+      capacitive.unite(circuit::kGround, port);
+      non_inductive.unite(m.ports.front(), port);
+    }
+  }
+  for (const Element& e : ckt.elements()) {
+    switch (e.kind) {
+      case ElementKind::Capacitor:
+        capacitive.unite(e.pos, e.neg);
+        non_inductive.unite(e.pos, e.neg);
+        break;
+      case ElementKind::Resistor:
+      case ElementKind::VoltageSource:
+        non_inductive.unite(e.pos, e.neg);
+        break;
+      case ElementKind::Inductor:
+      case ElementKind::CurrentSource:
+        break;
+      default:
+        return false;  // controlled source
+    }
+  }
+  for (const Element& e : ckt.elements()) {
+    if (e.kind == ElementKind::VoltageSource &&
+        !capacitive.unite(e.pos, e.neg)) {
+      return false;
+    }
+    if (e.kind == ElementKind::CurrentSource &&
+        non_inductive.find(e.pos) != non_inductive.find(e.neg)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 LintReport lint_text(std::string_view text, const std::string& filename,
                      const LintOptions& options) {
   netlist::ParseResult parsed =

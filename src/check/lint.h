@@ -86,6 +86,15 @@ struct LintReport {
 LintReport lint(const circuit::Circuit& ckt,
                 const LintOptions& options = {});
 
+/// True when the circuit's MNA pencil (G, C) is structurally of index
+/// at most 1: no loop of capacitors and voltage sources that contains a
+/// source, no cutset of inductors and current sources that contains a
+/// source, and no controlled sources (whose gains can raise the index
+/// without either).  On such a circuit a start vector x with G x in
+/// range(C) is a consistent initial state: the response does not jump
+/// at t = 0+, so the engine needs no sigma-limit to find x(0+).
+bool index_one_structure(const circuit::Circuit& ckt);
+
 /// Lint netlist text: parse (collecting every parse error, with the
 /// final validate gate skipped so electrically unsound circuits still
 /// reach the rule pipeline), then lint the built circuit.  Parse

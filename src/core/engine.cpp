@@ -130,37 +130,56 @@ double Approximation::settling_area() const {
 
 std::optional<double> Approximation::first_crossing(double level, double t0,
                                                     double t1) const {
+  return first_crossings({&level, 1}, t0, t1).front();
+}
+
+std::vector<std::optional<double>> Approximation::first_crossings(
+    std::span<const double> levels, double t0, double t1) const {
   constexpr std::size_t kScanPoints = 4096;
-  if (!(t1 > t0)) return std::nullopt;
+  std::vector<std::optional<double>> found(levels.size());
+  if (!(t1 > t0)) return found;
+  // Bisection refinement of one level's crossing on [lo, hi].
+  auto refine = [&](double level, double lo, double hi, double flo) {
+    for (int it = 0; it < 60; ++it) {
+      const double mid = 0.5 * (lo + hi);
+      const double fm = value(mid) - level;
+      if ((flo < 0.0) == (fm < 0.0)) {
+        lo = mid;
+        flo = fm;
+      } else {
+        hi = mid;
+      }
+    }
+    return 0.5 * (lo + hi);
+  };
   double prev_t = t0;
-  double prev_v = value(t0) - level;
-  if (prev_v == 0.0) return t0;
-  for (std::size_t i = 1; i <= kScanPoints; ++i) {
+  const double v0 = value(t0);
+  std::size_t open = levels.size();
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    if (v0 - levels[k] == 0.0) {
+      found[k] = t0;
+      --open;
+    }
+  }
+  double prev_value = v0;
+  for (std::size_t i = 1; i <= kScanPoints && open > 0; ++i) {
     const double t =
         t0 + (t1 - t0) * static_cast<double>(i) /
                  static_cast<double>(kScanPoints);
-    const double v = value(t) - level;
-    if ((prev_v < 0.0 && v >= 0.0) || (prev_v > 0.0 && v <= 0.0)) {
-      // Bisection refinement on the bracket.
-      double lo = prev_t;
-      double hi = t;
-      double flo = prev_v;
-      for (int it = 0; it < 60; ++it) {
-        const double mid = 0.5 * (lo + hi);
-        const double fm = value(mid) - level;
-        if ((flo < 0.0) == (fm < 0.0)) {
-          lo = mid;
-          flo = fm;
-        } else {
-          hi = mid;
-        }
+    const double value_t = value(t);
+    for (std::size_t k = 0; k < levels.size(); ++k) {
+      if (found[k]) continue;
+      const double prev_v = prev_value - levels[k];
+      const double v = value_t - levels[k];
+      if ((prev_v < 0.0 && v >= 0.0) || (prev_v > 0.0 && v <= 0.0)) {
+        found[k] = refine(levels[k], prev_t, t, prev_v);
+        --open;
       }
-      return 0.5 * (lo + hi);
     }
     prev_t = t;
-    prev_v = v;
+    prev_value = value_t;
   }
-  return std::nullopt;
+  return found;
 }
 
 waveform::Waveform Approximation::sample(double t0, double t1,
@@ -188,6 +207,18 @@ std::vector<Engine::AtomProblem>& Engine::atom_problems() {
   const la::RealVector& x_eq = equilibrium();
   const la::RealVector& x0 = mna_.initial_state();
 
+  // Eq. 8's x_h0 is already the consistent x_h(0+) -- no sigma-limit
+  // needed -- when the atom adds no value jump and no initial-condition
+  // deviation: then x_h0 = -x_b with G x_h0 = C x_a, in range(C), which
+  // on an index-1 pencil is exactly the consistency condition.  Ramp
+  // atoms qualify; step and IC atoms keep the sigma-walk.
+  const bool index_one = check::index_one_structure(mna_.circuit());
+  auto jump_free = [](const la::RealVector& jump) {
+    return std::all_of(jump.begin(), jump.end(),
+                       [](double v) { return v == 0.0; });
+  };
+  bool first_consistent = index_one && x0 == x_eq;
+
   // Atom at t=0 carries the initial-condition deviation plus any stimulus
   // event at exactly t=0 (the paper's combined IC + step analysis).
   la::RealVector xh0_first(n);
@@ -213,20 +244,23 @@ std::vector<Engine::AtomProblem>& Engine::atom_problems() {
         xa_first[i] += xa[i];
       }
       have_first = true;
+      first_consistent = first_consistent && jump_free(ev.value_jump);
     } else {
       AtomProblem atom{ev.time, xb, xa,
                        MomentSequence(mna_, [&] {
                          la::RealVector xh(n);
                          for (std::size_t i = 0; i < n; ++i) xh[i] = -xb[i];
                          return xh;
-                       }())};
+                       }()),
+                       index_one && jump_free(ev.value_jump)};
       atoms_.push_back(std::move(atom));
     }
   }
   if (have_first) {
     atoms_.insert(atoms_.begin(),
                   AtomProblem{0.0, xb_first, xa_first,
-                              MomentSequence(mna_, xh0_first)});
+                              MomentSequence(mna_, xh0_first),
+                              first_consistent});
   }
 
   // The static operating point enters as a terms-free pseudo-atom handled
@@ -560,7 +594,7 @@ Result Engine::approximate_at(std::size_t out,
         ScopedTimer timer(stats_.seconds_moments);
         for (int j = j0; j < j0 + mu_count; ++j) {
           double v = problem.moments.mu(j, out);
-          if (j == -1 && options.jump_consistent &&
+          if (j == -1 && options.jump_consistent && !problem.consistent &&
               problem.moments.has_jump(out)) {
             v = -problem.moments.consistent_initial_value()[out];
           }
@@ -641,6 +675,16 @@ Result Engine::approximate_at(std::size_t out,
   }
   ++stats_.outputs;
   return result;
+}
+
+std::size_t Engine::atom_count() { return atom_problems().size(); }
+
+bool Engine::atom_consistent(std::size_t atom) {
+  return atom_problems().at(atom).consistent;
+}
+
+MomentSequence& Engine::atom_moments(std::size_t atom) {
+  return atom_problems().at(atom).moments;
 }
 
 la::ComplexVector Engine::actual_poles() const {

@@ -49,7 +49,8 @@ struct EngineOptions {
   bool match_initial_slope = false;
 
   /// Replace mu_{-1} with the sigma-limit consistent initial value when
-  /// the response jumps at t=0+ (capacitively coupled outputs).
+  /// the response jumps at t=0+ (capacitively coupled outputs).  Atoms
+  /// that cannot jump (Engine::atom_consistent) skip the sigma-limit.
   bool jump_consistent = true;
 
   /// Use the paper's Cauchy-inequality error bound instead of the exact
@@ -149,6 +150,12 @@ class Approximation {
   std::optional<double> first_crossing(double level, double t0,
                                        double t1) const;
 
+  /// first_crossing for several levels at once: one scan of the same
+  /// grid serves every level, each refined by the same bisection, so
+  /// result k is bitwise first_crossing(levels[k], t0, t1).
+  std::vector<std::optional<double>> first_crossings(
+      std::span<const double> levels, double t0, double t1) const;
+
   /// Sample into a Waveform for plotting/comparison.
   waveform::Waveform sample(double t0, double t1, std::size_t count) const;
 
@@ -242,12 +249,23 @@ class Engine {
 
   const mna::MnaSystem& system() const { return mna_; }
 
+  /// The stimulus atoms, in start-time order (built on first use).
+  /// atom_consistent(i) is true when atom i's x_h0 is the consistent
+  /// x_h(0+) by construction -- no value jump, no initial-condition
+  /// deviation, index-1 structure (check::index_one_structure) -- so the
+  /// sigma-limit jump test is skipped for it.  atom_moments exposes the
+  /// atom's moment sequence, sigma-limit included, to prove that rule.
+  std::size_t atom_count();
+  bool atom_consistent(std::size_t atom);
+  MomentSequence& atom_moments(std::size_t atom);
+
  private:
   struct AtomProblem {
     double start_time = 0.0;
     la::RealVector particular_offset;  // x_b
     la::RealVector particular_slope;   // x_a
     MomentSequence moments;
+    bool consistent = false;  // see atom_consistent()
   };
 
   struct LadderOutcome {

@@ -26,7 +26,11 @@
 //   pade.roots       eq. 25 characteristic-polynomial rooting
 //   engine.residues  eq. 20/29 (confluent) Vandermonde residue solve
 //   timing.stage     one stage evaluation in the timing analyzer
+//   stage.crossings  delay/slew threshold extraction for one stage sink
+//                    (one grid scan for all levels)
 //   parallel.job     one thread-pool job (wraps timing.stage)
+//   check.lint       one static lint pass over a circuit
+//   audit.parse      one design-netlist parse (audit::parse_design)
 //   session.reuse    one stage served from the Session stage cache
 //                    (verified hit in the serial pre-pass)
 //   session.invalidate  one cache entry dropped (failed verification

@@ -25,10 +25,12 @@ void Design::add_gate(Gate gate) {
   if (gate.name.empty()) {
     throw std::invalid_argument("Design: gate with empty name");
   }
-  if (!gates_.emplace(gate.name, gate).second) {
+  const auto [it, inserted] = gates_.try_emplace(gate.name);
+  if (!inserted) {
     throw std::invalid_argument("Design: duplicate gate '" + gate.name +
                                 "'");
   }
+  it->second = std::move(gate);
 }
 
 void Design::add_net(std::string driver, Net net) {

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "circuit/circuit.h"
 #include "core/engine.h"
+#include "obs/trace.h"
 #include "timing/stage_cache.h"
 
 namespace awesim::timing {
@@ -308,15 +310,17 @@ StageEvaluation engine_backed_evaluate(const StageProblem& p, int order,
     // input slew.
     const double tau = result.approximation.dominant_time_constant();
     const double horizon = 12.0 * tau + 3.0 * in_slew + 1e-15;
-    const double v_th = options.swing * options.delay_threshold_fraction;
-    const double v_lo = options.swing * options.slew_low_fraction;
-    const double v_hi = options.swing * options.slew_high_fraction;
-    const auto t_th =
-        result.approximation.first_crossing(v_th, 0.0, horizon);
-    const auto t_lo =
-        result.approximation.first_crossing(v_lo, 0.0, horizon);
-    const auto t_hi =
-        result.approximation.first_crossing(v_hi, 0.0, horizon);
+    const std::array<double, 3> levels{
+        options.swing * options.delay_threshold_fraction,
+        options.swing * options.slew_low_fraction,
+        options.swing * options.slew_high_fraction};
+    const std::vector<std::optional<double>> t = [&] {
+      AWESIM_TRACE_SPAN("stage.crossings");
+      return result.approximation.first_crossings(levels, 0.0, horizon);
+    }();
+    const std::optional<double> t_th = t[0];
+    const std::optional<double> t_lo = t[1];
+    const std::optional<double> t_hi = t[2];
     SinkTiming sink_t;
     sink_t.gate = sink_names[i];
     sink_t.stage_delay = driver.intrinsic_delay + t_th.value_or(horizon);

@@ -9,9 +9,13 @@
 // under the ctest label "audit".
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +28,7 @@
 #include "core/engine.h"
 #include "netlist/parser.h"
 #include "obs/json.h"
+#include "obs/trace.h"
 #include "reduce/hier.h"
 #include "reduce/reduce.h"
 #include "timing/analyzer.h"
@@ -458,6 +463,160 @@ TEST(DesignNetlist, ParseErrorsCarryExactLocations) {
 TEST(DesignNetlist, FlatSpiceIsNotADesign) {
   EXPECT_FALSE(looks_like_design("V1 in 0 5\nR1 in out 1k\n"));
   EXPECT_TRUE(looks_like_design("* header\n.GATE g1 rdrive=1k\n"));
+}
+
+TEST(DesignNetlist, ValuesMatchParseValueBitwise) {
+  // Plain decimals take the std::from_chars path, everything else
+  // netlist::parse_value; either way a card must read exactly what
+  // parse_value reads, and fail with exactly its message.
+  const std::vector<std::string> tokens = {
+      "1", "1.5", "-2.5", "+5", ".5", "5.", "-.5", "007", "1e3", "1E3",
+      "1e-15", "2.5e+12", "1.23457e-15", "6.02214076e23",
+      "0.1", "0.30000000000000004", "9007199254740993", "1e308", "0",
+      "-0", "0.0", "1e-310", "1e-400", "1e400", "inf", "nan", "10f",
+      "10F", "3.3p", "10pF", "12.5fF", "2meg", "2MEG", "2Meg", "4.7k",
+      "4.7K", "1u", "5m", "1g", "1t", "1n", "", "abc", "1x", "1e", "1e+",
+      ".", "-", "+", "0x1p3", "1,5", "1..2", "1e3.5", "--1"};
+  for (const std::string& token : tokens) {
+    const std::string text = ".gate g rdrive=" + token +
+                             "\n.gate h\n.input g\n.net g n\nR1 DRV a " +
+                             (token.empty() ? std::string("\"\"") : token) +
+                             "\n.sink h a\n.endnet\n";
+    const DesignParse parse = parse_design(text, "values.sp");
+    double expected = 0.0;
+    std::string error;
+    try {
+      expected = netlist::parse_value(token);
+    } catch (const std::invalid_argument& e) {
+      error = e.what();
+    }
+    if (error.empty()) {
+      ASSERT_TRUE(parse.design.has_value())
+          << token << ": " << core::to_string(parse.diagnostics);
+      const double rdrive = parse.design->gates().at("g").drive_resistance;
+      const double element = parse.design->net_at(0).parasitics.at(0).value;
+      EXPECT_EQ(std::memcmp(&rdrive, &expected, sizeof(double)), 0) << token;
+      EXPECT_EQ(std::memcmp(&element, &expected, sizeof(double)), 0)
+          << token;
+    } else {
+      EXPECT_FALSE(parse.design.has_value()) << token;
+      ASSERT_FALSE(parse.diagnostics.empty()) << token;
+      EXPECT_EQ(parse.diagnostics[0].message, error) << token;
+      EXPECT_EQ(parse.diagnostics[0].line, 1u) << token;
+      EXPECT_EQ(parse.diagnostics[0].column, 16u) << token;  // the value
+    }
+  }
+}
+
+TEST(DesignNetlist, EveryElementReportsItsExactLineColumn) {
+  // Three nets with indented cards, comments, blank lines and CRLF line
+  // ends; every element's recorded card must be exactly where it was
+  // written.
+  struct Expected {
+    std::string net;
+    std::size_t line;
+    std::size_t column;
+  };
+  std::vector<Expected> expected;
+  std::string text = "* header\n.gate d1\n.gate d2\n.gate s1\n.input d1\n";
+  std::size_t line = 5;
+  auto add = [&](const std::string& card) {
+    text += card;
+    ++line;
+  };
+  for (int n = 0; n < 3; ++n) {
+    const std::string net = "net" + std::to_string(n);
+    add(".net " + std::string(n == 1 ? "d2" : "d1") + " " + net + "\n");
+    for (int e = 0; e < 4 + n; ++e) {
+      const std::string indent(static_cast<std::size_t>((e * 3 + n) % 5),
+                               e % 2 == 0 ? ' ' : '\t');
+      if (e == 2) add("\n");
+      if (e == 3) add("  * a comment between cards\n");
+      const std::string node = "m" + std::to_string(e);
+      add(indent + (e % 2 == 0 ? "R" : "C") + std::to_string(e) + " " +
+          (e % 2 == 0 ? "DRV " + node + " 1k" : node + " 0 2f") +
+          (n == 2 ? "\r\n" : "\n"));
+      expected.push_back({net, line, indent.size() + 1});
+    }
+    add(".sink s1 m0\n");
+    add(".endnet\n");
+  }
+  const DesignParse parse = parse_design(text, "located.sp");
+  ASSERT_TRUE(parse.design.has_value()) << core::to_string(parse.diagnostics);
+  std::map<std::string, std::size_t> next_index;
+  for (const Expected& want : expected) {
+    const std::size_t index = next_index[want.net]++;
+    const circuit::SourceLoc loc = parse.sources.element_loc(want.net, index);
+    EXPECT_EQ(loc.file, "located.sp");
+    EXPECT_EQ(loc.line, want.line) << want.net << "[" << index << "]";
+    EXPECT_EQ(loc.column, want.column) << want.net << "[" << index << "]";
+  }
+  for (const auto& [net, count] : next_index) {
+    EXPECT_FALSE(parse.sources.element_loc(net, count).known()) << net;
+  }
+  EXPECT_FALSE(parse.sources.element_loc("no_such_net", 0).known());
+  EXPECT_EQ(parse.sources.gate_loc("d2").line, 3u);
+  EXPECT_EQ(parse.sources.gate_loc("d2").column, 7u);
+  EXPECT_EQ(parse.sources.net_loc("net0").line, 6u);
+  EXPECT_EQ(parse.sources.net_loc("net0").column, 9u);
+  EXPECT_FALSE(parse.sources.gate_loc("nobody").known());
+}
+
+TEST(DesignNetlist, ParseIsTracedAsOneSpan) {
+  if (!obs::tracing_compiled_in()) GTEST_SKIP() << "tracing compiled out";
+  const bool was_enabled = obs::tracing_enabled();
+  obs::set_tracing(true);
+  obs::reset_phases();
+  parse_design(".gate g1\n.gate g2\n.net g1 n\nR1 DRV a 1k\n.endnet\n",
+               "traced.sp");
+  const obs::PhaseBreakdown phases = obs::snapshot();
+  obs::set_tracing(was_enabled);
+  obs::reset_phases();
+  std::uint64_t count = 0;
+  for (const obs::NamedPhaseStats& p : phases) {
+    if (p.name == "audit.parse") count = p.stats.count;
+  }
+  EXPECT_EQ(count, 1u);
+}
+
+// Every diagnostic of the seeded-defect corpus, parse and audit tiers,
+// pinned as text (file names reduced to their base name).  Regenerate
+// deliberately with:
+//   AWESIM_REGEN_GOLDEN=1 ./test_audit
+//       --gtest_filter='*CorpusDiagnosticsMatchGolden*'
+TEST(AuditCorpus, CorpusDiagnosticsMatchGolden) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(netlist_dir()) / "bad" / "audit")) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  ASSERT_FALSE(names.empty());
+  std::string rendered;
+  auto render = [&](core::Diagnostic d) {
+    d.file = std::filesystem::path(d.file).filename().string();
+    rendered += d.to_string() + "\n";
+  };
+  for (const std::string& name : names) {
+    rendered += "== " + name + "\n";
+    const DesignParse parse = parse_design_file(corpus_path(name));
+    for (const core::Diagnostic& d : parse.diagnostics) render(d);
+    if (!parse.design) continue;
+    const AuditReport report = audit_design(*parse.design, {}, &parse.sources);
+    for (const core::Diagnostic& d : report.diagnostics) render(d);
+  }
+
+  const std::string path =
+      std::string(AWESIM_GOLDEN_DIR) + "/audit_corpus.txt";
+  if (std::getenv("AWESIM_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << path;
+    out << rendered;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  const std::string golden = read_file(path);
+  ASSERT_FALSE(golden.empty()) << "missing golden file " << path;
+  EXPECT_EQ(rendered, golden);
 }
 
 // ---------------------------------------------------------------------

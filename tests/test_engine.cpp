@@ -2,10 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
+#include <vector>
 
+#include "check/lint.h"
 #include "circuit/circuit.h"
 #include "circuits/paper_circuits.h"
 #include "core/engine.h"
+#include "util/random_circuits.h"
 
 namespace awesim {
 
@@ -317,6 +322,300 @@ TEST(Engine, SettlingAreaIsChargeConservationExact) {
   const double expected = 1e6 * 4.0 * 1e-9;
   EXPECT_NEAR(result.approximation.settling_area(), expected,
               1e-6 * expected);
+}
+
+// ---------------------------------------------------------------------
+// Consistent-by-construction atoms: ramp atoms skip the sigma-limit.
+
+namespace {
+
+/// The stage circuit of a generated one-net design, as the timing
+/// analyzer builds it (source -> 500-ohm driver -> parasitics), driven
+/// by `stimulus`.  With `inductors`, every third resistor gets a 1 nH
+/// inductor in series (an RLC net).
+Circuit stage_circuit(const timing::testutil::StageDesign& stage,
+                      const Stimulus& stimulus, bool inductors = false) {
+  Circuit ckt;
+  const auto in = ckt.node("__in");
+  ckt.add_vsource("Vdrv", in, kGround, stimulus);
+  ckt.add_resistor("Rdrv", in, ckt.node("DRV"), 500.0);
+  const timing::Net& net = stage.design.net_at(0);
+  for (std::size_t i = 0; i < net.parasitics.size(); ++i) {
+    const timing::NetElement& e = net.parasitics[i];
+    const std::string name = "p" + std::to_string(i);
+    const auto a = ckt.node(e.node_a);
+    const auto b = ckt.node(e.node_b);
+    if (e.kind == timing::NetElement::Kind::Capacitor) {
+      ckt.add_capacitor(name, a, b, e.value);
+    } else if (inductors && i % 3 == 0) {
+      const auto mid = ckt.node("__l" + std::to_string(i));
+      ckt.add_resistor(name, a, mid, e.value);
+      ckt.add_inductor("L" + name, mid, b, 1e-9);
+    } else {
+      ckt.add_resistor(name, a, b, e.value);
+    }
+  }
+  return ckt;
+}
+
+/// Every atom of `ckt` is flagged consistent, and the sigma-limit agrees:
+/// no unknown of any atom jumps at its start.
+void expect_consistent_atoms_never_jump(const Circuit& ckt,
+                                        const std::string& what) {
+  Engine engine(ckt);
+  ASSERT_GE(engine.atom_count(), 1u) << what;
+  for (std::size_t a = 0; a < engine.atom_count(); ++a) {
+    EXPECT_TRUE(engine.atom_consistent(a)) << what << " atom " << a;
+    core::MomentSequence& moments = engine.atom_moments(a);
+    for (std::size_t i = 0; i < engine.system().dim(); ++i) {
+      EXPECT_FALSE(moments.has_jump(i))
+          << what << " atom " << a << " unknown " << i;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(EngineJump, ConsistentRampAtomsNeverJumpOnRandomCircuits) {
+  using namespace timing::testutil;
+  const Stimulus ramp = Stimulus::ramp_step(0.0, 1.0, 50e-12);
+  const Stimulus pwl =
+      Stimulus::pwl({{0.0, 0.0}, {20e-12, 0.4}, {70e-12, 1.0}, {1e-9, 0.2}});
+  for (std::uint32_t seed = 1; seed <= 6; ++seed) {
+    const std::string tag = " seed " + std::to_string(seed);
+    const StageDesign line = rc_line_design(seed, 12);
+    const StageDesign tree = rc_tree_design(seed, 20);
+    const StageDesign mesh = rc_mesh_design(seed, 12, 4);
+    expect_consistent_atoms_never_jump(stage_circuit(line, ramp),
+                                       "line" + tag);
+    expect_consistent_atoms_never_jump(stage_circuit(tree, ramp),
+                                       "tree" + tag);
+    expect_consistent_atoms_never_jump(stage_circuit(mesh, pwl),
+                                       "mesh pwl" + tag);
+    expect_consistent_atoms_never_jump(stage_circuit(line, ramp, true),
+                                       "rlc line" + tag);
+    expect_consistent_atoms_never_jump(stage_circuit(mesh, pwl, true),
+                                       "rlc mesh pwl" + tag);
+  }
+  // The paper's floating coupling capacitor (Fig. 22) under a finite
+  // rise time.
+  circuits::Drive drive;
+  drive.rise_time = 0.1e-9;
+  expect_consistent_atoms_never_jump(circuits::fig22_floating_cap(drive),
+                                     "fig22");
+  // The Fig. 25 RLC ladder is flagged too.  Here the sigma-limit is no
+  // reference: at the capacitor-free nodes between its R and L elements
+  // (a, b2, b3) the walk settles on values far from x_h0 although those
+  // voltages are continuous (v_a = v_in - R1 i_L1), so the old path
+  // substituted a wrong mu_{-1} there.
+  const Circuit ladder = circuits::fig25_rlc_ladder(drive);
+  Engine fig25(ladder);
+  ASSERT_EQ(fig25.atom_count(), 2u);
+  EXPECT_TRUE(fig25.atom_consistent(0));
+  EXPECT_TRUE(fig25.atom_consistent(1));
+}
+
+TEST(EngineJump, ConsistentRampStageFactorsOnlyG) {
+  const Circuit ckt = stage_circuit(
+      timing::testutil::rc_tree_design(3, 30),
+      Stimulus::ramp_step(0.0, 1.0, 50e-12));
+  Engine engine(ckt);
+  EngineOptions opt;
+  opt.order = 3;
+  engine.approximate(ckt.find_node("DRV"), opt);
+  EXPECT_EQ(engine.stats().factorizations, 1u);
+}
+
+TEST(EngineJump, StepIcAndLoopAtomsKeepTheSigmaWalk) {
+  EngineOptions opt;
+  opt.order = 2;
+  auto expect_sigma_walk = [&](const Circuit& ckt, const std::string& probe,
+                               const std::string& what) {
+    Engine engine(ckt);
+    ASSERT_GE(engine.atom_count(), 1u) << what;
+    EXPECT_FALSE(engine.atom_consistent(0)) << what;
+    engine.approximate(ckt.find_node(probe), opt);
+    // G once, plus the shifted (G + sigma C) factors of the walk.
+    EXPECT_GT(engine.stats().factorizations, 1u) << what;
+  };
+
+  // An ideal step jumps by construction.
+  expect_sigma_walk(single_rc(1e3, 1e-9, 0.0, 5.0), "out", "step");
+
+  // A ramp on a capacitor held off equilibrium by an initial condition.
+  Circuit ic = single_rc(1e3, 1e-9, 0.0, 0.0);
+  ic.add_capacitor("C2", ic.find_node("out"), kGround, 1e-9, 2.0);
+  expect_sigma_walk(ic, "out", "ic");
+  {
+    Circuit ramp_ic;
+    const auto in = ramp_ic.node("in");
+    const auto out = ramp_ic.node("out");
+    ramp_ic.add_vsource("V1", in, kGround,
+                        Stimulus::ramp_step(0.0, 1.0, 1e-6));
+    ramp_ic.add_resistor("R1", in, out, 1e3);
+    ramp_ic.add_capacitor("C1", out, kGround, 1e-9, 0.5);
+    expect_sigma_walk(ramp_ic, "out", "ramp + ic");
+  }
+
+  // A ramp across a capacitor/voltage-source loop: the loop current
+  // jumps to C dV/dt at t = 0+.
+  {
+    Circuit loop;
+    const auto in = loop.node("in");
+    const auto out = loop.node("out");
+    loop.add_vsource("V1", in, kGround, Stimulus::ramp_step(0.0, 1.0, 1e-6));
+    loop.add_capacitor("Cloop", in, kGround, 1e-9);
+    loop.add_resistor("R1", in, out, 1e3);
+    loop.add_capacitor("C1", out, kGround, 1e-9);
+    EXPECT_FALSE(check::index_one_structure(loop));
+    expect_sigma_walk(loop, "out", "capacitor/V-source loop");
+  }
+}
+
+TEST(EngineJump, IndexOneStructureRules) {
+  const Stimulus ramp = Stimulus::ramp_step(0.0, 1.0, 1e-6);
+  Circuit rc;
+  const auto in = rc.node("in");
+  const auto out = rc.node("out");
+  rc.add_vsource("V1", in, kGround, ramp);
+  rc.add_resistor("R1", in, out, 1e3);
+  rc.add_capacitor("C1", out, kGround, 1e-9);
+  EXPECT_TRUE(check::index_one_structure(rc));
+
+  // A floating capacitor into a resistively grounded node closes no
+  // loop with the source ...
+  Circuit coupled = rc;
+  const auto x = coupled.node("x");
+  coupled.add_capacitor("Cx", out, x, 1e-12);
+  coupled.add_resistor("Rx", x, kGround, 1e3);
+  EXPECT_TRUE(check::index_one_structure(coupled));
+  // ... but a capacitor across the source does, and so does a
+  // capacitive divider fed straight from it.
+  Circuit across = rc;
+  across.add_capacitor("C3", in, kGround, 1e-12);
+  EXPECT_FALSE(check::index_one_structure(across));
+  Circuit divider = rc;
+  divider.add_capacitor("C2", in, out, 1e-12);
+  EXPECT_FALSE(check::index_one_structure(divider));
+
+  // A current source feeding an inductor-only cutset.
+  Circuit li;
+  const auto a = li.node("a");
+  const auto b = li.node("b");
+  li.add_isource("I1", kGround, a, ramp);
+  li.add_inductor("L1", a, b, 1e-9);
+  li.add_resistor("R1", b, kGround, 1e3);
+  EXPECT_FALSE(check::index_one_structure(li));
+  Circuit li_shunted = li;
+  li_shunted.add_resistor("R2", a, kGround, 1e3);
+  EXPECT_TRUE(check::index_one_structure(li_shunted));
+
+  // Controlled sources are never taken on trust.
+  Circuit vcvs = rc;
+  vcvs.add_vcvs("E1", vcvs.node("buf"), kGround, out, kGround, 2.0);
+  vcvs.add_resistor("R2", vcvs.find_node("buf"), kGround, 1e3);
+  EXPECT_FALSE(check::index_one_structure(vcvs));
+}
+
+// ---------------------------------------------------------------------
+// One crossing scan for several levels.
+
+namespace {
+
+/// The per-level scan first_crossings replaces, kept verbatim as the
+/// reference: 4096-point grid, first sign change, 60 bisection steps.
+std::optional<double> reference_crossing(const core::Approximation& approx,
+                                         double level, double t0,
+                                         double t1) {
+  constexpr std::size_t kScanPoints = 4096;
+  if (!(t1 > t0)) return std::nullopt;
+  double prev_t = t0;
+  double prev_v = approx.value(t0) - level;
+  if (prev_v == 0.0) return t0;
+  for (std::size_t i = 1; i <= kScanPoints; ++i) {
+    const double t = t0 + (t1 - t0) * static_cast<double>(i) /
+                              static_cast<double>(kScanPoints);
+    const double v = approx.value(t) - level;
+    if ((prev_v < 0.0 && v >= 0.0) || (prev_v > 0.0 && v <= 0.0)) {
+      double lo = prev_t;
+      double hi = t;
+      double flo = prev_v;
+      for (int it = 0; it < 60; ++it) {
+        const double mid = 0.5 * (lo + hi);
+        const double fm = approx.value(mid) - level;
+        if ((flo < 0.0) == (fm < 0.0)) {
+          lo = mid;
+          flo = fm;
+        } else {
+          hi = mid;
+        }
+      }
+      return 0.5 * (lo + hi);
+    }
+    prev_t = t;
+    prev_v = v;
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+TEST(Approximation, FirstCrossingsMatchPerLevelScansBitwise) {
+  auto same = [](const std::optional<double>& a,
+                 const std::optional<double>& b) {
+    if (a.has_value() != b.has_value()) return false;
+    return !a || std::memcmp(&*a, &*b, sizeof(double)) == 0;
+  };
+  // The underdamped Fig. 25 ladder (the Figs. 26/27 responses) rings
+  // through its final value, so levels near it are crossed on the way
+  // down as well as up; a fast RC for a monotone contrast.
+  circuits::Drive drive;
+  drive.rise_time = 0.1e-9;
+  const Circuit rlc = circuits::fig25_rlc_ladder(drive);
+  const Circuit rc = single_rc(1e3, 1e-12, 0.0, 5.0);
+  struct Case {
+    const Circuit* ckt;
+    const char* node;
+  };
+  for (const Case& c : {Case{&rlc, "n3"}, Case{&rc, "out"}}) {
+    Engine engine(*c.ckt);
+    EngineOptions opt;
+    opt.order = 6;
+    opt.auto_order = false;
+    const auto result = engine.approximate(c.ckt->find_node(c.node), opt);
+    const core::Approximation& approx = result.approximation;
+    const double v0 = approx.value(0.0);
+    // Thresholds, overshoot levels, never-crossed levels, the starting
+    // value itself, repeats, and an unsorted order.
+    const std::vector<double> levels = {2.5, 1.0, 4.0,  5.2, 5.6, 4.9,
+                                        9.0, -1.0, v0, 2.5, 0.5, 4.99};
+    const double horizon = 12.0 * approx.dominant_time_constant();
+    for (const auto& [t0, t1] :
+         std::vector<std::pair<double, double>>{{0.0, horizon},
+                                                {0.3 * horizon, horizon},
+                                                {horizon, horizon},
+                                                {horizon, 0.0}}) {
+      const std::vector<std::optional<double>> all =
+          approx.first_crossings(levels, t0, t1);
+      ASSERT_EQ(all.size(), levels.size());
+      std::size_t crossed = 0;
+      for (std::size_t k = 0; k < levels.size(); ++k) {
+        const std::optional<double> want =
+            reference_crossing(approx, levels[k], t0, t1);
+        EXPECT_TRUE(same(all[k], want))
+            << c.node << " level " << levels[k] << " on [" << t0 << ", "
+            << t1 << "]";
+        EXPECT_TRUE(same(approx.first_crossing(levels[k], t0, t1), want))
+            << c.node << " level " << levels[k];
+        if (all[k]) ++crossed;
+      }
+      if (t1 <= t0) {
+        EXPECT_EQ(crossed, 0u);
+      } else {
+        EXPECT_LT(crossed, levels.size());  // 9.0 and -1.0 never cross
+      }
+    }
+  }
 }
 
 }  // namespace awesim

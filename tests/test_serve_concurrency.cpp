@@ -67,6 +67,7 @@ TEST(ServeConcurrency, ReadersSeeBitIdenticalSnapshotsDuringWrites) {
   std::mutex canon_mutex;
   std::map<std::uint64_t, std::string> canon;
   std::atomic<int> mismatches{0};
+  std::atomic<int> readers_started{0};
   std::atomic<bool> writer_done{false};
 
   auto record = [&](std::uint64_t generation, const std::string& print) {
@@ -75,7 +76,11 @@ TEST(ServeConcurrency, ReadersSeeBitIdenticalSnapshotsDuringWrites) {
     if (!inserted && it->second != print) ++mismatches;
   };
 
-  std::thread writer([&store, &writer_done] {
+  // The writer starts once every reader holds a first snapshot, and each
+  // reader's last read starts after the writer is done, so every reader
+  // sees the first and the last generation however fast either side runs.
+  std::thread writer([&store, &writer_done, &readers_started] {
+    while (readers_started.load() < kReaders) std::this_thread::yield();
     for (int i = 0; i < kWrites; ++i) {
       store.mutate([i](timing::Session& s) {
         s.set_drive_resistance("g0", 500.0 + 25.0 * i);
@@ -88,8 +93,10 @@ TEST(ServeConcurrency, ReadersSeeBitIdenticalSnapshotsDuringWrites) {
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&store, &record] {
-      for (int i = 0; i < kReadsPerReader; ++i) {
+    readers.emplace_back([&store, &record, &readers_started,
+                          &writer_done] {
+      for (int i = 0;; ++i) {
+        const bool writes_done = writer_done.load();
         const std::shared_ptr<const timing::Snapshot> snap =
             store.current();
         // Two queries of one pin must match each other exactly...
@@ -99,6 +106,8 @@ TEST(ServeConcurrency, ReadersSeeBitIdenticalSnapshotsDuringWrites) {
             << "a pinned snapshot changed under a reader";
         // ...and match every other thread's view of that generation.
         record(snap->generation(), first);
+        if (i == 0) ++readers_started;
+        if (writes_done && i + 1 >= kReadsPerReader) break;
       }
     });
   }
@@ -108,7 +117,7 @@ TEST(ServeConcurrency, ReadersSeeBitIdenticalSnapshotsDuringWrites) {
   EXPECT_EQ(mismatches.load(), 0)
       << "two readers of one generation saw different reports";
   EXPECT_GE(canon.size(), 2u)
-      << "the readers never overlapped a write; raise kReadsPerReader";
+      << "the readers never overlapped a write";
 }
 
 TEST(ServeConcurrency, FailedMutationsPublishNothingUnderChurn) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -141,8 +142,10 @@ TEST(Timing, MultiSinkNetTimesEachSink) {
   EXPECT_GT(d_far, d_near);
 }
 
-TEST(Timing, InductiveNetEscalatesOrder) {
-  // A PCB-ish net with inductance: AWE must escalate beyond 2 poles.
+namespace {
+
+// A PCB-ish net with inductance.
+Design inductive_design() {
   Design d;
   d.add_gate({"drv", 25.0, 0.0, 0.0});
   d.add_gate({"rx", 1e6, 2e-12, 0.0});
@@ -154,6 +157,14 @@ TEST(Timing, InductiveNetEscalatesOrder) {
   net.sink_node["rx"] = "t2";
   d.add_net("drv", net);
   d.set_primary_input("drv");
+  return d;
+}
+
+}  // namespace
+
+TEST(Timing, InductiveNetEscalatesOrder) {
+  // AWE must escalate beyond 2 poles.
+  const Design d = inductive_design();
   AnalysisOptions opt;
   opt.swing = 3.3;
   opt.input_slew = 0.05e-9;
@@ -262,6 +273,22 @@ Design wide_multiwave_design(std::size_t chains) {
 // accumulators must be race-free under TSan, and the report plus the
 // span *counts* must be bit-identical across 1/2/8 threads (the seconds
 // fields are wall-clock and are exempt by contract).
+TEST(Timing, ColdRampDesignFactorsOncePerStage) {
+  // Every stage is driven by a finite-slew ramp, so no stage atom jumps
+  // at t = 0 and none walks the sigma-limit: the paper's one LU of G per
+  // stage, RC and RLC alike, at any thread count.
+  for (const Design& d :
+       {two_gate_design(), wide_multiwave_design(8), inductive_design()}) {
+    for (int threads : {1, 4}) {
+      AnalysisOptions opt;
+      opt.threads = threads;
+      const TimingReport report = d.analyze(opt);
+      EXPECT_GT(report.awe_stats.stages, 0u);
+      EXPECT_EQ(report.awe_stats.factorizations, report.awe_stats.stages);
+    }
+  }
+}
+
 TEST(Timing, TracedParallelAnalysisIsRaceFreeAndDeterministic) {
   const bool was_enabled = obs::tracing_enabled();
   obs::set_tracing(true);
@@ -314,10 +341,17 @@ TEST(Timing, TracedParallelAnalysisIsRaceFreeAndDeterministic) {
   if (obs::tracing_compiled_in()) {
     // The taxonomy's timing-layer phases must be present and counted
     // exactly: one timing.stage and one parallel.job per evaluated
-    // stage.
+    // stage, one stage.crossings per sink.
+    std::uint64_t sinks = 0;
+    for (const StageTiming& st : ref.stages) sinks += st.sinks.size();
     bool saw_stage = false;
     bool saw_job = false;
+    bool saw_crossings = false;
     for (const auto& p : ref.awe_stats.phases) {
+      if (p.name == "stage.crossings") {
+        saw_crossings = true;
+        EXPECT_EQ(p.stats.count, sinks);
+      }
       if (p.name == "timing.stage") {
         saw_stage = true;
         EXPECT_EQ(p.stats.count, ref.awe_stats.stages);
@@ -329,6 +363,7 @@ TEST(Timing, TracedParallelAnalysisIsRaceFreeAndDeterministic) {
     }
     EXPECT_TRUE(saw_stage);
     EXPECT_TRUE(saw_job);
+    EXPECT_TRUE(saw_crossings);
   }
 }
 
