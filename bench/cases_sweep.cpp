@@ -45,13 +45,6 @@ struct SweepState {
   std::vector<double> values;
   /// Applies one swept value to a mutation-vehicle session (cold path).
   std::function<void(timing::Session&, double)> set;
-  /// When set, regenerates `values` before every timed run -- cases that
-  /// must defeat the stage cache rotate their sweep values per epoch so
-  /// each repetition re-evaluates (through the low-rank warm path)
-  /// instead of replaying cached results.  The reference closure reads
-  /// `values` at call time, so cold comparisons always see the epoch the
-  /// last timed run used.
-  std::function<std::vector<double>()> next_values;
   std::unique_ptr<timing::Session> session;
   timing::SweepResult warm;
   std::vector<double> cold_delays;
@@ -62,7 +55,6 @@ PreparedCase prepare_sweep(std::shared_ptr<SweepState> state) {
       std::make_unique<timing::Session>(state->design, state->opt);
   PreparedCase p;
   p.run = [state] {
-    if (state->next_values) state->values = state->next_values();
     state->warm = state->session->sweep(state->param, state->values);
   };
   p.reference = [state] {
@@ -95,24 +87,12 @@ PreparedCase prepare_sweep(std::shared_ptr<SweepState> state) {
     // sweep plus the session cache's cumulative eviction count --
     // nonzero evictions mean the working set outran StageCache::Limits
     // and part of the measured speedup was recomputed, not replayed.
-    // The low-rank counters report the solver path actually taken over
-    // the last sweep's points: Sherman-Morrison-corrected evaluations
-    // vs refused updates that forced a full refactorization.
     const timing::Session::CacheStats cs = state->session->cache_stats();
-    double lr_points = 0.0;
-    double lr_refactorizations = 0.0;
-    for (const timing::SweepPoint& pt : state->warm.points) {
-      lr_points += static_cast<double>(pt.report.awe_stats.low_rank_points);
-      lr_refactorizations += static_cast<double>(
-          pt.report.awe_stats.low_rank_refactorizations);
-    }
     return {
         {"stages_reused", static_cast<double>(state->warm.stages_reused)},
         {"stages_recomputed",
          static_cast<double>(state->warm.stages_recomputed)},
         {"cache_evictions", static_cast<double>(cs.evictions)},
-        {"low_rank_points", lr_points},
-        {"low_rank_refactorizations", lr_refactorizations},
     };
   };
   return p;
@@ -214,106 +194,11 @@ BenchCase driver_size_sweep_case() {
   return bc;
 }
 
-BenchCase rc_line_low_rank_sweep_case() {
-  constexpr std::size_t kSections = 1000;
-  constexpr int kPoints = 20;
-  BenchCase bc;
-  bc.name = "sweep.rc_line_lowrank_" + std::to_string(kSections);
-  bc.paper_ref = "Section I (reuse)";
-  bc.accuracy_metric = "critical_delay_abs_dev_lowrank_vs_exact_s";
-  bc.problem_size = kSections;
-  bc.prepare = [] {
-    auto state = std::make_shared<SweepState>();
-    timing::Design& d = state->design;
-    d.add_gate({"drv", 200.0, 4e-15, 0.0});
-    d.add_gate({"load", 500.0, 5e-15, 5e-12});
-    // Same 1000-section line as sweep.rc_line_1000, but here the sweep
-    // varies a resistor *inside* the line, so the expensive stage
-    // itself changes at every point and the stage cache cannot replay
-    // it.  The warm session instead re-solves through the
-    // Sherman-Morrison correction of the baseline's cached LU.  This is
-    // a *differential* case: the reference is the same Session machinery
-    // with low_rank off (full refactorization at every point), so the
-    // accuracy column is exactly the low-rank drift contract
-    // (|delta critical_delay| <= 1e-9 s vs the exact factorization) and
-    // the extra counters prove the corrected path ran.  Per-point cost
-    // on this topology is dominated by the stage rebuild and moment
-    // recursion, not the (sparse, near-tridiagonal) factorization, so
-    // expect speedup ~1x -- the case guards correctness and counters,
-    // not wall-clock.
-    timing::Net line;
-    line.name = "line";
-    const double r_sec = 1e3 / static_cast<double>(kSections);
-    const double c_sec = 1e-9 / static_cast<double>(kSections);
-    std::string prev = "DRV";
-    for (std::size_t i = 1; i <= kSections; ++i) {
-      const std::string node = "c" + std::to_string(i);
-      line.parasitics.push_back(r(prev, node, r_sec));
-      line.parasitics.push_back(c(node, c_sec));
-      prev = node;
-    }
-    line.sink_node["load"] = prev;
-    d.add_net("drv", line);
-    timing::Net tail;
-    tail.name = "tail";
-    tail.parasitics = {r("DRV", "t1", 100.0), c("t1", 20e-15)};
-    tail.sink_node["OUT"] = "t1";
-    d.add_net("load", tail);
-    d.set_primary_input("drv");
-
-    state->opt.threads = 1;
-    state->param = {timing::SweepParam::Kind::NetElementValue, "line", 0};
-    // Rotate the swept values every timed repetition: repeat N gets
-    // values no earlier repetition analyzed, so every point is a fresh
-    // low-rank evaluation instead of a cache replay.
-    auto epoch = std::make_shared<int>(0);
-    state->next_values = [epoch, r_sec] {
-      ++*epoch;
-      std::vector<double> v;
-      v.reserve(kPoints);
-      for (int i = 0; i < kPoints; ++i) {
-        v.push_back(r_sec * (1.1 + 0.05 * i) + r_sec * 1e-6 * *epoch);
-      }
-      return v;
-    };
-    state->values = state->next_values ? state->next_values()
-                                       : std::vector<double>();
-    state->set = [](timing::Session& s, double v) {
-      s.set_value("line", 0, v);
-    };
-    PreparedCase p = prepare_sweep(state);
-    // Differential reference: the exact warm path.  Same Session, same
-    // stage cache machinery, low_rank off -- every point pays a full
-    // refactorization.  Reads state->values at call time, so it always
-    // compares against the epoch the last timed run used.
-    timing::SessionOptions exact_opts;
-    exact_opts.low_rank = false;
-    auto exact = std::make_shared<timing::Session>(state->design, state->opt,
-                                                   exact_opts);
-    p.reference = [state, exact] {
-      // Drop the exact session's stage cache first: repeated reference
-      // runs see the same epoch values, and a cache replay would
-      // measure nothing.  With the cache cold, every point refactorizes.
-      exact->clear_cache();
-      const timing::SweepResult res =
-          exact->sweep(state->param, state->values);
-      state->cold_delays.clear();
-      state->cold_delays.reserve(res.points.size());
-      for (const timing::SweepPoint& pt : res.points) {
-        state->cold_delays.push_back(pt.report.critical_delay);
-      }
-    };
-    return p;
-  };
-  return bc;
-}
-
 }  // namespace
 
 void register_sweep_cases() {
   register_bench(rc_line_sweep_case());
   register_bench(driver_size_sweep_case());
-  register_bench(rc_line_low_rank_sweep_case());
 }
 
 }  // namespace awesim::bench

@@ -28,7 +28,6 @@ const char* to_string(DiagCode code) {
     case DiagCode::StageDegraded: return "stage-degraded";
     case DiagCode::StageFailed: return "stage-failed";
     case DiagCode::CacheInvalidated: return "cache-invalidated";
-    case DiagCode::LowRankDrift: return "low-rank-drift";
     case DiagCode::ReductionFallback: return "reduction-fallback";
     case DiagCode::ReductionToleranceExceeded:
       return "reduction-tolerance-exceeded";

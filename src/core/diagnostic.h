@@ -52,7 +52,6 @@ enum class DiagCode {
   StageDegraded,    // a stage answered with a degraded (flagged) estimate
   StageFailed,      // a stage could not be approximated; bound substituted
   CacheInvalidated, // a session cache entry failed verification; recomputed
-  LowRankDrift,     // low-rank warm path refused; full refactorization ran
   // Hierarchical reduction (src/reduce).
   ReductionFallback,          // a net could not be reduced; analyzed flat
   ReductionToleranceExceeded, // macromodel failed moment verification; flat

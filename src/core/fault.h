@@ -10,9 +10,6 @@
 //
 // Probe sites wired into the pipeline:
 //   la.lu            key = matrix dimension     force a singular pivot
-//   la.lowrank       key = matrix dimension     refuse the Sherman-Morrison
-//                                               update (the caller must fall
-//                                               back to full refactorization)
 //   mna.factor       key = "*"                  singular G factorization
 //   engine.moments   key = output node name     replace moments with NaN
 //   engine.unstable  key = order q              flag the eq. 24 match unstable

@@ -15,8 +15,6 @@ Stats& Stats::operator+=(const Stats& other) {
   stages_reused += other.stages_reused;
   stages_recomputed += other.stages_recomputed;
   cache_evictions += other.cache_evictions;
-  low_rank_points += other.low_rank_points;
-  low_rank_refactorizations += other.low_rank_refactorizations;
   lint_errors += other.lint_errors;
   lint_warnings += other.lint_warnings;
   conditioning_hazards += other.conditioning_hazards;
@@ -43,8 +41,6 @@ Stats& Stats::operator-=(const Stats& other) {
   stages_reused -= other.stages_reused;
   stages_recomputed -= other.stages_recomputed;
   cache_evictions -= other.cache_evictions;
-  low_rank_points -= other.low_rank_points;
-  low_rank_refactorizations -= other.low_rank_refactorizations;
   lint_errors -= other.lint_errors;
   lint_warnings -= other.lint_warnings;
   conditioning_hazards -= other.conditioning_hazards;
@@ -106,16 +102,9 @@ std::string Stats::summary() const {
   }
   if (cache_evictions > 0 && n > 0 &&
       static_cast<std::size_t>(n) < sizeof buf) {
-    n += std::snprintf(buf + n, sizeof buf - static_cast<std::size_t>(n),
-                       " | %llu evicted",
-                       static_cast<unsigned long long>(cache_evictions));
-  }
-  if (low_rank_points + low_rank_refactorizations > 0 && n > 0 &&
-      static_cast<std::size_t>(n) < sizeof buf) {
     std::snprintf(buf + n, sizeof buf - static_cast<std::size_t>(n),
-                  " | low-rank %llu point, %llu refactor",
-                  static_cast<unsigned long long>(low_rank_points),
-                  static_cast<unsigned long long>(low_rank_refactorizations));
+                  " | %llu evicted",
+                  static_cast<unsigned long long>(cache_evictions));
   }
   return buf;
 }

@@ -56,16 +56,12 @@ struct Stats {
   /// cache_stats(), now in every report and bench snapshot.
   std::uint64_t cache_evictions = 0;
 
-  /// Low-rank warm-path counters (see timing::SessionOptions::low_rank
-  /// and DESIGN.md "Low-rank warm-path refactorization").
-  /// `low_rank_points` counts stages evaluated through a
-  /// Sherman-Morrison-corrected donor factorization instead of a fresh
-  /// LU; `low_rank_refactorizations` counts stages where the corrected
-  /// solver refused (rank cap, drift watchdog, fault probe) and a full
-  /// refactorization was performed instead.  Both stay 0 with the
-  /// low-rank path disabled or never eligible.
+  /// Always 0: nothing writes it.  A leftover of the deleted low-rank
+  /// warm path (DESIGN.md §14), kept only because the end-to-end
+  /// benchmark (perfbench/src/eco.cpp), which may not change outside a
+  /// benchmark change, still reads it for its `la.low_rank_ratio`
+  /// metric.  Remove it together with that metric.
   std::uint64_t low_rank_points = 0;
-  std::uint64_t low_rank_refactorizations = 0;
 
   /// Pre-flight lint findings (src/check rule pipeline) tallied by the
   /// layer that ran the lint: Engine when EngineOptions::preflight_lint

@@ -454,83 +454,6 @@ std::vector<la::RealVector> MnaSystem::solve_multi(
   return g_solver_->solve_multi(rhs);
 }
 
-std::optional<la::RankOneUpdate> MnaSystem::apply_delta(
-    std::string_view element, double base_value) const {
-  const circuit::Element* found = nullptr;
-  for (const auto& e : ckt_->elements()) {
-    if (e.name == element) {
-      found = &e;
-      break;
-    }
-  }
-  if (found == nullptr) return std::nullopt;
-  switch (found->kind) {
-    case circuit::ElementKind::Capacitor:
-    case circuit::ElementKind::Inductor:
-      // The value appears only in C; G is untouched.
-      return la::RankOneUpdate{};
-    case circuit::ElementKind::Resistor:
-      break;
-    default:
-      return std::nullopt;
-  }
-  if (!(found->value > 0.0) || !(base_value > 0.0)) return std::nullopt;
-  const double dg = 1.0 / found->value - 1.0 / base_value;
-  if (!std::isfinite(dg)) return std::nullopt;
-  la::RankOneUpdate up;
-  if (dg == 0.0) return up;
-  if (found->pos != kGround) {
-    const std::size_t ia = node_index(found->pos);
-    up.u.emplace_back(ia, dg);
-    up.v.emplace_back(ia, 1.0);
-  }
-  if (found->neg != kGround) {
-    const std::size_t ib = node_index(found->neg);
-    up.u.emplace_back(ib, -dg);
-    up.v.emplace_back(ib, -1.0);
-  }
-  return up;
-}
-
-bool MnaSystem::adopt_low_rank_solver(
-    std::shared_ptr<const Solver> donor, bool used_gmin,
-    const core::Diagnostics& factor_diagnostics,
-    const std::vector<std::pair<std::string, double>>& base_values,
-    const la::LowRankOptions& options) const {
-  std::vector<la::RankOneUpdate> updates;
-  updates.reserve(base_values.size());
-  for (const auto& [name, base] : base_values) {
-    std::optional<la::RankOneUpdate> up = apply_delta(name, base);
-    if (!up) return false;
-    if (!up->u.empty() && !up->v.empty()) updates.push_back(std::move(*up));
-  }
-  if (updates.empty()) {
-    // Every delta was rank-0 on G: the donor factorization is exact.
-    adopt_g_solver(std::move(donor), used_gmin, factor_diagnostics);
-    return true;
-  }
-  const Solver* raw = donor.get();
-  la::LowRankSolver corrected(
-      dim_,
-      [raw](const la::RealVector& b) { return raw->solve(b); },
-      [raw](const std::vector<la::RealVector>& bs) {
-        return raw->solve_multi(bs);
-      },
-      options);
-  for (const auto& up : updates) {
-    if (!corrected.add_update(up)) return false;
-  }
-  // The lambdas capture the raw donor pointer; keep the donor alive by
-  // binding its shared handle into the published solver's deleter chain.
-  auto holder = std::make_shared<std::pair<std::shared_ptr<const Solver>,
-                                           Solver>>(
-      std::move(donor), Solver(std::move(corrected)));
-  g_solver_ = std::shared_ptr<const Solver>(holder, &holder->second);
-  used_gmin_ = used_gmin;
-  for (const auto& d : factor_diagnostics) diagnostics_.push_back(d);
-  return true;
-}
-
 const Solver& MnaSystem::shifted(double a) const {
   auto it = shifted_.find(a);
   if (it == shifted_.end()) {

@@ -32,7 +32,6 @@
 
 #include "circuit/circuit.h"
 #include "core/diagnostic.h"
-#include "la/low_rank.h"
 #include "la/lu.h"
 #include "la/matrix.h"
 #include "la/sparse.h"
@@ -93,7 +92,6 @@ class Solver {
  public:
   explicit Solver(la::Lu<double> dense) : impl_(std::move(dense)) {}
   explicit Solver(la::SparseLu sparse) : impl_(std::move(sparse)) {}
-  explicit Solver(la::LowRankSolver low_rank) : impl_(std::move(low_rank)) {}
 
   la::RealVector solve(const la::RealVector& rhs) const {
     return std::visit([&](const auto& lu) { return lu.solve(rhs); },
@@ -112,14 +110,8 @@ class Solver {
     return std::holds_alternative<la::SparseLu>(impl_);
   }
 
-  /// True if this solver is a Sherman-Morrison-corrected view of some
-  /// donor factorization rather than a factorization of its own.
-  bool is_low_rank() const {
-    return std::holds_alternative<la::LowRankSolver>(impl_);
-  }
-
  private:
-  std::variant<la::Lu<double>, la::SparseLu, la::LowRankSolver> impl_;
+  std::variant<la::Lu<double>, la::SparseLu> impl_;
 };
 
 class MnaSystem {
@@ -218,43 +210,6 @@ class MnaSystem {
   /// factor).
   void adopt_g_solver(std::shared_ptr<const Solver> solver, bool used_gmin,
                       const core::Diagnostics& factor_diagnostics) const;
-
-  /// Rank-1 stamp of changing the named element's value from
-  /// `base_value` (the value a donor factorization was built with) to
-  /// its value in *this* circuit:
-  ///
-  ///   * Resistor: G changes by dg (e_a - e_b)(e_a - e_b)^T with
-  ///     dg = 1/value - 1/base_value -- a genuine rank-1 update;
-  ///   * Capacitor / Inductor: the value lives only in C (the inductor's
-  ///     G entries are value-independent branch hookups), so G is
-  ///     unchanged -- returned as an empty (rank-0) update;
-  ///   * anything else (sources, controlled sources): nullopt -- the
-  ///     caller must refactorize.
-  ///
-  /// nullopt is also returned for an unknown element name or a
-  /// non-finite delta (e.g. a resistor driven to zero).  The update is
-  /// expressed in this system's unknown indexing; it is only meaningful
-  /// against a donor whose circuit is topologically identical (same
-  /// elements, same node order) -- the caller's contract.
-  std::optional<la::RankOneUpdate> apply_delta(std::string_view element,
-                                               double base_value) const;
-
-  /// Adopt a donor factorization of a *value-perturbed* content sibling
-  /// through Sherman-Morrison-Woodbury corrections: `base_values` lists
-  /// (element name, donor-time value) for every element whose value
-  /// differs from the donor circuit.  Builds the rank-1 stamps with
-  /// apply_delta() and accumulates them into a la::LowRankSolver over
-  /// the donor.  Returns false -- leaving this system untouched, caller
-  /// refactorizes -- if any delta is unsupported or the solver refuses
-  /// an update (rank cap, drift watchdog, `la.lowrank` fault probe).
-  /// With every delta rank-0 the donor is adopted directly (bit-exact).
-  /// The donor's gmin flag composes: both sides see G + gmin*I.
-  bool adopt_low_rank_solver(std::shared_ptr<const Solver> donor,
-                             bool used_gmin,
-                             const core::Diagnostics& factor_diagnostics,
-                             const std::vector<std::pair<std::string, double>>&
-                                 base_values,
-                             const la::LowRankOptions& options) const;
 
   /// y = C x (sparse multiply).
   la::RealVector apply_C(const la::RealVector& x) const;

@@ -114,8 +114,7 @@ void HierSession::rebuild_inner() {
   // The inner session shares the cache, so stage results and LU factors
   // of nets whose reduced content did not change keep hitting across
   // rebuilds.
-  inner_.emplace(std::move(reduced), options_, timing::SessionOptions{},
-                 cache_);
+  inner_.emplace(std::move(reduced), options_, cache_);
   ++stats_.rebuilds;
 }
 

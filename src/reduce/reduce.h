@@ -33,7 +33,7 @@
 // 2q = 12 moments) sees boundary moments unchanged up to roundoff: the
 // reduced stage's poles and residues match the flat stage within
 // tolerance, never by construction bit-for-bit ("tolerance-equal, not
-// bit-equal" -- the same contract as the low-rank warm path).
+// bit-equal").
 //
 // Every reduction is *verified before it is trusted*: the exact
 // first-order boundary admittances

@@ -94,8 +94,6 @@ json::Value stats_to_json(const core::Stats& s) {
   v.set("stages_reused", u64(s.stages_reused));
   v.set("stages_recomputed", u64(s.stages_recomputed));
   v.set("cache_evictions", u64(s.cache_evictions));
-  v.set("low_rank_points", u64(s.low_rank_points));
-  v.set("low_rank_refactorizations", u64(s.low_rank_refactorizations));
   v.set("lint_errors", u64(s.lint_errors));
   v.set("lint_warnings", u64(s.lint_warnings));
   return v;
@@ -342,18 +340,6 @@ json::Value sweep_to_json(const timing::SweepResult& result) {
         static_cast<unsigned long long>(result.stages_reused));
   v.set("stages_recomputed",
         static_cast<unsigned long long>(result.stages_recomputed));
-  // Solver-path observability summed over all points: how many stage
-  // evaluations went through the Sherman-Morrison warm path, and how
-  // many refused updates forced a full refactorization.  Both are 0
-  // with low_rank=false, so the schema is identical either way.
-  unsigned long long lr_points = 0;
-  unsigned long long lr_refactorizations = 0;
-  for (const timing::SweepPoint& p : result.points) {
-    lr_points += p.report.awe_stats.low_rank_points;
-    lr_refactorizations += p.report.awe_stats.low_rank_refactorizations;
-  }
-  v.set("low_rank_points", lr_points);
-  v.set("low_rank_refactorizations", lr_refactorizations);
   return v;
 }
 
@@ -651,15 +637,9 @@ json::Value dispatch(timing::SnapshotStore& store, const Request& req,
     const timing::SweepParam param = sweep_param_from(req.params);
     const std::vector<double> values =
         require_number_array(req.params, "values");
-    // Optional solver policy: low_rank=false forces exact
-    // refactorization at every point (bit-identical to a cold analyze);
-    // the default keeps the Sherman-Morrison warm path on.
-    timing::SessionOptions session_options;
-    session_options.low_rank = bool_or(req.params, "low_rank",
-                                       session_options.low_rank);
     const std::shared_ptr<const timing::Snapshot> snap = store.current();
     set_generation(snap->generation());
-    return sweep_to_json(snap->sweep(param, values, session_options, cancel));
+    return sweep_to_json(snap->sweep(param, values, cancel));
   }
   if (req.method == "lint") {
     const std::string& netlist = require_string(req.params, "netlist");

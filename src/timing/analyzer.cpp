@@ -63,8 +63,7 @@ StageEvaluation evaluate_stage(
     const std::map<std::string, Gate>& gates,
     const AnalysisOptions& options, double t_in, double in_slew,
     const detail::CachedFactorization* adopt, bool capture_factorization,
-    std::shared_ptr<const check::LintReport> lint_pre,
-    const LowRankPlan* low_rank) {
+    std::shared_ptr<const check::LintReport> lint_pre) {
   AWESIM_TRACE_SPAN("timing.stage");
   if (core::fault_at("timing.stage", net.name)) {
     throw core::DiagnosticError(
@@ -81,7 +80,6 @@ StageEvaluation evaluate_stage(
   problem.adopt = adopt;
   problem.capture_factorization = capture_factorization;
   problem.lint_pre = std::move(lint_pre);
-  problem.low_rank = low_rank;
   return delay_model(options.delay_model).evaluate(problem);
 }
 
@@ -96,7 +94,7 @@ namespace detail {
 TimingReport analyze_design(const Design& design,
                             const AnalysisOptions& options,
                             StageCache* cache,
-                            SessionHints* hints) {
+                            std::vector<StageHint>* hints) {
   const auto t_start = std::chrono::steady_clock::now();
   if (options.cancel != nullptr) options.cancel->check("timing.analyze");
   // Eviction window: StageCache counters are cumulative over the cache's
@@ -251,9 +249,6 @@ TimingReport analyze_design(const Design& design,
     std::vector<std::string> content_keys;
     std::vector<const std::string*> rkey;
     std::vector<const std::string*> ckey;
-    std::vector<StageHint*> hint_of;
-    std::vector<std::string> lr_keys;
-    std::vector<std::unique_ptr<LowRankPlan>> plans;
     std::vector<std::shared_ptr<const CachedFactorization>> adopt;
     std::vector<std::shared_ptr<const check::LintReport>> lint_pre;
     std::vector<core::Diagnostics> invalidation_diags;
@@ -263,15 +258,11 @@ TimingReport analyze_design(const Design& design,
       // keys, then LU content keys for the misses) happens here, before
       // any parallel work, so hit/miss counters, invalidations, and the
       // served set are pure functions of the job sequence -- identical
-      // for every thread count.  Low-rank plan decisions are lookups
-      // too, so they also live here.
+      // for every thread count.
       result_keys.resize(jobs.size());
       content_keys.resize(jobs.size());
       rkey.resize(jobs.size(), nullptr);
       ckey.resize(jobs.size(), nullptr);
-      hint_of.resize(jobs.size(), nullptr);
-      lr_keys.resize(jobs.size());
-      plans.resize(jobs.size());
       adopt.resize(jobs.size());
       lint_pre.resize(jobs.size());
       invalidation_diags.resize(jobs.size());
@@ -283,14 +274,11 @@ TimingReport analyze_design(const Design& design,
         // unchanged net reuses the bytes; the lookups below still run
         // unconditionally (checksums, counters, fault probes included).
         StageHint* hint = nullptr;
-        if (hints != nullptr && hints->stages != nullptr) {
+        if (hints != nullptr) {
           const auto net_idx =
               static_cast<std::size_t>(job.net - nets.data());
-          if (net_idx < hints->stages->size()) {
-            hint = &(*hints->stages)[net_idx];
-          }
+          if (net_idx < hints->size()) hint = &(*hints)[net_idx];
         }
-        hint_of[i] = hint;
         if (hint != nullptr) {
           std::uint64_t slew_bits = 0;
           std::memcpy(&slew_bits, &job.in_slew, sizeof slew_bits);
@@ -337,43 +325,6 @@ TimingReport analyze_design(const Design& design,
           if (options.preflight_lint) {
             lint_pre[i] = cache->lookup_lint(*ckey[i]);
           }
-          // The low-rank warm path: no exact result and no exact
-          // factorization, but the net's journal carries pure value
-          // deltas against a donor content key whose factorization is
-          // still cached.  Eligibility (size gate, journal state) and
-          // the donor lookup are all serial-pre-pass decisions.
-          if (!adopt[i] && hint != nullptr && hints->low_rank &&
-              hint->donor_valid && !hint->deltas.empty() &&
-              job.net->net.parasitics.size() >= hints->min_stage_elements &&
-              hint->donor_key != *ckey[i]) {
-            auto donor = cache->lookup_factorization(hint->donor_key);
-            if (donor) {
-              lr_keys[i] = low_rank_result_key(*rkey[i], hint->donor_key,
-                                               hint->deltas);
-              auto lr_hit = cache->lookup_stage(
-                  lr_keys[i], job.net->net.name, &invalidation_diags[i]);
-              if (lr_hit) {
-                StageEvaluation o;
-                o.timing = std::move(*lr_hit);
-                o.timing.input_arrival = job.t_in;
-                for (auto& s : o.timing.sinks) {
-                  s.arrival = job.t_in + s.stage_delay;
-                }
-                o.stats.stages = 1;
-                o.stats.stages_reused = 1;
-                o.stats.cache_hits = 1;
-                o.stats.cache_misses = 1;  // the exact-key lookup above
-                outcomes[i] = std::move(o);
-                served[i] = 1;
-              } else {
-                auto plan = std::make_unique<LowRankPlan>();
-                plan->donor = std::move(donor);
-                plan->deltas = hint->deltas;
-                plan->options = hints->low_rank_options;
-                plans[i] = std::move(plan);
-              }
-            }
-          }
         }
       }
     }
@@ -414,8 +365,7 @@ TimingReport analyze_design(const Design& design,
             *job.driver, job.net->net, gates, options, job.t_in,
             job.in_slew, cache != nullptr ? adopt[i].get() : nullptr,
             cache != nullptr,
-            cache != nullptr ? lint_pre[i] : nullptr,
-            cache != nullptr ? plans[i].get() : nullptr);
+            cache != nullptr ? lint_pre[i] : nullptr);
       } catch (const std::exception& e) {
         outcomes[i] = detail::elmore_fallback_stage(
             *job.driver, job.net->net, gates, job.t_in, job.in_slew,
@@ -449,34 +399,17 @@ TimingReport analyze_design(const Design& design,
           // (before any invalidation diagnostics of *this* run are
           // attached -- those describe a cache event, not the stage).
           // Failed stages are never cached: the Elmore bound is a
-          // per-run fallback, recomputed deterministically.  A stage
-          // answered through the low-rank warm path is cached under its
-          // solver-kind key: tolerance-equal results never alias the
-          // exact key space.
+          // per-run fallback, recomputed deterministically.
           StageTiming relative = outcome.timing;
           relative.input_arrival = 0.0;
           for (auto& s : relative.sinks) s.arrival = s.stage_delay;
-          cache->insert_stage(
-              outcome.low_rank_used ? lr_keys[i] : *rkey[i],
-              std::move(relative));
-          if (!outcome.low_rank_used && !adopt[i] && outcome.solver) {
+          cache->insert_stage(*rkey[i], std::move(relative));
+          if (!adopt[i] && outcome.solver) {
             cache->insert_factorization(
                 *ckey[i],
                 {outcome.solver, outcome.used_gmin,
                  outcome.factor_diags});
           }
-        }
-        // Journal rebase: after an exact evaluation, the factorization
-        // cached under the current content key (freshly captured or
-        // adopted) becomes the net's donor and pending value deltas are
-        // retired.  Low-rank evaluations never rebase -- their solver is
-        // a corrected view of the old donor, not a new factorization.
-        if (engine_model && hint_of[i] != nullptr && !outcome.low_rank_used &&
-            (adopt[i] || outcome.solver)) {
-          StageHint* hint = hint_of[i];
-          hint->donor_valid = true;
-          hint->donor_key = *ckey[i];
-          hint->deltas.clear();
         }
         if (!invalidation_diags[i].empty()) {
           outcome.timing.diagnostics.insert(

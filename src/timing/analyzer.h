@@ -41,7 +41,6 @@
 #include "circuit/circuit.h"
 #include "core/engine.h"
 #include "core/stats.h"
-#include "la/low_rank.h"
 
 namespace awesim::core {
 class CancelToken;
@@ -266,63 +265,38 @@ class Session;
 namespace detail {
 class StageCache;
 
-/// Per-net scratch a Session keeps between analyze() calls: memoized
-/// cache-key bytes (serializing a kilo-element net's key dominates a
-/// fully warm lookup) and the value-delta journal that feeds the
-/// low-rank warm path.  Owned by the Session, read and refreshed by
-/// analyze_design's serial passes; never touched by pool threads.
+/// Per-net key memo a Session keeps between analyze() calls: the
+/// serialized cache-key bytes (serializing a kilo-element net's key
+/// dominates a fully warm lookup).  Owned by the Session, read and
+/// refreshed by analyze_design's serial pre-pass; never touched by pool
+/// threads.  Invalidated by every mutation of the net (or of anything
+/// its keys depend on) and by an options rebind; the memo only
+/// short-circuits serialization -- cache lookups still run, so
+/// corruption checks and counters are unchanged.
 struct StageHint {
-  /// Key memo: result_key/content_key below were serialized from the
-  /// current net content.  Invalidated by every mutation of the net (or
-  /// of anything its keys depend on) and by an options rebind; the memo
-  /// only short-circuits serialization -- cache lookups still run, so
-  /// corruption checks and counters are unchanged.
   bool keys_valid = false;
   std::uint64_t in_slew_bits = 0;  // result keys depend on the input slew
   std::string result_key;
   std::string content_key;
-
-  /// Delta journal: donor_key is the content key this stage last
-  /// factored (or exactly adopted) under; deltas lists (element name,
-  /// donor-time value) for every value mutated since.  Reset whenever a
-  /// mutation is not expressible as a value delta (topology edits).
-  bool donor_valid = false;
-  std::string donor_key;
-  std::vector<std::pair<std::string, double>> deltas;
-};
-
-/// The Session-to-analyzer channel for warm-path machinery that must not
-/// leak into the public AnalysisOptions (which is part of every cache
-/// key).  `stages` is indexed like Design's net list.
-struct SessionHints {
-  bool low_rank = false;
-  la::LowRankOptions low_rank_options;
-  /// Stages with fewer parasitic elements than this always take the
-  /// exact path: below it a fresh factorization costs no more than the
-  /// corrected solve, and tiny stages are where exactness tests live.
-  std::size_t min_stage_elements = 64;
-  std::vector<StageHint>* stages = nullptr;
 };
 
 /// The one analysis walk, shared by Design::analyze (cache == nullptr:
 /// every stage evaluates fresh) and timing::Session (persistent
 /// StageCache: stages whose result key hits are served from cache, in a
-/// serial pre-pass; only misses run on the pool).  The report is
-/// bit-identical between the two paths -- for the timing values, arrival
-/// maps, critical path, degraded/failed flags, and diagnostics; the
-/// awe_stats cost counters, phase breakdown, and wall_seconds reflect
-/// the work actually performed and naturally differ on warm runs.
+/// serial pre-pass; only misses run on the pool, adopting a cached LU
+/// when the content key hits and factoring fresh otherwise).  The report
+/// is bit-identical between the two paths -- for the timing values,
+/// arrival maps, critical path, degraded/failed flags, and diagnostics;
+/// the awe_stats cost counters, phase breakdown, and wall_seconds
+/// reflect the work actually performed and naturally differ on warm
+/// runs.
 ///
-/// `hints` (Session-only, may be null) adds two warm-path layers on
-/// top: memoized key bytes, and -- when hints->low_rank is set -- the
-/// Sherman-Morrison evaluation plan for stages whose journal carries
-/// value deltas against a cached donor factorization.  Low-rank results
-/// are tolerance-equal to a fresh evaluation, never bit-equal, and are
-/// cached under a distinct solver-kind key (see stage_cache.h).
+/// `hints` (Session-only, may be null) is the per-net key memo, indexed
+/// like Design's net list.
 TimingReport analyze_design(const Design& design,
                             const AnalysisOptions& options,
                             StageCache* cache,
-                            SessionHints* hints = nullptr);
+                            std::vector<StageHint>* hints = nullptr);
 }  // namespace detail
 
 /// A gate-level design: gates plus nets connecting them.
@@ -368,7 +342,7 @@ class Design {
   friend TimingReport detail::analyze_design(const Design&,
                                              const AnalysisOptions&,
                                              detail::StageCache*,
-                                             detail::SessionHints*);
+                                             std::vector<detail::StageHint>*);
 
   std::map<std::string, Gate> gates_;
   std::vector<NetInstance> nets_;

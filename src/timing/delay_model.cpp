@@ -231,8 +231,6 @@ StageEvaluation engine_backed_evaluate(const StageProblem& p, int order,
   }
 
   core::Engine engine(sc.ckt);
-  bool low_rank_used = false;
-  bool low_rank_refused = false;
   if (p.adopt != nullptr) {
     // A content-identical circuit already factored G in this session:
     // share the LU and replay its factor-time observables (gmin flag,
@@ -240,27 +238,6 @@ StageEvaluation engine_backed_evaluate(const StageProblem& p, int order,
     // would have produced; only the LU work is skipped.
     engine.system().adopt_g_solver(p.adopt->solver, p.adopt->used_gmin,
                                    p.adopt->diagnostics);
-  } else if (p.low_rank != nullptr) {
-    // No exact factorization, but the Session found a value-perturbed
-    // donor: try the Sherman-Morrison warm path.  A refusal (rank cap,
-    // drift watchdog, fault probe, unsupported delta) simply leaves the
-    // engine to factor fresh -- always correct, and flagged so sweeps
-    // can see their refactorization rate.
-    low_rank_used = engine.system().adopt_low_rank_solver(
-        p.low_rank->donor->solver, p.low_rank->donor->used_gmin,
-        p.low_rank->donor->diagnostics, p.low_rank->deltas,
-        p.low_rank->options);
-    if (!low_rank_used) {
-      low_rank_refused = true;
-      core::Diagnostic d;
-      d.code = core::DiagCode::LowRankDrift;
-      d.severity = core::Severity::Info;
-      d.message =
-          "low-rank warm path refused the accumulated updates; stage "
-          "refactorized in full";
-      d.element = net.name;
-      st.diagnostics.push_back(std::move(d));
-    }
   }
   core::EngineOptions eopt;
   eopt.order = order;
@@ -335,15 +312,9 @@ StageEvaluation engine_backed_evaluate(const StageProblem& p, int order,
   outcome.stats.lint_errors += lint_errors;
   outcome.stats.lint_warnings += lint_warnings;
   outcome.lint = fresh_lint;
-  outcome.low_rank_used = low_rank_used;
-  outcome.stats.low_rank_points = low_rank_used ? 1 : 0;
-  outcome.stats.low_rank_refactorizations = low_rank_refused ? 1 : 0;
-  if (p.capture_factorization && p.adopt == nullptr && !low_rank_used) {
+  if (p.capture_factorization && p.adopt == nullptr) {
     // Publish this circuit's G factorization (and its factor-time
     // observables) for the post-pass to cache under the content key.
-    // Never when the stage ran on a corrected donor: a low-rank solver
-    // is tolerance-equal, not bit-equal, and must not masquerade as an
-    // exact factorization of this content.
     outcome.solver = engine.system().shared_g_solver();
     outcome.used_gmin = engine.system().used_gmin();
     outcome.factor_diags = engine.system().diagnostics();

@@ -49,7 +49,6 @@
 #include "check/lint.h"
 #include "core/diagnostic.h"
 #include "core/stats.h"
-#include "la/low_rank.h"
 #include "mna/system.h"
 #include "timing/analyzer.h"
 
@@ -58,20 +57,6 @@ namespace awesim::timing {
 namespace detail {
 struct CachedFactorization;
 }
-
-/// A warm-path plan built by the Session's serial pre-pass: evaluate the
-/// stage against this donor factorization through Sherman-Morrison
-/// corrections for the listed value deltas instead of factoring fresh.
-/// The plan is advisory -- the evaluation falls back to a full
-/// refactorization (flagging DiagCode::LowRankDrift) whenever the
-/// corrected solver refuses an update.
-struct LowRankPlan {
-  std::shared_ptr<const detail::CachedFactorization> donor;
-  /// (stage-circuit element name, donor-time value) for every element
-  /// whose value differs from the donor's circuit.
-  std::vector<std::pair<std::string, double>> deltas;
-  la::LowRankOptions options;
-};
 
 /// Everything one stage evaluation depends on, by reference.  The
 /// adopt/capture/lint_pre fields are the Session cache plumbing; they are
@@ -86,9 +71,6 @@ struct StageProblem {
   const detail::CachedFactorization* adopt = nullptr;
   bool capture_factorization = false;
   std::shared_ptr<const check::LintReport> lint_pre;
-  /// Non-null when the Session planned a low-rank warm evaluation.
-  /// Ignored (like adopt) by models that do not use the engine.
-  const LowRankPlan* low_rank = nullptr;
 };
 
 /// What a model hands back: the finished stage timing plus the cost
@@ -101,11 +83,6 @@ struct StageEvaluation {
   bool used_gmin = false;
   core::Diagnostics factor_diags;
   std::shared_ptr<const check::LintReport> lint;
-  /// True when the stage really was solved through the corrected donor
-  /// (tolerance-equal result: cache under the low-rank key, never
-  /// publish a factorization).  False when no plan was given or the
-  /// plan was refused and a full refactorization ran instead.
-  bool low_rank_used = false;
 };
 
 class DelayModel {

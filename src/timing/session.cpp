@@ -8,39 +8,31 @@
 namespace awesim::timing {
 
 Session::Session(Design design, AnalysisOptions options)
-    : Session(std::move(design), options, SessionOptions(), nullptr) {}
+    : Session(std::move(design), options, nullptr) {}
 
 Session::Session(Design design, AnalysisOptions options,
-                 std::shared_ptr<detail::StageCache> cache)
-    : Session(std::move(design), options, SessionOptions(),
-              std::move(cache)) {}
-
-Session::Session(Design design, AnalysisOptions options,
-                 SessionOptions session_options,
                  std::shared_ptr<detail::StageCache> cache)
     : design_(std::move(design)),
       options_(options),
-      session_options_(session_options),
       cache_(cache != nullptr ? std::move(cache)
                               : std::make_shared<detail::StageCache>()),
       stage_hints_(design_.nets_.size()) {}
+
+Session::Session(Design design, AnalysisOptions options, SessionOptions,
+                 std::shared_ptr<detail::StageCache> cache)
+    : Session(std::move(design), options, std::move(cache)) {}
 
 Session::~Session() = default;
 Session::Session(Session&&) noexcept = default;
 Session& Session::operator=(Session&&) noexcept = default;
 
 TimingReport Session::analyze() {
-  detail::SessionHints hints;
-  hints.low_rank = session_options_.low_rank;
-  hints.low_rank_options = session_options_.low_rank_options;
-  hints.min_stage_elements = session_options_.min_stage_elements;
-  hints.stages = &stage_hints_;
-  return detail::analyze_design(design_, options_, cache_.get(), &hints);
+  return detail::analyze_design(design_, options_, cache_.get(),
+                                &stage_hints_);
 }
 
 TimingReport Session::analyze(const AnalysisOptions& options) {
-  // Memoized key bytes encode the old options; the delta journals only
-  // describe circuit content and stay valid across the rebind.
+  // Memoized key bytes encode the old options.
   invalidate_all_keys();
   options_ = options;
   return analyze();
@@ -75,36 +67,11 @@ Gate& Session::gate_ref(const std::string& gate) {
   return it->second;
 }
 
-detail::StageHint& Session::hint_at(std::size_t net_idx) {
+void Session::invalidate_keys(std::size_t net_idx) {
   if (stage_hints_.size() < design_.nets_.size()) {
     stage_hints_.resize(design_.nets_.size());
   }
-  return stage_hints_[net_idx];
-}
-
-void Session::invalidate_keys(std::size_t net_idx) {
-  hint_at(net_idx).keys_valid = false;
-}
-
-void Session::journal_delta(std::size_t net_idx, const std::string& element,
-                            double donor_value) {
-  detail::StageHint& hint = hint_at(net_idx);
-  // No donor factorization on record -- nothing to express a delta
-  // against; the next exact evaluation establishes one.
-  if (!hint.donor_valid) return;
-  for (const auto& [name, value] : hint.deltas) {
-    // First touch wins: the journal keeps the element's value at donor
-    // time, and later edits only change where the delta lands.
-    if (name == element) return;
-  }
-  hint.deltas.emplace_back(element, donor_value);
-}
-
-void Session::reset_journal(std::size_t net_idx) {
-  detail::StageHint& hint = hint_at(net_idx);
-  hint.donor_valid = false;
-  hint.donor_key.clear();
-  hint.deltas.clear();
+  stage_hints_[net_idx].keys_valid = false;
 }
 
 void Session::invalidate_all_keys() {
@@ -122,19 +89,12 @@ void Session::set_value(const std::string& net, std::size_t element_index,
         "Session: element index " + std::to_string(element_index) +
         " out of range for net '" + net + "'");
   }
-  // "__p<i>" is the element name build_stage assigns to the net's i-th
-  // parasitic -- the handle MnaSystem::apply_delta resolves.
-  journal_delta(idx, "__p" + std::to_string(element_index),
-                n.parasitics[element_index].value);
   invalidate_keys(idx);
   n.parasitics[element_index].value = value;
 }
 
 void Session::add_element(const std::string& net, NetElement element) {
   const std::size_t idx = net_index(net);
-  // A new element shifts "__p<i>" names and changes the matrix topology;
-  // that is not a value delta, so the donor is gone.
-  reset_journal(idx);
   invalidate_keys(idx);
   design_.nets_[idx].net.parasitics.push_back(std::move(element));
 }
@@ -148,7 +108,6 @@ void Session::remove_element(const std::string& net,
         "Session: element index " + std::to_string(element_index) +
         " out of range for net '" + net + "'");
   }
-  reset_journal(idx);
   invalidate_keys(idx);
   n.parasitics.erase(n.parasitics.begin() +
                      static_cast<std::ptrdiff_t>(element_index));
@@ -157,10 +116,7 @@ void Session::remove_element(const std::string& net,
 void Session::set_drive_resistance(const std::string& gate, double value) {
   Gate& g = gate_ref(gate);
   for (std::size_t i = 0; i < design_.nets_.size(); ++i) {
-    if (design_.nets_[i].driver == gate) {
-      journal_delta(i, "__Rdrv", g.drive_resistance);
-      invalidate_keys(i);
-    }
+    if (design_.nets_[i].driver == gate) invalidate_keys(i);
   }
   g.drive_resistance = value;
 }
@@ -168,22 +124,15 @@ void Session::set_drive_resistance(const std::string& gate, double value) {
 void Session::set_input_capacitance(const std::string& gate, double value) {
   Gate& g = gate_ref(gate);
   for (std::size_t i = 0; i < design_.nets_.size(); ++i) {
-    if (design_.nets_[i].net.sink_node.count(gate) > 0) {
-      // Input caps only touch the C matrix, so the delta is rank zero
-      // and the donor G solver stays exact; when the cap appears or
-      // disappears entirely (0 <-> nonzero), apply_delta fails to
-      // resolve the element and the stage refactorizes -- still exact.
-      journal_delta(i, "__cin_" + gate, g.input_capacitance);
-      invalidate_keys(i);
-    }
+    if (design_.nets_[i].net.sink_node.count(gate) > 0) invalidate_keys(i);
   }
   g.input_capacitance = value;
 }
 
 void Session::set_intrinsic_delay(const std::string& gate, double value) {
   for (std::size_t i = 0; i < design_.nets_.size(); ++i) {
-    // Intrinsic delay enters the result key but not the stage circuit,
-    // so the content key (and any donor) is untouched: no journal entry.
+    // Intrinsic delay enters the result key but not the stage circuit:
+    // the stage's cached LU still hits, only its result misses.
     if (design_.nets_[i].driver == gate) invalidate_keys(i);
   }
   gate_ref(gate).intrinsic_delay = value;
@@ -281,18 +230,22 @@ PathsResult Session::worst_paths(const PathQuery& query) {
 double Session::worst_slack() { return analyze().worst_slack; }
 
 Session::CacheStats Session::cache_stats() const {
-  const detail::StageCache::Counters c = cache_->counters();
+  return cache_stats_of(*cache_);
+}
+
+Session::CacheStats Session::cache_stats_of(const detail::StageCache& cache) {
+  const detail::StageCache::Counters c = cache.counters();
   CacheStats stats;
-  stats.stage_entries = cache_->stage_entries();
-  stats.factorization_entries = cache_->factorization_entries();
-  stats.lint_entries = cache_->lint_entries();
+  stats.stage_entries = cache.stage_entries();
+  stats.factorization_entries = cache.factorization_entries();
+  stats.lint_entries = cache.lint_entries();
   stats.hits = c.hits;
   stats.misses = c.misses;
   stats.invalidations = c.invalidations;
   stats.evictions = c.evictions;
   stats.lint_hits = c.lint_hits;
   stats.lint_misses = c.lint_misses;
-  stats.reduction_entries = cache_->reduction_entries();
+  stats.reduction_entries = cache.reduction_entries();
   stats.reduction_hits = c.reduction_hits;
   stats.reduction_misses = c.reduction_misses;
   return stats;

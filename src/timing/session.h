@@ -14,11 +14,14 @@
 // Contract: for the timing payload -- stage delays/slews/arrivals, the
 // gate_arrival map, critical path and delay, degraded/failed flags, and
 // diagnostics -- a warm Session::analyze() is bit-identical to a cold
-// Design::analyze() of the mutated design, at every thread count.  The
-// awe_stats cost counters, phase breakdown, and wall_seconds describe
-// the work actually performed, so warm runs report fewer factorizations
-// and nonzero cache_hits / stages_reused -- that asymmetry is the whole
-// point, and it is how the sweep benches measure the speedup.
+// Design::analyze() of the mutated design after every edit, at every
+// thread count.  There is no approximate warm path: a recomputed stage
+// either adopts the cached LU of a content-identical circuit or factors
+// fresh, and both give the bits a cold run gives.  The awe_stats cost
+// counters, phase breakdown, and wall_seconds describe the work actually
+// performed, so warm runs report fewer factorizations and nonzero
+// cache_hits / stages_reused -- that asymmetry is the whole point, and it
+// is how the sweep benches measure the speedup.
 //
 // Typical use:
 //   timing::Session session(design);
@@ -41,26 +44,13 @@
 
 namespace awesim::timing {
 
-/// Session-level policy knobs that must NOT enter analysis cache keys
-/// (they change how answers are computed, with documented tolerances --
-/// never what design is analyzed).
-struct SessionOptions {
-  /// The Sherman-Morrison warm path: stages whose pending mutations are
-  /// pure value deltas re-solve through a rank-corrected view of the
-  /// cached donor LU instead of refactorizing.  Warm results become
-  /// tolerance-equal (|delta delay| <= ~1e-9 s on the bench circuits;
-  /// see DESIGN.md "Low-rank warm-path refactorization") instead of
-  /// bit-equal to a cold analyze.  `false` restores the PR-4 contract:
-  /// every warm report bit-identical to cold, at full refactorization
-  /// cost per changed stage.
-  bool low_rank = true;
-  /// Rank cap and drift (condition) threshold of the corrected solver.
-  la::LowRankOptions low_rank_options;
-  /// Stages with fewer parasitic elements than this always refactorize
-  /// exactly -- below it a fresh LU is as cheap as the correction, so
-  /// small designs keep bit-identity even with low_rank on.
-  std::size_t min_stage_elements = 64;
-};
+/// Empty: a Session has no policy knobs.  A leftover of the deleted
+/// low-rank warm path (DESIGN.md §14), kept with the four-argument
+/// Session constructor only because the end-to-end benchmark
+/// (perfbench/src/sta.cpp), which may not change outside a benchmark
+/// change, still passes `SessionOptions{}`.  Remove both together with
+/// that call.
+struct SessionOptions {};
 
 /// What a sweep varies.  `name` selects a net (NetElementValue) or a
 /// gate (the other kinds); `element_index` picks the parasitic within
@@ -122,10 +112,9 @@ class Session {
   Session(Design design, AnalysisOptions options,
           std::shared_ptr<detail::StageCache> cache);
 
-  /// Full-control constructor: analysis options, session policy, and an
-  /// optionally shared cache.
-  Session(Design design, AnalysisOptions options,
-          SessionOptions session_options,
+  /// The shared-cache constructor plus an empty SessionOptions (see
+  /// there: kept only for an existing caller).
+  Session(Design design, AnalysisOptions options, SessionOptions,
           std::shared_ptr<detail::StageCache> cache = nullptr);
   ~Session();
   Session(Session&&) noexcept;
@@ -180,7 +169,6 @@ class Session {
 
   const Design& design() const { return design_; }
   const AnalysisOptions& options() const { return options_; }
-  const SessionOptions& session_options() const { return session_options_; }
 
   /// Cumulative cache observability, for tests and tooling.
   struct CacheStats {
@@ -202,6 +190,9 @@ class Session {
     std::uint64_t reduction_misses = 0;
   };
   CacheStats cache_stats() const;
+  /// The same counters for any StageCache -- the one conversion behind
+  /// both Session::cache_stats and SnapshotStore::cache_stats.
+  static CacheStats cache_stats_of(const detail::StageCache& cache);
 
   /// Drop every cached artifact; the next analyze() runs cold.
   void clear_cache();
@@ -215,23 +206,13 @@ class Session {
   /// Index of the (unique) net with this name in the design's net list;
   /// same validation as net_ref.
   std::size_t net_index(const std::string& net);
-  /// Per-net warm-path scratch, sized to the net list on demand.
-  detail::StageHint& hint_at(std::size_t net_idx);
-  /// Key-memo invalidation (keeps the delta journal).
+  /// Drop the net's memoized keys (sized to the net list on demand).
   void invalidate_keys(std::size_t net_idx);
-  /// Record a value delta for the low-rank journal: the first mutation
-  /// of an element since the last rebase keeps its donor-time value.
-  void journal_delta(std::size_t net_idx, const std::string& element,
-                     double donor_value);
-  /// A mutation not expressible as a value delta: forget the donor.
-  void reset_journal(std::size_t net_idx);
-  /// Drop every memoized key (options rebind); journals survive -- they
-  /// describe circuit content, not options.
+  /// Drop every memoized key (options rebind).
   void invalidate_all_keys();
 
   Design design_;
   AnalysisOptions options_;
-  SessionOptions session_options_;
   std::shared_ptr<detail::StageCache> cache_;
   std::vector<detail::StageHint> stage_hints_;
 };

@@ -60,21 +60,16 @@ PathsResult Snapshot::worst_paths(const PathQuery& query,
 SweepResult Snapshot::sweep(const SweepParam& param,
                             const std::vector<double>& values,
                             core::CancelToken* cancel) const {
-  return sweep(param, values, SessionOptions(), cancel);
-}
-
-SweepResult Snapshot::sweep(const SweepParam& param,
-                            const std::vector<double>& values,
-                            const SessionOptions& session_options,
-                            core::CancelToken* cancel) const {
   AnalysisOptions options = options_;
   options.cancel = cancel;
-  Session scratch(design_, options, session_options, cache_);
+  Session scratch(design_, options, cache_);
   return scratch.sweep(param, values);
 }
 
-SnapshotStore::SnapshotStore(Design design, AnalysisOptions options)
-    : cache_(std::make_shared<detail::StageCache>()) {
+SnapshotStore::SnapshotStore(Design design, AnalysisOptions options,
+                             std::shared_ptr<detail::StageCache> cache)
+    : cache_(cache != nullptr ? std::move(cache)
+                              : std::make_shared<detail::StageCache>()) {
   std::lock_guard<std::mutex> writer(writer_mutex_);
   publish_locked(std::move(design), options);
 }
@@ -119,18 +114,7 @@ std::uint64_t SnapshotStore::reset(Design design, AnalysisOptions options) {
 }
 
 Session::CacheStats SnapshotStore::cache_stats() const {
-  const detail::StageCache::Counters c = cache_->counters();
-  Session::CacheStats stats;
-  stats.stage_entries = cache_->stage_entries();
-  stats.factorization_entries = cache_->factorization_entries();
-  stats.lint_entries = cache_->lint_entries();
-  stats.hits = c.hits;
-  stats.misses = c.misses;
-  stats.invalidations = c.invalidations;
-  stats.evictions = c.evictions;
-  stats.lint_hits = c.lint_hits;
-  stats.lint_misses = c.lint_misses;
-  return stats;
+  return Session::cache_stats_of(*cache_);
 }
 
 }  // namespace awesim::timing

@@ -86,15 +86,8 @@ class Snapshot {
   /// What-if sweep against this snapshot.  Runs on a *private* scratch
   /// Session (the snapshot itself is never touched), warm through the
   /// shared cache; concurrent sweeps on one snapshot are independent.
-  /// The overload taking SessionOptions selects the sweep's solver
-  /// policy (low-rank warm path vs exact refactorization) per request;
-  /// the default keeps SessionOptions defaults.
   SweepResult sweep(const SweepParam& param,
                     const std::vector<double>& values,
-                    core::CancelToken* cancel = nullptr) const;
-  SweepResult sweep(const SweepParam& param,
-                    const std::vector<double>& values,
-                    const SessionOptions& session_options,
                     core::CancelToken* cancel = nullptr) const;
 
  private:
@@ -111,7 +104,12 @@ class Snapshot {
 /// writers, shared warm cache.  Thread-safe throughout.
 class SnapshotStore {
  public:
-  explicit SnapshotStore(Design design, AnalysisOptions options = {});
+  /// `cache` is shared with other users (a reduce::HierSession over the
+  /// same designs, another store) instead of owned; content addressing
+  /// makes that safe, as for Session's shared-cache constructor.  A
+  /// nullptr cache is replaced with a fresh private one.
+  explicit SnapshotStore(Design design, AnalysisOptions options = {},
+                         std::shared_ptr<detail::StageCache> cache = nullptr);
 
   /// Pin the current generation.  Never blocks on writers beyond the
   /// pointer swap.

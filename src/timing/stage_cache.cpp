@@ -145,23 +145,6 @@ std::string stage_result_key(const Gate& driver, const Net& net,
   return kb.take();
 }
 
-std::string low_rank_result_key(
-    const std::string& result_key, const std::string& donor_key,
-    const std::vector<std::pair<std::string, double>>& deltas) {
-  KeyBuilder kb;
-  kb.reserve(result_key.size() + donor_key.size() + 32 * deltas.size() + 32);
-  // Exact result keys always open with the content section's 'A' tag;
-  // opening with '\x01' makes the two key spaces disjoint byte one.
-  kb.tag('\x01').tag('L');
-  kb.text(result_key);
-  kb.text(donor_key);
-  kb.integer(deltas.size());
-  for (const auto& [element, base] : deltas) {
-    kb.text(element).number(base);
-  }
-  return kb.take();
-}
-
 std::uint64_t reduction_checksum(const CachedReduction& reduction) {
   KeyBuilder kb;
   kb.tag('R')

@@ -26,6 +26,13 @@
 //     form (input_arrival 0, sink arrivals = stage delays) and rehydrated
 //     against the current input arrival on reuse.
 //
+// Two more stores ride alongside: pre-flight lint reports, keyed by the
+// content key, and net reductions (src/reduce), under their own
+// '\x01','R' key space (see reduction_key).  A warm stage therefore has
+// exactly two ways to its LU: adopt the cached factorization of an equal
+// content key, or factor fresh -- both bitwise what a cold analysis
+// computes.
+//
 // `AnalysisOptions::threads` is deliberately absent from every key: the
 // report contract is bit-identical results at any thread count, so a
 // cache entry must be address-equal across thread counts too.
@@ -106,17 +113,6 @@ std::string stage_result_key(const Gate& driver, const Net& net,
                              const std::map<std::string, Gate>& gates,
                              const AnalysisOptions& options, double in_slew);
 
-/// The solver-kind variant of a result key for Sherman-Morrison-corrected
-/// (low-rank) evaluations.  A corrected result is a deterministic
-/// function of (result key, donor content, value deltas) but only
-/// tolerance-equal to the exact result, so it must live under a key that
-/// can never collide with the exact one -- and, keeping the documented
-/// no-hash-aliasing guarantee, the donor content key and delta list
-/// enter as exact bytes, not as digests.
-std::string low_rank_result_key(
-    const std::string& result_key, const std::string& donor_key,
-    const std::vector<std::pair<std::string, double>>& deltas);
-
 /// One shareable LU factorization of a stage circuit's G, with the
 /// factor-time observables (gmin flag, diagnostics) that
 /// MnaSystem::adopt_g_solver replays so adoption is invisible in the
@@ -154,8 +150,8 @@ struct CachedReduction {
 std::uint64_t reduction_checksum(const CachedReduction& reduction);
 
 /// The reduction key space: opens with '\x01','R' so it is disjoint
-/// from exact result keys (which open with the content section's 'A'),
-/// low-rank keys ('\x01','L'), and every other key space by byte two.
+/// from the content and result keys, which open with the content
+/// section's 'A'.
 /// `content` is the caller-serialized byte string covering the net's
 /// parasitics, boundary set, and reduction settings (see
 /// reduce::reduction_content_key).

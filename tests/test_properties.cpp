@@ -214,7 +214,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomTreeProperty,
 // Seeded design-generator determinism: the shared test-utility circuit
 // families (tests/util/random_circuits.*) must be reproducible in the
 // seed, and analysis over them bit-identical at any thread count -- the
-// numeric differential tier (test_low_rank.cpp) leans on both.
+// warm-vs-cold tier (test_warm_session.cpp) leans on both.
 TEST(RandomCircuits, SeededGeneratorsAndAnalysisAreDeterministic) {
   for (std::uint32_t seed : {1u, 7u, 42u}) {
     timing::testutil::StageDesign a = timing::testutil::rc_tree_design(seed, 24);

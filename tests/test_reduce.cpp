@@ -20,6 +20,7 @@
 #include "reduce/hier.h"
 #include "reduce/reduce.h"
 #include "timing/session.h"
+#include "timing/snapshot.h"
 #include "timing/stage_cache.h"
 #include "util/random_circuits.h"
 
@@ -429,6 +430,36 @@ TEST(HierSession, ClearCacheRunsColdAgain) {
   const TimingReport second = hier.analyze();
   EXPECT_EQ(hier.stats().reductions_performed, 4u);  // 2 cold runs x 2
   expect_same_payload(first, second);
+}
+
+TEST(HierSession, SnapshotStoreCacheStatsAgreeWithSession) {
+  // One cache shared by a HierSession (reductions), a SnapshotStore, and
+  // a Session: both cache_stats views describe the same counters, so
+  // every field must agree -- the reduction ones included.
+  auto cache = std::make_shared<timing::detail::StageCache>();
+  const auto stage = rc_line_design(31, 300);
+  HierSession hier(stage.design, {}, {}, cache);
+  (void)hier.analyze();
+  timing::SnapshotStore store(stage.design, {}, cache);
+  (void)store.current()->report();
+  const timing::Session session(stage.design, {}, cache);
+
+  const timing::Session::CacheStats a = store.cache_stats();
+  const timing::Session::CacheStats b = session.cache_stats();
+  EXPECT_GT(a.reduction_entries, 0u);
+  EXPECT_GT(a.reduction_misses, 0u);
+  EXPECT_EQ(a.stage_entries, b.stage_entries);
+  EXPECT_EQ(a.factorization_entries, b.factorization_entries);
+  EXPECT_EQ(a.lint_entries, b.lint_entries);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.invalidations, b.invalidations);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.lint_hits, b.lint_hits);
+  EXPECT_EQ(a.lint_misses, b.lint_misses);
+  EXPECT_EQ(a.reduction_entries, b.reduction_entries);
+  EXPECT_EQ(a.reduction_hits, b.reduction_hits);
+  EXPECT_EQ(a.reduction_misses, b.reduction_misses);
 }
 
 // ---------------------------------------------------------------------

@@ -5,16 +5,15 @@
 // assertion here is an assertion about live daemon behavior.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/diagnostic.h"
-#include "core/fault.h"
 #include "obs/json.h"
 #include "serve/protocol.h"
 #include "timing/snapshot.h"
@@ -373,107 +372,62 @@ TEST(ServeDesign, FromJsonBuildsAnalyzableDesign) {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep solver policy: the low_rank request parameter
+// Sweeps: warm through the shared cache, bitwise what a cold run answers
 
-// A store whose single net is large enough (80 parasitics) that the
-// default SessionOptions low-rank gate (min_stage_elements = 64)
-// engages the Sherman-Morrison warm path during sweeps.
-timing::SnapshotStore make_big_store() {
+// A store whose single net is large (80 parasitics) and whose endpoint
+// requirement is pinned, so worst_slack carries the delay (a floating
+// requirement pins it to 0).
+constexpr double kRequiredTime = 2e-9;
+
+timing::AnalysisOptions big_store_options() {
   timing::AnalysisOptions opt;
   opt.threads = 1;
-  return timing::SnapshotStore(
-      timing::testutil::rc_line_design(13u, 40).design, opt);
+  opt.required_time = kRequiredTime;
+  return opt;
 }
 
-constexpr const char* kSweepOn =
+timing::SnapshotStore make_big_store() {
+  return timing::SnapshotStore(
+      timing::testutil::rc_line_design(13u, 40).design, big_store_options());
+}
+
+constexpr const char* kSweep =
     R"({"id": 1, "method": "sweep", "params": {
         "kind": "drive_resistance", "name": "drv",
         "values": [150.0, 300.0, 450.0]}})";
-constexpr const char* kSweepOff =
-    R"({"id": 1, "method": "sweep", "params": {
-        "kind": "drive_resistance", "name": "drv",
-        "values": [150.0, 300.0, 450.0], "low_rank": false}})";
 
-// Same keys, same nesting, same value *types* -- numbers erased.  Two
-// responses with equal skeletons have identical schemas.
-json::Value type_skeleton(const json::Value& v) {
-  if (v.is_object()) {
-    json::Value out = json::Value::object();
-    for (const auto& [key, value] : v.items()) {
-      out.set(key, type_skeleton(value));
-    }
-    return out;
-  }
-  if (v.is_array()) {
-    json::Value out = json::Value::array();
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      out.push_back(type_skeleton(v.at(i)));
-    }
-    return out;
-  }
-  if (v.is_number()) return json::Value("<number>");
-  if (v.is_bool()) return json::Value("<bool>");
-  return v;
-}
-
-TEST(ServeSweep, LowRankOnOffIdenticalSchemaAndCloseNumbers) {
+TEST(ServeSweep, PointsBitwiseEqualColdAnalyze) {
   timing::SnapshotStore store = make_big_store();
-  const serve::HandleResult on = serve::handle_line(store, kSweepOn);
-  const serve::HandleResult off = serve::handle_line(store, kSweepOff);
-  ASSERT_TRUE(on.ok) << on.line;
-  ASSERT_TRUE(off.ok) << off.line;
-  const json::Value on_doc = require_response_shape(on.line);
-  const json::Value off_doc = require_response_shape(off.line);
-  EXPECT_EQ(type_skeleton(on_doc).dump(), type_skeleton(off_doc).dump());
-
-  const json::Value* on_res = on_doc.find("result");
-  const json::Value* off_res = off_doc.find("result");
-  ASSERT_NE(on_res, nullptr);
-  ASSERT_NE(off_res, nullptr);
-  // The warm path really ran for the default request, and never for the
-  // opted-out one.
-  EXPECT_GT(on_res->find("low_rank_points")->as_number(), 0.0);
-  EXPECT_EQ(off_res->find("low_rank_points")->as_number(), 0.0);
-  // Numeric agreement within the documented low-rank tolerance.
-  const json::Value* on_points = on_res->find("points");
-  const json::Value* off_points = off_res->find("points");
-  ASSERT_EQ(on_points->size(), off_points->size());
-  for (std::size_t i = 0; i < on_points->size(); ++i) {
-    const double a = on_points->at(i).find("worst_slack")->as_number();
-    const double b = off_points->at(i).find("worst_slack")->as_number();
-    EXPECT_LE(std::fabs(a - b), 1e-8 * std::fabs(b) + 1e-15) << i;
-  }
-}
-
-TEST(ServeSweep, ArmedLowRankFaultFallsBackToExactAnswers) {
-  timing::SnapshotStore store = make_big_store();
-  serve::HandleResult armed;
-  {
-    // Every Sherman-Morrison update refuses: each sweep point silently
-    // refactorizes in full, which is the exact path bit for bit.
-    core::ScopedFaultInjection scoped({{"la.lowrank", "*", -1}});
-    armed = serve::handle_line(store, kSweepOn);
-  }
-  ASSERT_TRUE(armed.ok) << armed.line;
-  const json::Value armed_doc = require_response_shape(armed.line);
-  const json::Value* armed_res = armed_doc.find("result");
-  ASSERT_NE(armed_res, nullptr);
-  EXPECT_EQ(armed_res->find("low_rank_points")->as_number(), 0.0);
-  EXPECT_GT(armed_res->find("low_rank_refactorizations")->as_number(), 0.0);
-
-  // An exact-path sweep on a fresh store answers with the same numbers,
-  // bit for bit (the fallback IS the exact path).
-  timing::SnapshotStore fresh = make_big_store();
-  const serve::HandleResult exact = serve::handle_line(fresh, kSweepOff);
-  ASSERT_TRUE(exact.ok) << exact.line;
-  const json::Value exact_doc = json::parse(exact.line);
-  const json::Value* exact_points = exact_doc.find("result")->find("points");
-  const json::Value* armed_points = armed_res->find("points");
-  ASSERT_EQ(armed_points->size(), exact_points->size());
-  for (std::size_t i = 0; i < armed_points->size(); ++i) {
-    EXPECT_EQ(armed_points->at(i).find("worst_slack")->as_number(),
-              exact_points->at(i).find("worst_slack")->as_number())
-        << i;
+  // The second request still carries the retired "low_rank" parameter:
+  // unknown params are ignored, so it succeeds with the same answer.
+  const serve::HandleResult plain = serve::handle_line(store, kSweep);
+  const serve::HandleResult legacy = serve::handle_line(
+      store,
+      R"({"id": 1, "method": "sweep", "params": {
+          "kind": "drive_resistance", "name": "drv",
+          "values": [150.0, 300.0, 450.0], "low_rank": false}})");
+  ASSERT_TRUE(plain.ok) << plain.line;
+  ASSERT_TRUE(legacy.ok) << legacy.line;
+  const std::vector<double> values = {150.0, 300.0, 450.0};
+  for (const serve::HandleResult* r : {&plain, &legacy}) {
+    const json::Value doc = require_response_shape(r->line);
+    const json::Value* result = doc.find("result");
+    ASSERT_NE(result, nullptr);
+    EXPECT_EQ(result->find("low_rank_points"), nullptr);
+    EXPECT_EQ(result->find("low_rank_refactorizations"), nullptr);
+    const json::Value* points = result->find("points");
+    ASSERT_EQ(points->size(), values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      timing::Session vehicle(store.current()->design(),
+                              big_store_options());
+      vehicle.set_drive_resistance("drv", values[i]);
+      const timing::TimingReport cold =
+          vehicle.design().analyze(big_store_options());
+      ASSERT_NE(cold.worst_slack, 0.0);
+      EXPECT_EQ(points->at(i).find("worst_slack")->as_number(),
+                cold.worst_slack)
+          << i;
+    }
   }
 }
 
@@ -506,16 +460,16 @@ TEST(ServeSweep, DeadlineMidSweepPublishesNothingAndCacheStaysWarm) {
     const json::Value* result = doc.find("result");
     json::Value stripped = json::Value::object();
     for (const auto& [key, value] : result->items()) {
-      if (key.find("stages_") != 0 && key.find("low_rank_") != 0) {
+      if (key.find("stages_") != 0) {
         stripped.set(key, value);
       }
     }
     return stripped.dump();
   };
-  r = serve::handle_line(store, kSweepOff);
+  r = serve::handle_line(store, kSweep);
   ASSERT_TRUE(r.ok) << r.line;
   timing::SnapshotStore fresh = make_big_store();
-  const serve::HandleResult reference = serve::handle_line(fresh, kSweepOff);
+  const serve::HandleResult reference = serve::handle_line(fresh, kSweep);
   ASSERT_TRUE(reference.ok);
   EXPECT_EQ(sweep_payload(r.line), sweep_payload(reference.line));
 }

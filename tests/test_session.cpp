@@ -20,7 +20,7 @@ namespace awesim::timing {
 
 // Design generators and the payload comparator live in the shared test
 // utility (tests/util/random_circuits.*), adopted here and by the
-// numeric differential tier in test_low_rank.cpp.
+// warm-vs-cold tier in test_warm_session.cpp.
 using testutil::c;
 using testutil::chain_design;
 using testutil::expect_same_payload;

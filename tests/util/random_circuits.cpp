@@ -262,26 +262,4 @@ StageDesign rc_mesh_design(std::uint32_t seed, std::size_t sections,
   return b.finish(res(rng) * 2.0);
 }
 
-std::vector<ValueMutation> random_perturbations(std::uint32_t seed,
-                                                const StageDesign& stage,
-                                                std::size_t count,
-                                                double rel_spread) {
-  std::mt19937 rng(seed);
-  std::uniform_int_distribution<std::size_t> pick(
-      0, stage.resistor_indices.size() - 1);
-  std::uniform_real_distribution<double> scale(1.0 - rel_spread,
-                                               1.0 + rel_spread);
-  std::vector<ValueMutation> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t which = pick(rng);
-    ValueMutation m;
-    m.net = stage.net;
-    m.element_index = stage.resistor_indices[which];
-    m.value = stage.resistor_values[which] * scale(rng);
-    out.push_back(std::move(m));
-  }
-  return out;
-}
-
 }  // namespace awesim::timing::testutil

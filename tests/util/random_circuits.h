@@ -3,7 +3,7 @@
 // Before this header existed every suite grew its own ad-hoc builders
 // (test_session's fanout/chain designs, test_paths' random DAG reports);
 // they live here now so the differential suites -- in particular the
-// `numeric` tier in test_low_rank.cpp -- exercise the same seeded
+// `numeric` tier in test_warm_session.cpp -- exercise the same seeded
 // families the rest of the tests pin down.  Everything is deterministic
 // in the seed: same seed, same Design, bit for bit, on every platform
 // (std::mt19937 and the distributions below are fully specified).
@@ -61,7 +61,7 @@ struct StageDesign {
   std::vector<double> resistor_values;
 };
 
-/// Seeded one-stage designs for the numeric differential tier.  Each is
+/// Seeded one-stage designs for the warm-vs-cold tier.  Each is
 /// a single driver gate "drv" (a primary input) plus one net "net0";
 /// R/C values are jittered around nominal so no two seeds share a
 /// stage-content key.
@@ -77,21 +77,5 @@ StageDesign rc_line_design(std::uint32_t seed, std::size_t sections);
 StageDesign rc_tree_design(std::uint32_t seed, std::size_t nodes);
 StageDesign rc_mesh_design(std::uint32_t seed, std::size_t sections,
                            std::size_t cross_links);
-
-/// One element-value edit, as Session::set_value takes it.
-struct ValueMutation {
-  std::string net;
-  std::size_t element_index = 0;
-  double value = 0.0;
-};
-
-/// A seeded sequence of resistor-value perturbations: each step picks a
-/// random resistor and scales its *nominal* value by a factor uniform
-/// in [1-rel_spread, 1+rel_spread].  Values stay positive, so every
-/// step is a legal Sherman-Morrison rank-1 candidate.
-std::vector<ValueMutation> random_perturbations(std::uint32_t seed,
-                                                const StageDesign& stage,
-                                                std::size_t count,
-                                                double rel_spread = 0.3);
 
 }  // namespace awesim::timing::testutil

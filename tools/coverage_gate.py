@@ -4,8 +4,9 @@
 Runs gcov over every .gcda the instrumented test suite produced, rolls
 line coverage up per top-level source directory, writes a JSON report,
 and exits nonzero if the combined line coverage of the gated
-directories (default: src/la + src/timing, the numeric warm path) falls
-below the floor recorded in the CI workflow.
+directories (default: src/la + src/timing: the factorizations, the
+analyzer and the warm session) falls below the floor recorded in the CI
+workflow.
 
 Usage:
     coverage_gate.py --build-dir build-cov --source-dir . \
