@@ -56,26 +56,14 @@ struct Emitter {
   }
 };
 
-std::string join_path(const std::vector<std::string>& gates) {
-  std::string path;
-  for (const std::string& gate : gates) {
-    if (!path.empty()) path += " -> ";
-    path += gate;
-  }
-  if (!gates.empty()) path += " -> " + gates.front();
-  return path;
-}
-
 void run_graph_tier(const timing::Design& design,
                     const AuditOptions& options, Emitter& em) {
   AuditReport& report = *em.report;
   report.graph = timing::audit_graph(design, options.graph);
   for (const timing::CyclePath& cycle : report.graph.cycles) {
     em.emit(core::DiagCode::CombinationalCycle, core::Severity::Error,
-            "combinational cycle: " + join_path(cycle.gates),
-            cycle.gates.empty() ? std::string() : cycle.gates.front(),
-            cycle.gates.empty() ? circuit::SourceLoc{}
-                                : em.gate_loc(cycle.gates.front()));
+            "combinational cycle: " + timing::format_loop(cycle),
+            cycle.gates.front(), em.gate_loc(cycle.gates.front()));
   }
   for (const std::string& gate : report.graph.undriven) {
     em.emit(core::DiagCode::UndrivenEndpoint, core::Severity::Warning,

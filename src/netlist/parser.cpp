@@ -530,42 +530,6 @@ ParseResult parse_collect(std::string_view text,
   return result;
 }
 
-namespace {
-
-// Shared body of the two deprecated throwing shims, so neither needs to
-// call the other's deprecated name (keeps this TU warning-clean).
-circuit::Circuit first_error_or_circuit(ParseResult result) {
-  if (!result.circuit) {
-    for (const auto& d : result.diagnostics) {
-      if (d.severity < core::Severity::Error) continue;
-      // Preserve the historical exception types: malformed text throws
-      // ParseError, structurally invalid circuits std::invalid_argument.
-      if (d.code == core::DiagCode::ValidationError) {
-        throw std::invalid_argument(d.message);
-      }
-      throw ParseError(d.line, d.column, d.element, d.message);
-    }
-    throw ParseError(0, "netlist rejected with no diagnostic");
-  }
-  return std::move(*result.circuit);
-}
-
-}  // namespace
-
-circuit::Circuit parse(std::string_view text) {
-  return first_error_or_circuit(parse_collect(text));
-}
-
-circuit::Circuit parse_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("netlist: cannot open '" + path + "'");
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return first_error_or_circuit(parse_collect(buf.str()));
-}
-
 ParseResult parse_file_collect(const std::string& path, bool validate) {
   std::ifstream in(path);
   if (!in) {

@@ -84,21 +84,6 @@ struct ParseResult {
   bool ok() const { return circuit.has_value(); }
 };
 
-/// Parse a netlist from text.  Throws ParseError on the FIRST problem
-/// found (compat shim kept for out-of-tree callers; in-tree code uses
-/// the error-collecting API).
-[[deprecated(
-    "use parse_collect(): it reports every error with file/line/column "
-    "diagnostics instead of throwing on the first")]]
-circuit::Circuit parse(std::string_view text);
-
-/// Parse a netlist file.  Throws ParseError / std::runtime_error on the
-/// first problem (compat shim; see parse()).
-[[deprecated(
-    "use parse_file_collect(): it reports every error with "
-    "file/line/column diagnostics instead of throwing on the first")]]
-circuit::Circuit parse_file(const std::string& path);
-
 /// Parse, collecting ALL errors instead of throwing on the first.  Every
 /// diagnostic carries file (if given), 1-based line and column, and the
 /// offending token in its `element` field.  Every built element carries

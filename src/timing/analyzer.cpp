@@ -6,7 +6,6 @@
 #include <cstring>
 #include <memory>
 #include <optional>
-#include <set>
 #include <stdexcept>
 
 #include "check/lint.h"
@@ -110,102 +109,51 @@ TimingReport analyze_design(const Design& design,
   const auto& gates = design.gates_;
   const auto& nets = design.nets_;
 
-  // Stage dependency bookkeeping: a net's sinks depend on its driver.
-  std::map<std::string, std::vector<const Design::NetInstance*>> driven_by;
-  std::map<std::string, int> fanin_count;
-  for (const auto& [name, gate] : gates) fanin_count[name] = 0;
-  for (const auto& ni : nets) {
-    driven_by[ni.driver].push_back(&ni);
-    for (const auto& [sink, node] : ni.net.sink_node) {
-      if (gates.count(sink) > 0) ++fanin_count[sink];
-    }
-  }
-
-  std::map<std::string, double> arrival;
-  std::map<std::string, double> slew;
-  std::map<std::string, std::string> predecessor;
-
-  // Kahn levelization into wavefronts.  Wave 0 holds the sources:
-  // declared primary inputs (whose stage inputs are pinned to t = 0 even
-  // if something drives them) and gates with no fan-in (conservative
-  // t = 0 default).  Every other gate lands one wave past its last
+  // Levelize the gate graph into wavefronts (design_graph.h): wave 0
+  // holds the sources -- declared primary inputs, pinned to t = 0 even
+  // if something drives them, and gates with no fan-in (conservative
+  // t = 0 default) -- and every other gate lands one wave past its last
   // driver, so when a wave is evaluated all of its drivers' arrivals and
-  // slews are final.  Waves are name-sorted for deterministic reduction.
-  std::map<std::string, int> remaining = fanin_count;
-  for (const auto& pi : design.primary_inputs_) remaining[pi] = 0;
-  std::vector<std::vector<std::string>> waves;
-  std::size_t leveled = 0;
-  {
-    std::vector<std::string> frontier;
-    for (const auto& [name, count] : remaining) {
-      if (count == 0) frontier.push_back(name);
-    }
-    while (!frontier.empty()) {
-      leveled += frontier.size();
-      std::set<std::string> next;
-      for (const auto& gate_name : frontier) {
-        const auto it = driven_by.find(gate_name);
-        if (it == driven_by.end()) continue;
-        for (const Design::NetInstance* ni : it->second) {
-          for (const auto& [sink, node] : ni->net.sink_node) {
-            if (gates.count(sink) > 0 && --remaining[sink] == 0) {
-              next.insert(sink);
-            }
-          }
-        }
-      }
-      waves.push_back(std::move(frontier));
-      frontier.assign(next.begin(), next.end());
-    }
+  // slews are final.  Waves list ascending ids (= name order) for
+  // deterministic reduction.
+  const GateGraph graph = GateGraph::build(design);
+  const Levelization levels = levelize(graph);
+  if (levels.unleveled > 0) {
+    // An unleveled gate sits on or behind a loop of non-source gates,
+    // so the loop list is never empty here.
+    const std::vector<CyclePath> cycles = find_cycles(graph);
+    core::Diagnostic diag;
+    diag.code = core::DiagCode::CombinationalCycle;
+    diag.severity = core::Severity::Fatal;
+    diag.element = cycles.front().gates.front();
+    diag.message =
+        "combinational cycle: " + format_loop(cycles.front()) +
+        (cycles.size() > 1
+             ? " (+" + std::to_string(cycles.size() - 1) + " more loop(s))"
+             : "");
+    throw core::DiagnosticError(std::move(diag));
   }
-  if (leveled < gates.size()) {
-    // Some gate never became ready: combinational cycle (or a sink whose
-    // fan-in never resolves).  The pre-flight audit names the loop.
-    if (options.preflight_audit) {
-      const GraphFindings findings = audit_graph(design);
-      core::Diagnostic diag;
-      diag.code = core::DiagCode::CombinationalCycle;
-      diag.severity = core::Severity::Fatal;
-      if (!findings.cycles.empty()) {
-        const CyclePath& cycle = findings.cycles.front();
-        std::string path;
-        for (const std::string& gate : cycle.gates) {
-          if (!path.empty()) path += " -> ";
-          path += gate;
-        }
-        path += " -> " + cycle.gates.front();
-        diag.element = cycle.gates.front();
-        diag.message = "combinational cycle: " + path +
-                       (findings.cycles.size() > 1
-                            ? " (+" +
-                                  std::to_string(findings.cycles.size() - 1) +
-                                  " more loop(s))"
-                            : "");
-      } else {
-        diag.message =
-            "unreachable gates detected (fan-in never resolves): " +
-            std::to_string(gates.size() - leveled) + " gate(s) unleveled";
-      }
-      throw core::DiagnosticError(std::move(diag));
-    }
-    throw std::invalid_argument(
-        "Design: combinational cycle or unreachable gates detected");
-  }
+  const auto& waves = levels.waves;
 
-  // Wave-0 gates switch at t = 0 with the primary-input slew.
-  if (!waves.empty()) {
-    for (const auto& name : waves.front()) {
-      arrival[name] = 0.0;
-      slew[name] = options.input_slew;
-    }
-  }
+  // Per-gate wavefront state, indexed by gate id.  has_arrival keeps
+  // first-writer semantics exact (NaN arrivals included).
+  const std::size_t n = graph.size();
+  std::vector<double> arrival(n, 0.0);
+  std::vector<double> slew(n, 0.0);
+  std::vector<char> has_arrival(n, 0);
+  std::vector<std::size_t> predecessor(n, GateGraph::npos);
 
   TimingReport report;
   report.levels = waves.size();
-  // Wave 0 is the graph's source set: these pins are pinned to t = 0
-  // even if something feeds them (declared primary inputs).  Name-sorted
-  // already -- the frontier came out of a sorted map.
-  if (!waves.empty()) report.source_gates = waves.front();
+  // Wave-0 gates switch at t = 0 with the primary-input slew; they are
+  // the report's (name-sorted) source set.
+  if (!waves.empty()) {
+    for (const std::size_t g : waves.front()) {
+      slew[g] = options.input_slew;
+      has_arrival[g] = 1;
+      report.source_gates.push_back(graph.name(g));
+    }
+  }
 
   // Engine-backed models (AWE, two-pole) want the LU/lint content-cache
   // plumbing; arithmetic models (Elmore bound, table) never factor a
@@ -214,7 +162,7 @@ TimingReport analyze_design(const Design& design,
   const bool engine_model = delay_model(options.delay_model).uses_engine();
 
   struct StageJob {
-    const Design::NetInstance* net = nullptr;
+    std::size_t net = 0;  // index into the Design's net list
     const Gate* driver = nullptr;
     double t_in = 0.0;
     double in_slew = 0.0;
@@ -222,7 +170,7 @@ TimingReport analyze_design(const Design& design,
   struct Endpoint {
     double arrival = 0.0;
     std::string sink;
-    std::string driver;
+    std::size_t driver = 0;
   };
   std::optional<Endpoint> best_endpoint;
 
@@ -233,12 +181,9 @@ TimingReport analyze_design(const Design& design,
     if (options.cancel != nullptr) options.cancel->check("timing.wave");
     // Gather this wavefront's stages; all inputs are final.
     std::vector<StageJob> jobs;
-    for (const auto& gate_name : wave) {
-      const auto it = driven_by.find(gate_name);
-      if (it == driven_by.end()) continue;  // endpoint gate
-      for (const Design::NetInstance* ni : it->second) {
-        jobs.push_back({ni, &gates.at(gate_name), arrival.at(gate_name),
-                        slew.at(gate_name)});
+    for (const std::size_t g : wave) {
+      for (const std::size_t net : graph.drives[g]) {
+        jobs.push_back({net, &graph.gates[g]->second, arrival[g], slew[g]});
       }
     }
     if (jobs.empty()) continue;
@@ -273,31 +218,30 @@ TimingReport analyze_design(const Design& design,
         // kilo-element net's key dominates a fully warm lookup, so an
         // unchanged net reuses the bytes; the lookups below still run
         // unconditionally (checksums, counters, fault probes included).
+        const Net& net = nets[job.net].net;
         StageHint* hint = nullptr;
-        if (hints != nullptr) {
-          const auto net_idx =
-              static_cast<std::size_t>(job.net - nets.data());
-          if (net_idx < hints->size()) hint = &(*hints)[net_idx];
+        if (hints != nullptr && job.net < hints->size()) {
+          hint = &(*hints)[job.net];
         }
         if (hint != nullptr) {
           std::uint64_t slew_bits = 0;
           std::memcpy(&slew_bits, &job.in_slew, sizeof slew_bits);
           if (!hint->keys_valid || hint->in_slew_bits != slew_bits) {
-            hint->result_key = stage_result_key(*job.driver, job.net->net,
+            hint->result_key = stage_result_key(*job.driver, net,
                                                 gates, options, job.in_slew);
             hint->content_key =
-                stage_content_key(*job.driver, job.net->net, gates);
+                stage_content_key(*job.driver, net, gates);
             hint->in_slew_bits = slew_bits;
             hint->keys_valid = true;
           }
           rkey[i] = &hint->result_key;
           ckey[i] = &hint->content_key;
         } else {
-          result_keys[i] = stage_result_key(*job.driver, job.net->net,
+          result_keys[i] = stage_result_key(*job.driver, net,
                                             gates, options, job.in_slew);
           rkey[i] = &result_keys[i];
         }
-        auto hit = cache->lookup_stage(*rkey[i], job.net->net.name,
+        auto hit = cache->lookup_stage(*rkey[i], net.name,
                                        &invalidation_diags[i]);
         if (hit) {
           // Rehydrate the stage-relative record against this job's
@@ -317,7 +261,7 @@ TimingReport analyze_design(const Design& design,
           served[i] = 1;
         } else if (engine_model) {
           if (ckey[i] == nullptr) {
-            content_keys[i] = stage_content_key(*job.driver, job.net->net,
+            content_keys[i] = stage_content_key(*job.driver, net,
                                                 gates);
             ckey[i] = &content_keys[i];
           }
@@ -355,20 +299,21 @@ TimingReport analyze_design(const Design& design,
       if (options.cancel != nullptr) options.cancel->check("timing.stage");
       AWESIM_TRACE_SPAN("parallel.job");
       const StageJob& job = jobs[i];
+      const Net& net = nets[job.net].net;
       try {
-        if (core::fault_at("parallel.job", job.net->net.name)) {
+        if (core::fault_at("parallel.job", net.name)) {
           throw core::DiagnosticError(
               {core::DiagCode::InjectedFault, core::Severity::Error,
-               "injected thread-pool job fault", job.net->net.name});
+               "injected thread-pool job fault", net.name});
         }
         outcomes[i] = evaluate_stage(
-            *job.driver, job.net->net, gates, options, job.t_in,
+            *job.driver, net, gates, options, job.t_in,
             job.in_slew, cache != nullptr ? adopt[i].get() : nullptr,
             cache != nullptr,
             cache != nullptr ? lint_pre[i] : nullptr);
       } catch (const std::exception& e) {
         outcomes[i] = detail::elmore_fallback_stage(
-            *job.driver, job.net->net, gates, job.t_in, job.in_slew,
+            *job.driver, net, gates, job.t_in, job.in_slew,
             e.what());
       }
     });
@@ -430,34 +375,42 @@ TimingReport analyze_design(const Design& design,
       for (const auto& d : st.diagnostics) {
         report.diagnostics.push_back(d);
       }
-      for (const auto& sink_t : st.sinks) {
-        if (gates.count(sink_t.gate) > 0) {
-          const bool improves = arrival.count(sink_t.gate) == 0 ||
-                                sink_t.arrival > arrival[sink_t.gate];
-          if (improves) {
-            arrival[sink_t.gate] = sink_t.arrival;
-            slew[sink_t.gate] = sink_t.slew;
-            predecessor[sink_t.gate] = st.driver_gate;
-          }
-        } else if (!best_endpoint ||
-                   sink_t.arrival > best_endpoint->arrival) {
+      // Every delay model emits one sink record per sink_node entry, in
+      // sink_node order, so sink k is the graph's sink id k.  A sink
+      // update never touches a source: its arrival stays pinned at 0.
+      const std::vector<std::size_t>& sink_ids =
+          graph.net_sinks[jobs[i].net];
+      const std::size_t driver = graph.net_driver[jobs[i].net];
+      for (std::size_t k = 0; k < st.sinks.size(); ++k) {
+        const SinkTiming& sink_t = st.sinks[k];
+        const std::size_t g = sink_ids[k];
+        if (g == GateGraph::npos) {
           // Design output endpoint.
-          best_endpoint = Endpoint{sink_t.arrival, sink_t.gate,
-                                   st.driver_gate};
+          if (!best_endpoint || sink_t.arrival > best_endpoint->arrival) {
+            best_endpoint = Endpoint{sink_t.arrival, sink_t.gate, driver};
+          }
+        } else if (graph.is_edge(g) &&
+                   (!has_arrival[g] || sink_t.arrival > arrival[g])) {
+          arrival[g] = sink_t.arrival;
+          slew[g] = sink_t.slew;
+          has_arrival[g] = 1;
+          predecessor[g] = driver;
         }
       }
       report.stages.push_back(std::move(st));
     }
   }
 
-  report.gate_arrival = arrival;
-  auto trace_path = [&](const std::string& from) {
-    std::string back = from;
-    while (true) {
-      report.critical_path.push_back(back);
-      const auto pit = predecessor.find(back);
-      if (pit == predecessor.end()) break;
-      back = pit->second;
+  for (std::size_t g = 0; g < n; ++g) {
+    if (has_arrival[g]) {
+      report.gate_arrival.emplace_hint(report.gate_arrival.end(),
+                                       graph.name(g), arrival[g]);
+    }
+  }
+  // Predecessors sit in strictly earlier waves, so the walk ends.
+  auto trace_path = [&](std::size_t from) {
+    for (std::size_t g = from; g != GateGraph::npos; g = predecessor[g]) {
+      report.critical_path.push_back(graph.name(g));
     }
     std::reverse(report.critical_path.begin(), report.critical_path.end());
   };
@@ -465,14 +418,20 @@ TimingReport analyze_design(const Design& design,
     report.critical_delay = best_endpoint->arrival;
     report.critical_path.push_back(best_endpoint->sink);
     trace_path(best_endpoint->driver);
-  } else if (!arrival.empty()) {
+  } else {
     // No design-output endpoint: the critical path ends at the
-    // latest-arriving gate input.
-    const auto worst = std::max_element(
-        arrival.begin(), arrival.end(),
-        [](const auto& a, const auto& b) { return a.second < b.second; });
-    report.critical_delay = worst->second;
-    trace_path(worst->first);
+    // latest-arriving gate input (the first in name order on ties).
+    std::size_t worst = GateGraph::npos;
+    for (std::size_t g = 0; g < n; ++g) {
+      if (has_arrival[g] &&
+          (worst == GateGraph::npos || arrival[worst] < arrival[g])) {
+        worst = g;
+      }
+    }
+    if (worst != GateGraph::npos) {
+      report.critical_delay = arrival[worst];
+      trace_path(worst);
+    }
   }
   // Backward pass: build the pin-level graph from the finished report
   // and fold its slack view into the report.  The graph re-propagates

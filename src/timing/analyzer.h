@@ -13,9 +13,10 @@
 //     per sink;
 //   * the Design wires gate outputs to nets and net sinks to gate inputs.
 //
-// Analysis levelizes the stage DAG into Kahn wavefronts: level 0 holds
-// the primary-input gates, and every other gate sits one past its
-// latest-level driver.  All stages of one wavefront are independent --
+// Analysis levelizes the gate graph (timing/design_graph.h) into Kahn
+// wavefronts: level 0 holds the source gates (declared primary inputs
+// and gates with no fan-in, all pinned to t = 0), and every other gate
+// sits one past its latest-level driver.  All stages of one wavefront are independent --
 // their drivers' arrivals and slews are final -- so they are evaluated
 // concurrently on a fixed-size thread pool, each stage building its own
 // circuit -- driver resistance, interconnect, sink input capacitances --
@@ -141,19 +142,6 @@ struct AnalysisOptions {
   /// feed stages to the engine raw (benches measuring bare evaluation
   /// cost, or deliberately pathological what-if experiments).
   bool preflight_lint = true;
-
-  /// Run the graph-scope pre-flight audit when levelization fails: the
-  /// thrown error is a typed core::DiagnosticError carrying a
-  /// CombinationalCycle record with the full ordered loop path (gate ->
-  /// gate -> ... -> gate), instead of a bare std::invalid_argument
-  /// naming nothing.  Costs nothing on healthy designs -- the audit
-  /// graph walk only runs after levelization has already failed.  The
-  /// escape hatch mirrors preflight_lint: set false to restore the
-  /// legacy untyped throw (callers written against the pre-audit
-  /// exception contract).  The full audit pass -- conditioning oracle,
-  /// fanout/reconvergence rules, repetition analysis -- lives in
-  /// audit::audit_design and the awesim_audit CLI.
-  bool preflight_audit = true;
 
   /// Which delay kernel evaluates each stage.  The default is the full
   /// AWE engine -- bit-identical to the pre-seam analyzer.  The kind is
@@ -312,8 +300,12 @@ class Design {
   /// Mark a gate as driven by a primary input (its input arrival is 0).
   void set_primary_input(const std::string& gate);
 
-  /// Run the full analysis.  Throws std::invalid_argument for structural
-  /// problems (unknown gates, combinational cycles).
+  /// Run the full analysis.  A combinational cycle (a loop of gates
+  /// none of which is a source -- see timing/design_graph.h) throws a
+  /// typed core::DiagnosticError carrying a CombinationalCycle record
+  /// that names the loop path (gate -> gate -> ... -> gate).  Arcs into
+  /// a source never close a loop: a declared primary input stays pinned
+  /// at t = 0 whatever drives it.
   TimingReport analyze(const AnalysisOptions& options = {}) const;
 
   /// Read access for design-level transforms (src/reduce walks every

@@ -11,56 +11,105 @@
 
 namespace awesim::timing {
 
-namespace {
-
-/// Index view of the gate graph: gates numbered in name order (the
-/// Design's gate map is sorted), edges driver -> sink per net sink
-/// that names a known gate.
-struct GateGraph {
-  std::vector<std::string> names;           // index -> gate name
-  std::map<std::string, std::size_t> ids;   // gate name -> index
-  std::vector<std::vector<std::size_t>> out;  // deduplicated, sorted
-  std::vector<std::vector<std::size_t>> out_multi;  // with multiplicity
-  std::vector<std::size_t> in_degree;       // over deduplicated edges
-};
-
-GateGraph build_graph(const Design& design) {
+GateGraph GateGraph::build(const Design& design) {
   GateGraph g;
-  g.names.reserve(design.gates().size());
-  for (const auto& [name, gate] : design.gates()) {
-    (void)gate;
-    g.ids.emplace(name, g.names.size());
-    g.names.push_back(name);
-  }
-  const std::size_t n = g.names.size();
-  g.out.assign(n, {});
-  g.out_multi.assign(n, {});
-  g.in_degree.assign(n, 0);
+  const std::size_t n = design.gates().size();
+  g.gates.reserve(n);
+  for (const auto& entry : design.gates()) g.gates.push_back(&entry);
+  // Name -> id by binary search over the name-ordered entries.
+  auto find = [&g](const std::string& name) {
+    const auto it = std::lower_bound(
+        g.gates.begin(), g.gates.end(), name,
+        [](const auto* entry, const std::string& key) {
+          return entry->first < key;
+        });
+    if (it == g.gates.end() || (*it)->first != name) return npos;
+    return static_cast<std::size_t>(it - g.gates.begin());
+  };
+  g.drives.assign(n, {});
+  g.primary_input.assign(n, 0);
+  std::vector<char> driven(n, 0);
+  g.net_driver.reserve(design.net_count());
+  g.net_sinks.reserve(design.net_count());
   for (std::size_t i = 0; i < design.net_count(); ++i) {
-    const auto du = g.ids.find(design.net_driver(i));
-    if (du == g.ids.end()) continue;
+    // Design::add_net rejects unknown drivers, so the id is always valid.
+    const std::size_t driver = find(design.net_driver(i));
+    g.net_driver.push_back(driver);
+    g.drives[driver].push_back(i);
+    std::vector<std::size_t> sinks;
+    sinks.reserve(design.net_at(i).sink_node.size());
     for (const auto& [sink, node] : design.net_at(i).sink_node) {
       (void)node;
-      const auto su = g.ids.find(sink);
-      if (su == g.ids.end()) continue;  // design output, not a gate
-      g.out_multi[du->second].push_back(su->second);
+      const std::size_t id = find(sink);
+      if (id != npos) driven[id] = 1;
+      sinks.push_back(id);
     }
+    g.net_sinks.push_back(std::move(sinks));
   }
-  for (std::size_t u = 0; u < n; ++u) {
-    auto edges = g.out_multi[u];
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    g.out[u] = std::move(edges);
-    for (const std::size_t v : g.out[u]) ++g.in_degree[v];
+  for (const std::string& pi : design.primary_inputs()) {
+    g.primary_input[find(pi)] = 1;
+  }
+  g.is_source.assign(n, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    g.is_source[v] = g.primary_input[v] || !driven[v];
   }
   return g;
+}
+
+Levelization levelize(const GateGraph& graph) {
+  const std::size_t n = graph.size();
+  std::vector<std::size_t> pending(n, 0);
+  for (const auto& sinks : graph.net_sinks) {
+    for (const std::size_t s : sinks) {
+      if (graph.is_edge(s)) ++pending[s];
+    }
+  }
+  Levelization out;
+  std::vector<std::size_t> frontier;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (pending[v] == 0) frontier.push_back(v);
+  }
+  std::size_t leveled = 0;
+  while (!frontier.empty()) {
+    leveled += frontier.size();
+    std::vector<std::size_t> next;
+    for (const std::size_t u : frontier) {
+      for (const std::size_t net : graph.drives[u]) {
+        for (const std::size_t s : graph.net_sinks[net]) {
+          if (graph.is_edge(s) && --pending[s] == 0) next.push_back(s);
+        }
+      }
+    }
+    std::sort(next.begin(), next.end());
+    out.waves.push_back(std::move(frontier));
+    frontier = std::move(next);
+  }
+  out.unleveled = n - leveled;
+  return out;
+}
+
+namespace {
+
+/// Deduplicated, sorted successor lists under the edge rule.
+std::vector<std::vector<std::size_t>> successors(const GateGraph& g) {
+  std::vector<std::vector<std::size_t>> out(g.size());
+  for (std::size_t u = 0; u < g.size(); ++u) {
+    for (const std::size_t net : g.drives[u]) {
+      for (const std::size_t s : g.net_sinks[net]) {
+        if (g.is_edge(s)) out[u].push_back(s);
+      }
+    }
+    std::sort(out[u].begin(), out[u].end());
+    out[u].erase(std::unique(out[u].begin(), out[u].end()), out[u].end());
+  }
+  return out;
 }
 
 /// Iterative Tarjan strongly-connected components, visiting roots in
 /// index (= gate name) order so component discovery is deterministic.
 std::vector<std::vector<std::size_t>> strongly_connected(
-    const GateGraph& g) {
-  const std::size_t n = g.names.size();
+    const std::vector<std::vector<std::size_t>>& out) {
+  const std::size_t n = out.size();
   constexpr std::size_t kUnset = std::numeric_limits<std::size_t>::max();
   std::vector<std::size_t> index(n, kUnset), lowlink(n, 0);
   std::vector<char> on_stack(n, 0);
@@ -84,8 +133,8 @@ std::vector<std::vector<std::size_t>> strongly_connected(
         on_stack[f.v] = 1;
       }
       bool descended = false;
-      while (f.edge < g.out[f.v].size()) {
-        const std::size_t w = g.out[f.v][f.edge++];
+      while (f.edge < out[f.v].size()) {
+        const std::size_t w = out[f.v][f.edge++];
         if (index[w] == kUnset) {
           call.push_back({w});
           descended = true;
@@ -122,9 +171,9 @@ std::vector<std::vector<std::size_t>> strongly_connected(
 /// Shortest loop through `start` restricted to `members`: BFS with
 /// sorted adjacency, then walk parents back from the predecessor of
 /// the closing edge.
-std::vector<std::size_t> loop_through(const GateGraph& g,
-                                      std::size_t start,
-                                      const std::set<std::size_t>& members) {
+std::vector<std::size_t> loop_through(
+    const std::vector<std::vector<std::size_t>>& out, std::size_t start,
+    const std::set<std::size_t>& members) {
   constexpr std::size_t kUnset = std::numeric_limits<std::size_t>::max();
   std::vector<std::size_t> queue{start};
   std::map<std::size_t, std::size_t> parent;  // node -> predecessor
@@ -132,7 +181,7 @@ std::vector<std::size_t> loop_through(const GateGraph& g,
   for (std::size_t head = 0; head < queue.size() && closer == kUnset;
        ++head) {
     const std::size_t u = queue[head];
-    for (const std::size_t v : g.out[u]) {
+    for (const std::size_t v : out[u]) {
       if (v == start) {
         closer = u;
         break;
@@ -154,63 +203,75 @@ std::vector<std::size_t> loop_through(const GateGraph& g,
 
 }  // namespace
 
-GraphFindings audit_graph(const Design& design,
-                          const DesignGraphOptions& options) {
-  GraphFindings out;
-  const GateGraph g = build_graph(design);
-  const std::size_t n = g.names.size();
-
-  // --- Cycles: one representative loop per nontrivial SCC.
-  std::vector<char> cyclic(n, 0);
-  for (const auto& comp : strongly_connected(g)) {
+std::vector<CyclePath> find_cycles(const GateGraph& graph) {
+  const auto out = successors(graph);
+  std::vector<CyclePath> cycles;
+  for (const auto& comp : strongly_connected(out)) {
     const bool self_loop =
         comp.size() == 1 &&
-        std::binary_search(g.out[comp[0]].begin(), g.out[comp[0]].end(),
+        std::binary_search(out[comp[0]].begin(), out[comp[0]].end(),
                            comp[0]);
     if (comp.size() < 2 && !self_loop) continue;
-    for (const std::size_t v : comp) cyclic[v] = 1;
     const std::set<std::size_t> members(comp.begin(), comp.end());
     CyclePath cycle;
-    for (const std::size_t v : loop_through(g, comp[0], members)) {
-      cycle.gates.push_back(g.names[v]);
+    for (const std::size_t v : loop_through(out, comp[0], members)) {
+      cycle.gates.push_back(graph.name(v));
     }
-    out.cycles.push_back(std::move(cycle));
+    cycles.push_back(std::move(cycle));
   }
-  std::sort(out.cycles.begin(), out.cycles.end(),
+  std::sort(cycles.begin(), cycles.end(),
             [](const CyclePath& a, const CyclePath& b) {
               return a.gates < b.gates;
             });
+  return cycles;
+}
 
-  // --- Sources and the undriven rule.
-  const std::set<std::string> declared(design.primary_inputs().begin(),
-                                       design.primary_inputs().end());
-  std::vector<char> source(n, 0);
+std::string format_loop(const CyclePath& cycle) {
+  std::string path;
+  for (const std::string& gate : cycle.gates) {
+    if (!path.empty()) path += " -> ";
+    path += gate;
+  }
+  if (!cycle.gates.empty()) path += " -> " + cycle.gates.front();
+  return path;
+}
+
+GraphFindings audit_graph(const Design& design,
+                          const DesignGraphOptions& options) {
+  GraphFindings out;
+  const GateGraph g = GateGraph::build(design);
+  const std::size_t n = g.size();
+
+  out.cycles = find_cycles(g);
+
+  // --- Undriven: sources that were never declared.
   for (std::size_t v = 0; v < n; ++v) {
-    const bool zero_fan_in = g.in_degree[v] == 0;
-    const bool is_pi = declared.count(g.names[v]) != 0;
-    if (zero_fan_in || is_pi) source[v] = 1;
-    if (zero_fan_in && !is_pi) out.undriven.push_back(g.names[v]);
+    if (g.is_source[v] && !g.primary_input[v]) {
+      out.undriven.push_back(g.name(v));
+    }
   }
 
   // --- Forward reachability from every source.
   std::vector<char> reached(n, 0);
   std::vector<std::size_t> queue;
   for (std::size_t v = 0; v < n; ++v) {
-    if (source[v]) {
+    if (g.is_source[v]) {
       reached[v] = 1;
       queue.push_back(v);
     }
   }
   for (std::size_t head = 0; head < queue.size(); ++head) {
-    for (const std::size_t w : g.out[queue[head]]) {
-      if (!reached[w]) {
-        reached[w] = 1;
-        queue.push_back(w);
+    for (const std::size_t net : g.drives[queue[head]]) {
+      for (const std::size_t w : g.net_sinks[net]) {
+        if (g.is_edge(w) && !reached[w]) {
+          reached[w] = 1;
+          queue.push_back(w);
+        }
       }
     }
   }
   for (std::size_t v = 0; v < n; ++v) {
-    if (!reached[v]) out.unreachable.push_back(g.names[v]);
+    if (!reached[v]) out.unreachable.push_back(g.name(v));
   }
 
   // --- Per-net rules: sinkless nets and fanout explosions.
@@ -223,33 +284,28 @@ GraphFindings audit_graph(const Design& design,
     }
   }
 
-  // --- Reconvergence: saturating path counts over the acyclic part
-  // (Kahn order; cycle members never level and are skipped).
+  // --- Reconvergence: saturating path counts (one per net sink, so
+  // parallel nets count twice) over the analyzer's waves.  Sources
+  // start at one path; gates that never level keep whatever their
+  // leveled drivers contributed.
   if (options.reconvergence_paths > 0) {
     constexpr std::size_t kCap = std::numeric_limits<std::size_t>::max() / 2;
-    std::vector<std::size_t> degree(n, 0), paths(n, 0), depth(n, 0);
-    for (std::size_t u = 0; u < n; ++u) {
-      for (const std::size_t v : g.out_multi[u]) ++degree[v];
-    }
-    std::vector<std::size_t> ready;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (degree[v] == 0) {
-        ready.push_back(v);
-        paths[v] = 1;
-      }
-    }
-    for (std::size_t head = 0; head < ready.size(); ++head) {
-      const std::size_t u = ready[head];
-      if (source[u] && paths[u] == 0) paths[u] = 1;
-      for (const std::size_t v : g.out_multi[u]) {
-        paths[v] = std::min(kCap, paths[v] + std::min(kCap, paths[u]));
-        depth[v] = std::max(depth[v], depth[u] + 1);
-        if (--degree[v] == 0) ready.push_back(v);
+    std::vector<std::size_t> paths(n, 0), depth(n, 0);
+    for (const auto& wave : levelize(g).waves) {
+      for (const std::size_t u : wave) {
+        if (g.is_source[u]) paths[u] = 1;
+        for (const std::size_t net : g.drives[u]) {
+          for (const std::size_t v : g.net_sinks[net]) {
+            if (!g.is_edge(v)) continue;
+            paths[v] = std::min(kCap, paths[v] + paths[u]);
+            depth[v] = std::max(depth[v], depth[u] + 1);
+          }
+        }
       }
     }
     for (std::size_t v = 0; v < n; ++v) {
       if (paths[v] >= options.reconvergence_paths) {
-        out.reconvergences.push_back({g.names[v], paths[v], depth[v]});
+        out.reconvergences.push_back({g.name(v), paths[v], depth[v]});
       }
     }
   }

@@ -1,34 +1,34 @@
-// Gate-graph connectivity primitives for the design-scope audit.
+// The design's gate graph, and the audit's graph-scope rules over it.
 //
-// The analyzer's levelization (analyzer.cpp) already *dies* on a
-// combinational cycle -- with a bare "cycle or unreachable gates"
-// string and no names.  These primitives compute, purely from the
-// Design's connectivity (no matrices, no values), everything the audit
-// tier reports about graph shape:
+// GateGraph is the one integer-id view of a Design's connectivity: the
+// analyzer levelizes it into wavefronts and names its cycle error from
+// it, and audit_graph runs every rule below on it.  One edge rule holds
+// throughout, as in TimingGraph and k_worst_paths: a *source* gate (a
+// declared primary input, or a gate with no fan-in) is pinned at t = 0,
+// so an arc into a source is not an edge -- it neither orders
+// levelization nor closes a loop.
 //
-//   * combinational cycles, each as an explicit ordered loop path
-//     (gate -> gate -> ... -> first gate), deduplicated per strongly
-//     connected component;
+// The audit rules, purely from connectivity (no matrices, no values):
+//
+//   * combinational cycles: one ordered loop path per strongly
+//     connected component -- exactly the loops analyze() throws on;
 //   * undriven endpoints: gates with no incoming net that were never
 //     declared primary inputs (the analyzer silently pins their
 //     arrival to 0 -- usually a missing connection, not a decision);
-//   * dead logic: gates unreachable from any source (declared PI or
-//     zero-fan-in gate) -- only cycles can produce these -- plus nets
-//     that drive no sink at all (the computed value is dropped);
-//   * fanout explosions: nets whose sink count exceeds a threshold
-//     (each sink pin loads the stage; past a few dozen the stage delay
-//     model and the physical net are both in trouble);
+//   * dead logic: gates unreachable from any source -- only cycles can
+//     produce these -- plus nets that drive no sink at all;
+//   * fanout explosions: nets whose sink count exceeds a threshold;
 //   * reconvergent fanout: source-to-gate path counts from a
-//     saturating DAG DP -- a pin whose path count passes the threshold
-//     sits behind deep reconvergence (path-based STA there is
-//     exponential; worth knowing before asking for K-worst paths).
+//     saturating DP over the analyzer's waves -- past the threshold,
+//     path-based STA is exponential there.
 //
-// Everything is deterministic: gates iterate in name order (the
-// Design's gate map is ordered), nets in insertion order, and every
-// result list is sorted by its natural key.
+// Everything is deterministic: gate ids follow name order (the Design's
+// gate map is ordered), nets keep insertion order, and every result
+// list is sorted by its natural key.
 #pragma once
 
 #include <cstddef>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -36,19 +36,68 @@
 
 namespace awesim::timing {
 
-struct DesignGraphOptions {
-  /// Nets with more sinks than this are reported as fanout explosions.
-  std::size_t fanout_threshold = 32;
-  /// Gates whose source-to-pin path count reaches this are reported as
-  /// reconvergence hot spots (counts saturate; 0 disables the rule).
-  std::size_t reconvergence_paths = 1024;
+/// Integer-id gate graph of one Design, built per call.  Borrows the
+/// gate names from the Design, which must outlive it.
+struct GateGraph {
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  /// id -> the Design's gate entry; ids follow gate-name order.
+  std::vector<const std::map<std::string, Gate>::value_type*> gates;
+  /// Per net (Design net order): the driver's id, and the sink ids in
+  /// sink_node order -- npos for a design-output sink.
+  std::vector<std::size_t> net_driver;
+  std::vector<std::vector<std::size_t>> net_sinks;
+  /// Per gate: the nets it drives, in insertion order.
+  std::vector<std::vector<std::size_t>> drives;
+  /// Per gate: declared primary input; source (declared primary input
+  /// or no fan-in).
+  std::vector<char> primary_input;
+  std::vector<char> is_source;
+
+  static GateGraph build(const Design& design);
+
+  std::size_t size() const { return gates.size(); }
+  const std::string& name(std::size_t id) const { return gates[id]->first; }
+
+  /// The edge rule: an arc into `sink` is an edge unless the sink is a
+  /// design output or a source gate.
+  bool is_edge(std::size_t sink) const {
+    return sink != npos && !is_source[sink];
+  }
 };
+
+/// Kahn levelization under the edge rule.  Wave 0 is the source set;
+/// every other gate lands one wave past its last driver.  Each wave
+/// lists ascending ids.
+struct Levelization {
+  std::vector<std::vector<std::size_t>> waves;
+  /// Gates that never leveled: each sits on or downstream of a loop of
+  /// non-source gates, so find_cycles() is nonempty whenever this is.
+  std::size_t unleveled = 0;
+};
+
+Levelization levelize(const GateGraph& graph);
 
 /// One combinational cycle: the ordered gate names around the loop,
 /// starting from the lexicographically smallest member; the edge from
 /// the last entry back to the first closes the loop.
 struct CyclePath {
   std::vector<std::string> gates;
+};
+
+/// One representative loop per strongly connected component with >= 2
+/// gates (or a self loop), under the edge rule, sorted by gate list.
+std::vector<CyclePath> find_cycles(const GateGraph& graph);
+
+/// "a -> b -> a": the loop with its closing edge written out.
+std::string format_loop(const CyclePath& cycle);
+
+struct DesignGraphOptions {
+  /// Nets with more sinks than this are reported as fanout explosions.
+  std::size_t fanout_threshold = 32;
+  /// Gates whose source-to-pin path count reaches this are reported as
+  /// reconvergence hot spots (counts saturate; 0 disables the rule).
+  std::size_t reconvergence_paths = 1024;
 };
 
 /// A net whose sink count passed the fanout threshold.
@@ -61,15 +110,15 @@ struct FanoutRecord {
 /// A gate input sitting behind heavy reconvergence.
 struct ReconvergenceRecord {
   std::string gate;
-  /// Saturating count of distinct source-to-pin paths.
+  /// Saturating count of distinct source-to-pin paths; every source,
+  /// driven primary inputs included, starts its own count at 1.
   std::size_t paths = 0;
   /// Levelized depth of the gate (longest edge count from a source).
   std::size_t depth = 0;
 };
 
 struct GraphFindings {
-  /// Each strongly connected component with >= 2 gates (or a self
-  /// loop) yields exactly one representative loop path.
+  /// find_cycles(): the loops analyze() would name.
   std::vector<CyclePath> cycles;
   /// Name-sorted gates with no incoming net and no primary-input
   /// declaration.

@@ -132,9 +132,9 @@ void TimingGraph::propagate_arrivals() {
   // Kahn levelization over the pin DAG; within a level, nodes process in
   // index order, so topo_ is a pure function of the graph.  Arcs *into* a
   // source pin are not levelization edges: the source's arrival is pinned
-  // at 0 no matter what feeds it (the legacy primary-input contract), and
-  // skipping them is what lets feedback through a declared primary input
-  // level -- exactly the designs the wavefront itself accepts.
+  // at 0 no matter what feeds it -- the edge rule the wavefront applies
+  // to the gate graph (timing/design_graph.h), so feedback through a
+  // declared primary input levels here exactly when it levels there.
   std::vector<std::size_t> indegree(nodes_.size(), 0);
   for (const TimingArc& arc : arcs_) {
     if (!nodes_[arc.to].is_source) ++indegree[arc.to];
@@ -167,8 +167,8 @@ void TimingGraph::propagate_arrivals() {
 
   // Forward pass.  max() over the fanin set is order-independent at the
   // bit level, and each operand is the same arrival(from) + delay sum the
-  // wavefront computed, so gate-input arrivals reproduce the legacy
-  // analyzer's map exactly.
+  // wavefront computed, so gate-input arrivals reproduce the
+  // wavefront's map exactly.
   for (const std::size_t id : topo_) {
     TimingNode& node = nodes_[id];
     if (node.is_source) {

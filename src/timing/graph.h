@@ -19,7 +19,7 @@
 //
 // The graph is built from a finished TimingReport, then *re-propagates*
 // arrival times from the arc delays -- it does not copy the wavefront's
-// arrival map.  That makes equality with the legacy analyzer a real
+// arrival map.  That makes equality with the wavefront a real
 // differential check, which tests/test_graph_sta.cpp performs bitwise:
 // max() over a fixed operand set is order-independent at the bit level,
 // and every sum is the same `arrival(from) + delay` the wavefront
@@ -108,8 +108,8 @@ class TimingGraph {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t find(const std::string& pin_name) const;
 
-  /// Arrival / slack at a gate's input pin (the values the legacy
-  /// analyzer reports per gate).  Throws std::invalid_argument for an
+  /// Arrival / slack at a gate's input pin (the values the wavefront
+  /// reports per gate).  Throws std::invalid_argument for an
   /// unknown gate.
   double arrival_at(const std::string& gate) const;
   double slack_at(const std::string& gate) const;

@@ -18,6 +18,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "audit/audit.h"
@@ -332,8 +333,8 @@ TEST(DesignGraph, ReconvergentDiamondCountsPaths) {
 }
 
 // ---------------------------------------------------------------------
-// The analyzer pre-flight: a cyclic design now throws the typed record
-// with the loop path; the escape hatch restores the legacy behavior.
+// The analyzer's cycle error: a cyclic design throws the typed record
+// with the loop path.
 
 TEST(Preflight, CyclicDesignThrowsTypedDiagnosticWithLoopPath) {
   timing::Design d;
@@ -350,9 +351,74 @@ TEST(Preflight, CyclicDesignThrowsTypedDiagnosticWithLoopPath) {
               std::string::npos)
         << e.diagnostic().message;
   }
-  timing::AnalysisOptions legacy;
-  legacy.preflight_audit = false;
-  EXPECT_THROW(d.analyze(legacy), std::invalid_argument);
+}
+
+// A harmless loop through a primary input (a <-> b, `.input a`) next to
+// a real loop (c <-> d): the error names the loop that blocks
+// levelization, and the audit reports that loop alone.
+TEST(Preflight, CycleErrorNamesTheLoopThatBlocksLevelization) {
+  timing::Design d;
+  for (const char* g : {"a", "b", "c", "d"}) d.add_gate({g});
+  d.set_primary_input("a");
+  d.add_net("a", tiny_net("nab", {"b"}));
+  d.add_net("b", tiny_net("nba", {"a"}));
+  d.add_net("c", tiny_net("ncd", {"d"}));
+  d.add_net("d", tiny_net("ndc", {"c"}));
+  try {
+    d.analyze({});
+    FAIL() << "expected DiagnosticError";
+  } catch (const core::DiagnosticError& e) {
+    EXPECT_EQ(e.diagnostic().code, core::DiagCode::CombinationalCycle);
+    EXPECT_EQ(e.diagnostic().message, "combinational cycle: c -> d -> c");
+    EXPECT_EQ(e.diagnostic().element, "c");
+  }
+  const timing::GraphFindings f = timing::audit_graph(d);
+  ASSERT_EQ(f.cycles.size(), 1u);
+  EXPECT_EQ(f.cycles[0].gates, (std::vector<std::string>{"c", "d"}));
+}
+
+// Audit behaviour under the shared edge rule (arcs into a source are
+// not edges).  A loop through a declared primary input is not an Error:
+// analyze() accepts it.
+TEST(DesignGraph, LoopThroughPrimaryInputIsNotACycle) {
+  timing::Design d;
+  d.add_gate({"a"});
+  d.add_gate({"b"});
+  d.set_primary_input("a");
+  d.add_net("a", tiny_net("nab", {"b"}));
+  d.add_net("b", tiny_net("nba", {"a", "out"}));
+  const AuditReport report = audit_design(d);
+  EXPECT_TRUE(report.graph.cycles.empty());
+  EXPECT_EQ(find_code(report, core::DiagCode::CombinationalCycle), nullptr);
+  EXPECT_TRUE(report.graph.unreachable.empty());
+  EXPECT_NO_THROW(d.analyze({}));
+}
+
+// A driven primary input starts its own path count (paths 1, depth 0),
+// as k_worst_paths starts every path at a source.
+TEST(DesignGraph, DrivenPrimaryInputStartsItsOwnPathCount) {
+  // in -> {x, y} -> p (declared input) -> q.
+  timing::Design d;
+  for (const char* g : {"in", "p", "q", "x", "y"}) d.add_gate({g});
+  d.set_primary_input("in");
+  d.set_primary_input("p");
+  d.add_net("in", tiny_net("n0", {"x", "y"}));
+  d.add_net("x", tiny_net("n1", {"p"}));
+  d.add_net("y", tiny_net("n2", {"p"}));
+  d.add_net("p", tiny_net("n3", {"q"}));
+  timing::DesignGraphOptions options;
+  options.reconvergence_paths = 1;  // report every counted gate
+  const timing::GraphFindings f = timing::audit_graph(d, options);
+  std::map<std::string, std::pair<std::size_t, std::size_t>> counts;
+  for (const auto& rec : f.reconvergences) {
+    counts[rec.gate] = {rec.paths, rec.depth};
+  }
+  using Count = std::pair<std::size_t, std::size_t>;
+  EXPECT_EQ(counts.at("p"), (Count{1, 0}));
+  EXPECT_EQ(counts.at("q"), (Count{1, 1}));
+  EXPECT_EQ(counts.at("x"), (Count{1, 1}));
+  options.reconvergence_paths = 2;
+  EXPECT_TRUE(timing::audit_graph(d, options).reconvergences.empty());
 }
 
 // ---------------------------------------------------------------------

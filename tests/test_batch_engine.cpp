@@ -310,11 +310,8 @@ TEST(ParallelAnalyzer, CycleStillDetectedAndErrorsPropagate) {
   for (int threads : {1, 4}) {
     timing::AnalysisOptions opt;
     opt.threads = threads;
-    // The default pre-flight audit throws a typed record with the loop
-    // path; preflight_audit = false restores the legacy untyped throw.
+    // The analyzer throws a typed record with the loop path.
     EXPECT_THROW(d.analyze(opt), core::DiagnosticError);
-    opt.preflight_audit = false;
-    EXPECT_THROW(d.analyze(opt), std::invalid_argument);
   }
 }
 

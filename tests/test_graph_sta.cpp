@@ -1,5 +1,5 @@
-// Differential tests: the explicit TimingGraph against the legacy
-// levelized wavefront.  The graph re-propagates arrival times from arc
+// Differential tests: the explicit TimingGraph against the levelized
+// wavefront.  The graph re-propagates arrival times from arc
 // delays -- it does not copy the analyzer's map -- so agreement here is
 // a real second opinion, and the contract is *bitwise* equality: same
 // arrivals at 1/2/8 threads, warm or cold, and slack == RAT - AT at
@@ -7,13 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "core/diagnostic.h"
 #include "core/fault.h"
+#include "timing/design_graph.h"
 #include "timing/graph.h"
 #include "timing/paths.h"
 #include "timing/session.h"
+#include "util/random_circuits.h"
 
 namespace awesim::timing {
 
@@ -288,6 +295,162 @@ TEST(GraphSta, MalformedReportIsRejected) {
   st.sinks.push_back(s);
   report.stages.push_back(st);
   EXPECT_THROW(TimingGraph::build(report), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------
+// Arcs into a source gate.  A declared primary input is pinned at t = 0
+// whatever drives it: the wavefront, the pin graph and the path search
+// all ignore arcs into it, so a loop through one is not a cycle.
+
+namespace {
+
+/// One-hop RC wire to the listed sinks (gate names or design outputs).
+Net hop(const std::string& name, const std::vector<std::string>& sinks) {
+  Net net;
+  net.name = name;
+  net.parasitics = {r("DRV", "w", 250.0), c("w", 15e-15)};
+  for (const std::string& sink : sinks) net.sink_node[sink] = "w";
+  return net;
+}
+
+/// a -> b -> a with `.input a`, optionally with a design output on b.
+Design primary_input_feedback(bool output_on_b) {
+  Design d;
+  d.add_gate({"a", 700.0, 4e-15, 2e-12});
+  d.add_gate({"b", 900.0, 5e-15, 3e-12});
+  d.set_primary_input("a");
+  d.add_net("a", hop("nab", {"b"}));
+  d.add_net("b", output_on_b ? hop("nba", {"a", "OUT"}) : hop("nba", {"a"}));
+  return d;
+}
+
+/// g1 -> p with `.input p`: acyclic, but p is driven.
+Design driven_primary_input() {
+  Design d;
+  d.add_gate({"g1", 800.0, 4e-15, 2e-12});
+  d.add_gate({"p", 800.0, 4e-15, 2e-12});
+  d.set_primary_input("p");
+  d.add_net("g1", hop("n1", {"p"}));
+  return d;
+}
+
+std::uint64_t bits(double x) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &x, sizeof out);
+  return out;
+}
+
+}  // namespace
+
+TEST(GraphSta, ArcsIntoPrimaryInputsLeaveThemPinnedAtZero) {
+  const struct {
+    const char* label;
+    Design design;
+    const char* pi;
+  } cases[] = {
+      {"feedback", primary_input_feedback(false), "a"},
+      {"feedback+output", primary_input_feedback(true), "a"},
+      {"driven input", driven_primary_input(), "p"},
+  };
+  for (const auto& tc : cases) {
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE(std::string(tc.label) + " threads " +
+                   std::to_string(threads));
+      AnalysisOptions opt;
+      opt.threads = threads;
+      const TimingReport report = tc.design.analyze(opt);
+      ASSERT_EQ(report.gate_arrival.size(), tc.design.gates().size());
+      EXPECT_EQ(bits(report.gate_arrival.at(tc.pi)), bits(0.0));
+      const TimingGraph graph = TimingGraph::build(report);
+      for (const auto& [gate, at] : report.gate_arrival) {
+        EXPECT_EQ(bits(graph.arrival_at(gate)), bits(at)) << gate;
+      }
+      const std::set<std::string> distinct(report.critical_path.begin(),
+                                           report.critical_path.end());
+      EXPECT_EQ(distinct.size(), report.critical_path.size());
+      EXPECT_FALSE(report.critical_path.empty());
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Audit-analyzer agreement: on seeded random gate designs (forward
+// arcs, some back arcs, random primary inputs, some design outputs) the
+// audit reports a cycle exactly when analyze() throws one, the thrown
+// loop is the audit's first, and every design that analyzes does so
+// bit-identically at 1 and 4 threads.
+
+namespace {
+
+Design random_gate_design(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> size(2, 9);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  const int n = size(rng);
+  Design d;
+  for (int i = 0; i < n; ++i) {
+    d.add_gate({testutil::gate_name(i), 500.0 + 100.0 * i, 4e-15, 1e-12});
+  }
+  for (int i = 0; i < n; ++i) {
+    if (u(rng) < 0.25) d.set_primary_input(testutil::gate_name(i));
+  }
+  for (int i = 0; i < n; ++i) {
+    const int nets = u(rng) < 0.2 ? 2 : 1;
+    for (int k = 0; k < nets; ++k) {
+      std::vector<std::string> sinks;
+      for (int j = 0; j < n; ++j) {
+        const double p = j > i ? 0.4 : 0.08;  // forward vs back/self arc
+        if (u(rng) < p) sinks.push_back(testutil::gate_name(j));
+      }
+      if (u(rng) < 0.2) sinks.push_back("OUT" + std::to_string(i));
+      d.add_net(testutil::gate_name(i),
+                hop("n" + std::to_string(i) + "_" + std::to_string(k),
+                    sinks));
+    }
+  }
+  return d;
+}
+
+}  // namespace
+
+TEST(GraphSta, AuditCyclesAgreeWithAnalyzerOnRandomDesigns) {
+  std::size_t cyclic = 0;
+  std::size_t acyclic = 0;
+  for (std::uint32_t seed = 1; seed <= 120; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Design d = random_gate_design(seed);
+    const GraphFindings findings = audit_graph(d);
+    AnalysisOptions serial;
+    serial.threads = 1;
+    try {
+      const TimingReport one = d.analyze(serial);
+      EXPECT_TRUE(findings.cycles.empty());
+      ++acyclic;
+      AnalysisOptions parallel;
+      parallel.threads = 4;
+      const TimingReport four = d.analyze(parallel);
+      testutil::expect_same_payload(one, four);
+      EXPECT_EQ(one.source_gates, four.source_gates);
+      EXPECT_EQ(one.gate_slack, four.gate_slack);
+      EXPECT_EQ(one.worst_slack, four.worst_slack);
+      EXPECT_EQ(one.worst_slack_endpoint, four.worst_slack_endpoint);
+    } catch (const core::DiagnosticError& e) {
+      ASSERT_EQ(e.diagnostic().code, core::DiagCode::CombinationalCycle);
+      ASSERT_FALSE(findings.cycles.empty());
+      ++cyclic;
+      const CyclePath& loop = findings.cycles.front();
+      std::string expected = "combinational cycle: " + format_loop(loop);
+      if (findings.cycles.size() > 1) {
+        expected += " (+" + std::to_string(findings.cycles.size() - 1) +
+                    " more loop(s))";
+      }
+      EXPECT_EQ(e.diagnostic().message, expected);
+      EXPECT_EQ(e.diagnostic().element, loop.gates.front());
+    }
+  }
+  // The generator must exercise both outcomes.
+  EXPECT_GT(cyclic, 10u);
+  EXPECT_GT(acyclic, 10u);
 }
 
 }  // namespace awesim::timing

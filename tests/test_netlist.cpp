@@ -11,8 +11,7 @@ using circuit::ElementKind;
 
 namespace {
 
-/// Happy-path parse through the error-collecting API (the throwing
-/// parse() shim is deprecated; its mapping is covered by ParserCompat).
+/// Happy-path parse through the error-collecting API.
 circuit::Circuit parse_ok(std::string_view text) {
   ParseResult result = parse_collect(text);
   EXPECT_TRUE(result.ok()) << core::to_string(result.diagnostics);
@@ -284,23 +283,5 @@ V1 n 0 DC 1
 X1 n loop
 )"));  // self-recursion
 }
-
-// The deprecated throwing shims stay covered until out-of-tree callers
-// finish migrating: exception types and the line() context are stable API.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ParserCompat, ThrowingShimsPreserveExceptionMapping) {
-  EXPECT_EQ(parse("V1 a 0 DC 1\nR1 a 0 1k\n").elements().size(), 2u);
-  try {
-    parse("V1 a 0 DC 1\nR1 a 0\n");  // missing value on line 2
-    FAIL() << "expected ParseError";
-  } catch (const ParseError& e) {
-    EXPECT_EQ(e.line(), 2u);
-  }
-  // Structurally invalid circuits keep the historical exception type.
-  EXPECT_THROW(parse("R1 a 0 1k\nR1 a 0 2k\n"), std::invalid_argument);
-  EXPECT_THROW(parse_file("/nonexistent/foo.sp"), std::runtime_error);
-}
-#pragma GCC diagnostic pop
 
 }  // namespace awesim::netlist

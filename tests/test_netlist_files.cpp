@@ -24,7 +24,7 @@ std::string netlist_path(const std::string& name) {
 }
 
 /// Parse a shipped file through the error-collecting API, asserting it
-/// is clean (the throwing parse_file() shim is deprecated).
+/// is clean.
 circuit::Circuit parse_file_ok(const std::string& path) {
   netlist::ParseResult result = netlist::parse_file_collect(path);
   EXPECT_TRUE(result.ok()) << core::to_string(result.diagnostics);

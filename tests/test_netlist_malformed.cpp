@@ -41,11 +41,6 @@ TEST(NetlistMalformed, EveryCorpusFileIsRejectedWithLocatedDiagnostics) {
         EXPECT_GT(d.column, 0u) << path << ": " << d.message;
       }
     }
-    // The deprecated throwing shim must agree that the file is bad.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    EXPECT_ANY_THROW(parse_file(path)) << path;
-#pragma GCC diagnostic pop
   }
   EXPECT_GE(files, 8u) << "corpus shrank unexpectedly";
 }
@@ -67,23 +62,6 @@ TEST(NetlistMalformed, AllErrorsInOneFileAreReported) {
   EXPECT_EQ(result.diagnostics[3].column, 1u);   // ".option"
   EXPECT_EQ(result.diagnostics[4].element, "nosuch");
 }
-
-// Deliberately exercises the deprecated throwing shim: first-error
-// mapping is stable API until out-of-tree callers migrate.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(NetlistMalformed, ThrowingParsePreservesFirstErrorLocation) {
-  try {
-    parse_file(bad_path("many_errors.sp"));
-    FAIL() << "expected ParseError";
-  } catch (const ParseError& e) {
-    EXPECT_EQ(e.line(), 2u);
-    // what() renders "netlist line L:C: message".
-    EXPECT_NE(std::string(e.what()).find("netlist line 2"),
-              std::string::npos);
-  }
-}
-#pragma GCC diagnostic pop
 
 TEST(NetlistMalformed, ValidationErrorsCarryTheStructuralMessage) {
   for (const std::string name :

@@ -474,6 +474,33 @@ TEST(ServeSweep, DeadlineMidSweepPublishesNothingAndCacheStaysWarm) {
   EXPECT_EQ(sweep_payload(r.line), sweep_payload(reference.line));
 }
 
+// A loop through a declared primary input is not a combinational
+// cycle: the input stays pinned at t = 0, so analysis and path search
+// both terminate on a client-supplied feedback design.
+TEST(ServeDesign, PrimaryInputFeedbackDesignAnalyzes) {
+  timing::SnapshotStore store = make_store();
+  serve::HandleResult r = serve::handle_line(
+      store, R"({"id": 1, "method": "load_design", "params": {"design": {
+        "gates": [{"name": "a"}, {"name": "b"}],
+        "nets": [
+          {"name": "nab", "driver": "a", "sinks": {"b": "w"},
+           "elements": [{"kind": "R", "a": "DRV", "b": "w", "value": 250},
+                        {"kind": "C", "a": "w", "b": "0", "value": 15e-15}]},
+          {"name": "nba", "driver": "b", "sinks": {"a": "w"},
+           "elements": [{"kind": "R", "a": "DRV", "b": "w", "value": 250},
+                        {"kind": "C", "a": "w", "b": "0", "value": 15e-15}]}
+        ],
+        "primary_inputs": ["a"]}}})");
+  ASSERT_TRUE(r.ok) << r.line;
+  for (const char* line :
+       {R"({"id": 2, "method": "analyze"})",
+        R"({"id": 3, "method": "worst_paths", "params": {"k": 4}})"}) {
+    r = serve::handle_line(store, line);
+    EXPECT_TRUE(r.ok) << line << " -> " << r.line;
+    require_response_shape(r.line);
+  }
+}
+
 TEST(ServeDesign, FromJsonRejectsSchemaViolations) {
   const char* bad[] = {
       R"([1, 2])",

@@ -215,7 +215,7 @@ TEST(Timing, CycleDetected) {
   ba.sink_node["a"] = "w";
   d.add_net("b", ba);
   // Neither gate is a primary input with zero fan-in: cycle.  The
-  // default pre-flight audit throws a typed record naming the loop.
+  // analyzer throws a typed record naming the loop.
   try {
     d.analyze();
     FAIL() << "cycle not detected";
@@ -225,10 +225,6 @@ TEST(Timing, CycleDetected) {
               std::string::npos)
         << e.diagnostic().message;
   }
-  // The escape hatch restores the legacy untyped throw.
-  AnalysisOptions legacy;
-  legacy.preflight_audit = false;
-  EXPECT_THROW(d.analyze(legacy), std::invalid_argument);
 }
 
 namespace {
