@@ -85,7 +85,7 @@ PreparedCase prepare_sweep(std::shared_ptr<SweepState> state) {
   p.extra = [state]() -> std::vector<std::pair<std::string, double>> {
     // Cache-health metrics of the warm path: reuse counts from the last
     // sweep plus the session cache's cumulative eviction count --
-    // nonzero evictions mean the working set outran StageCache::Limits
+    // nonzero evictions mean the working set outran the StageCache caps
     // and part of the measured speedup was recomputed, not replayed.
     const timing::Session::CacheStats cs = state->session->cache_stats();
     return {

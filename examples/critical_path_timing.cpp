@@ -12,7 +12,6 @@
 //                    (default: floats to the latest arrival, slack >= 0)
 //   --paths=K        also report the K worst paths, worst first
 //   --through=NAME   keep only paths visiting gate/port NAME (repeatable)
-//   --model=NAME     delay kernel: awe (default), elmore, two_pole, table
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -70,13 +69,11 @@ obs::json::Value paths_json(const timing::PathsResult& result) {
   return doc;
 }
 
-obs::json::Value report_json(const timing::TimingReport& report,
-                             const timing::AnalysisOptions& opt) {
+obs::json::Value report_json(const timing::TimingReport& report) {
   using obs::json::Value;
   Value doc = Value::object();
   doc.set("schema", "awesim-timing-report");
-  doc.set("schema_version", 2);
-  doc.set("delay_model", timing::to_string(opt.delay_model));
+  doc.set("schema_version", 3);
   doc.set("critical_delay", report.critical_delay);
   Value path = Value::array();
   for (const auto& g : report.critical_path) path.push_back(g);
@@ -172,25 +169,10 @@ int main(int argc, char** argv) {
       opt.required_time = std::strtod(arg.c_str() + 11, nullptr);
     } else if (arg.rfind("--through=", 0) == 0) {
       query.through.push_back(arg.substr(10));
-    } else if (arg.rfind("--model=", 0) == 0) {
-      const std::string name = arg.substr(8);
-      if (name == "awe") {
-        opt.delay_model = timing::DelayModelKind::Awe;
-      } else if (name == "elmore") {
-        opt.delay_model = timing::DelayModelKind::ElmoreBound;
-      } else if (name == "two_pole") {
-        opt.delay_model = timing::DelayModelKind::TwoPole;
-      } else if (name == "table") {
-        opt.delay_model = timing::DelayModelKind::TableLookup;
-      } else {
-        std::fprintf(stderr, "unknown --model '%s' (awe|elmore|two_pole|table)\n",
-                     name.c_str());
-        return 2;
-      }
     } else {
       std::fprintf(stderr,
                    "usage: %s [--json] [--paths=K] [--required=T]"
-                   " [--through=NAME]... [--model=NAME]\n",
+                   " [--through=NAME]...\n",
                    argv[0]);
       return 2;
     }
@@ -258,7 +240,7 @@ int main(int argc, char** argv) {
 
   if (emit_json) {
     // Pure JSON on stdout: pipeable straight into jq or a dashboard.
-    obs::json::Value doc = report_json(report, opt);
+    obs::json::Value doc = report_json(report);
     if (k_paths > 0) doc.set("worst_paths", paths_json(paths));
     std::printf("%s\n", doc.dump(2).c_str());
     return 0;

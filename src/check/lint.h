@@ -38,7 +38,7 @@
 // The checker is pure graph analysis -- union-find plus one BFS per
 // reported loop -- so it is O(elements * alpha) and cheap enough to run
 // as a cached pre-flight in front of every timing stage (see
-// timing/analyzer.cpp and EngineOptions::preflight_lint).
+// timing/delay_model.h and EngineOptions::preflight_lint).
 #pragma once
 
 #include <cstddef>

@@ -38,9 +38,9 @@
 //
 // The oracle never blocks analysis -- the engine's degradation ladder
 // remains the runtime safety net.  It exists so a production flow can
-// downgrade the request (lower order, ElmoreBound DelayModel) *before*
-// wasting the factorization, and so the audit report can point at the
-// exact nets that will degrade.
+// downgrade the request (a lower AWE order) *before* wasting the
+// factorization, and so the audit report can point at the exact nets
+// that will degrade.
 #pragma once
 
 #include <cstddef>

@@ -49,9 +49,9 @@ struct Stats {
   std::uint64_t stages_reused = 0;
   std::uint64_t stages_recomputed = 0;
   /// Cache entries FIFO-evicted at the capacity limits *during this
-  /// analysis* (stage records, LU factorizations, and lint reports
-  /// combined).  Zero on an unbounded-fit workload; nonzero means the
-  /// working set outruns StageCache::Limits and warm speedups are
+  /// analysis* (stage records, LU factorizations, lint reports, and net
+  /// reductions combined).  Zero on an unbounded-fit workload; nonzero means the
+  /// working set outruns the StageCache caps and warm speedups are
   /// partially lost -- previously invisible outside Session::
   /// cache_stats(), now in every report and bench snapshot.
   std::uint64_t cache_evictions = 0;

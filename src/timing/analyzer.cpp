@@ -47,43 +47,6 @@ void Design::set_primary_input(const std::string& gate) {
   primary_inputs_.push_back(gate);
 }
 
-namespace {
-
-// One stage evaluated in isolation through the pluggable delay-model
-// seam (timing/delay_model.h): everything model-side is thread-local,
-// so stages of one wavefront can run concurrently.  The analyzer keeps
-// only the cross-cutting concerns here -- the trace span and the
-// deterministic fault probe -- and the selected model does the physics.
-// When a Session cache is attached, engine-backed models also hand back
-// the circuit's G factorization so the serial post-pass can publish it
-// for content-identical re-analyses.
-StageEvaluation evaluate_stage(
-    const Gate& driver, const Net& net,
-    const std::map<std::string, Gate>& gates,
-    const AnalysisOptions& options, double t_in, double in_slew,
-    const detail::CachedFactorization* adopt, bool capture_factorization,
-    std::shared_ptr<const check::LintReport> lint_pre) {
-  AWESIM_TRACE_SPAN("timing.stage");
-  if (core::fault_at("timing.stage", net.name)) {
-    throw core::DiagnosticError(
-        {core::DiagCode::InjectedFault, core::Severity::Error,
-         "injected stage evaluation fault", net.name});
-  }
-  StageProblem problem;
-  problem.driver = &driver;
-  problem.net = &net;
-  problem.gates = &gates;
-  problem.options = &options;
-  problem.input_arrival = t_in;
-  problem.input_slew = in_slew;
-  problem.adopt = adopt;
-  problem.capture_factorization = capture_factorization;
-  problem.lint_pre = std::move(lint_pre);
-  return delay_model(options.delay_model).evaluate(problem);
-}
-
-}  // namespace
-
 TimingReport Design::analyze(const AnalysisOptions& options) const {
   return detail::analyze_design(*this, options, nullptr);
 }
@@ -154,12 +117,6 @@ TimingReport analyze_design(const Design& design,
       report.source_gates.push_back(graph.name(g));
     }
   }
-
-  // Engine-backed models (AWE, two-pole) want the LU/lint content-cache
-  // plumbing; arithmetic models (Elmore bound, table) never factor a
-  // matrix, so that plumbing -- and its hit/miss accounting -- is
-  // skipped for them.
-  const bool engine_model = delay_model(options.delay_model).uses_engine();
 
   struct StageJob {
     std::size_t net = 0;  // index into the Design's net list
@@ -259,16 +216,14 @@ TimingReport analyze_design(const Design& design,
           o.stats.cache_hits = 1;
           outcomes[i] = std::move(o);
           served[i] = 1;
-        } else if (engine_model) {
+        } else {
           if (ckey[i] == nullptr) {
             content_keys[i] = stage_content_key(*job.driver, net,
                                                 gates);
             ckey[i] = &content_keys[i];
           }
           adopt[i] = cache->lookup_factorization(*ckey[i]);
-          if (options.preflight_lint) {
-            lint_pre[i] = cache->lookup_lint(*ckey[i]);
-          }
+          lint_pre[i] = cache->lookup_lint(*ckey[i]);
         }
       }
     }
@@ -306,7 +261,7 @@ TimingReport analyze_design(const Design& design,
               {core::DiagCode::InjectedFault, core::Severity::Error,
                "injected thread-pool job fault", net.name});
         }
-        outcomes[i] = evaluate_stage(
+        outcomes[i] = detail::evaluate_stage(
             *job.driver, net, gates, options, job.t_in,
             job.in_slew, cache != nullptr ? adopt[i].get() : nullptr,
             cache != nullptr,
@@ -326,12 +281,10 @@ TimingReport analyze_design(const Design& design,
       if (cache != nullptr && !served[i]) {
         outcome.stats.stages_recomputed += 1;
         outcome.stats.cache_misses += 1;  // the stage-result lookup
-        if (engine_model) {
-          if (adopt[i]) {
-            outcome.stats.cache_hits += 1;  // the LU content-key lookup
-          } else {
-            outcome.stats.cache_misses += 1;
-          }
+        if (adopt[i]) {
+          outcome.stats.cache_hits += 1;  // the LU content-key lookup
+        } else {
+          outcome.stats.cache_misses += 1;
         }
         if (outcome.lint) {
           // A lint report is a pure function of the circuit content, so
@@ -375,9 +328,10 @@ TimingReport analyze_design(const Design& design,
       for (const auto& d : st.diagnostics) {
         report.diagnostics.push_back(d);
       }
-      // Every delay model emits one sink record per sink_node entry, in
-      // sink_node order, so sink k is the graph's sink id k.  A sink
-      // update never touches a source: its arrival stays pinned at 0.
+      // A stage evaluation (or its fallback) emits one sink record per
+      // sink_node entry, in sink_node order, so sink k is the graph's
+      // sink id k.  A sink update never touches a source: its arrival
+      // stays pinned at 0.
       const std::vector<std::size_t>& sink_ids =
           graph.net_sinks[jobs[i].net];
       const std::size_t driver = graph.net_driver[jobs[i].net];

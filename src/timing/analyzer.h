@@ -16,15 +16,17 @@
 // Analysis levelizes the gate graph (timing/design_graph.h) into Kahn
 // wavefronts: level 0 holds the source gates (declared primary inputs
 // and gates with no fan-in, all pinned to t = 0), and every other gate
-// sits one past its latest-level driver.  All stages of one wavefront are independent --
-// their drivers' arrivals and slews are final -- so they are evaluated
-// concurrently on a fixed-size thread pool, each stage building its own
-// circuit -- driver resistance, interconnect, sink input capacitances --
-// applying a finite-slew ramp at the driver (the slew propagated from
-// the previous stage, Section 4.3's ramp handling), running one batch
-// AWE solve over all of the net's sinks (Engine::approximate_all: one LU
-// and moment set per net, one cheap match per sink), and extracting
-// per-sink delay (threshold crossing) and output slew (20%-80%).
+// sits one past its latest-level driver.  All stages of one wavefront
+// are independent -- their drivers' arrivals and slews are final -- so
+// they are evaluated concurrently on a fixed-size thread pool by the one
+// stage kernel (timing/delay_model.h): build the stage circuit -- driver
+// resistance, interconnect, sink input capacitances -- with a
+// finite-slew ramp at the driver (the slew propagated from the previous
+// stage, Section 4.3's ramp handling), lint it, run one batch AWE solve
+// over all of the net's sinks (Engine::approximate_all: one LU and
+// moment set per net, one cheap match per sink), and extract per-sink
+// delay (threshold crossing) and output slew (20%-80%).  A stage that
+// fails lint or throws takes the lumped Elmore fallback instead.
 // Results land in per-stage slots and are reduced serially in a fixed
 // order (gates by name within a level, nets in insertion order, sinks by
 // name), so arrival times, the critical path, and the stage list are
@@ -98,17 +100,6 @@ struct Net {
   std::map<std::string, std::string> sink_node;  // sink gate -> node name
 };
 
-/// Which delay kernel answers each stage (see timing/delay_model.h for
-/// the model descriptions and the engine-backed vs arithmetic split).
-enum class DelayModelKind {
-  Awe = 0,      // full q-pole AWE with the degradation ladder (default)
-  ElmoreBound,  // lumped first-order bound, no linear solve
-  TwoPole,      // Penfield-Rubinstein-style fixed two-pole match
-  TableLookup,  // characterized normalized-ratio lookup table
-};
-
-const char* to_string(DelayModelKind kind);
-
 struct AnalysisOptions {
   /// Supply swing and measurement thresholds.
   double swing = 5.0;
@@ -126,29 +117,6 @@ struct AnalysisOptions {
   /// 0 uses one thread per hardware core.  The report is bit-identical
   /// for every value (levelized wavefronts, fixed reduction order).
   int threads = 0;
-
-  /// Run the src/check static lint pipeline over every stage circuit
-  /// before handing it to the AWE engine.  A stage whose lint finds
-  /// Error-severity problems (a voltage-source/inductor loop, a current
-  /// source with no DC return path, nonphysical element values) never
-  /// enters the engine: it degrades straight to the analytic Elmore
-  /// bound, and its StageFailed diagnostic plus the lint records name
-  /// the offending elements instead of a bare singular-matrix error.
-  /// Warnings never change the timing numbers; they are tallied into
-  /// Stats::lint_warnings only.  Under a Session, lint reports are
-  /// cached by circuit content alongside the LU factorizations.
-  ///
-  /// The documented escape hatch: set false to skip the pre-flight and
-  /// feed stages to the engine raw (benches measuring bare evaluation
-  /// cost, or deliberately pathological what-if experiments).
-  bool preflight_lint = true;
-
-  /// Which delay kernel evaluates each stage.  The default is the full
-  /// AWE engine -- bit-identical to the pre-seam analyzer.  The kind is
-  /// part of the stage-result cache key, so a Session can interleave
-  /// models without cross-talk.  Arithmetic models (ElmoreBound,
-  /// TableLookup) assemble no matrices and skip the pre-flight lint.
-  DelayModelKind delay_model = DelayModelKind::Awe;
 
   /// Required arrival time at every endpoint, for the slack/RAT pass
   /// (timing/graph.h).  NaN (the default) floats the requirement to the

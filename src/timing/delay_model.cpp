@@ -4,25 +4,15 @@
 #include <array>
 #include <cmath>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "circuit/circuit.h"
 #include "core/engine.h"
+#include "core/fault.h"
 #include "obs/trace.h"
 #include "timing/stage_cache.h"
 
 namespace awesim::timing {
-
-const char* to_string(DelayModelKind kind) {
-  switch (kind) {
-    case DelayModelKind::Awe: return "awe";
-    case DelayModelKind::ElmoreBound: return "elmore";
-    case DelayModelKind::TwoPole: return "two_pole";
-    case DelayModelKind::TableLookup: return "table";
-  }
-  return "?";
-}
 
 namespace detail {
 
@@ -164,20 +154,24 @@ StageCircuit build_stage(const Gate& driver, const Net& net,
   return sc;
 }
 
-// The moment-matching evaluation shared by the Awe and TwoPole models:
-// the Awe model runs the requested order with auto-escalation (the
-// paper's Sections 3.3/3.4), the TwoPole model pins q = 2 with no
-// escalation (the Penfield-Rubinstein middle ground).  Everything else
-// -- pre-flight lint, batch solve, LU adoption/capture, threshold
-// extraction, degradation accounting -- is common.
-StageEvaluation engine_backed_evaluate(const StageProblem& p, int order,
-                                       bool auto_order) {
-  const Gate& driver = *p.driver;
-  const Net& net = *p.net;
-  const std::map<std::string, Gate>& gates = *p.gates;
-  const AnalysisOptions& options = *p.options;
-  const double t_in = p.input_arrival;
-  const double in_slew = p.input_slew;
+}  // namespace
+
+namespace detail {
+
+StageEvaluation evaluate_stage(const Gate& driver, const Net& net,
+                               const std::map<std::string, Gate>& gates,
+                               const AnalysisOptions& options, double t_in,
+                               double in_slew,
+                               const CachedFactorization* adopt,
+                               bool capture,
+                               std::shared_ptr<const check::LintReport>
+                                   lint_pre) {
+  AWESIM_TRACE_SPAN("timing.stage");
+  if (core::fault_at("timing.stage", net.name)) {
+    throw core::DiagnosticError(
+        {core::DiagCode::InjectedFault, core::Severity::Error,
+         "injected stage evaluation fault", net.name});
+  }
 
   StageEvaluation outcome;
   StageTiming& st = outcome.timing;
@@ -193,57 +187,49 @@ StageEvaluation engine_backed_evaluate(const StageProblem& p, int order,
   // with the lint records naming the offending elements -- previously
   // the same stage died inside the LU and the report said only
   // "singular system".  Warnings never change the timing numbers.
-  std::size_t lint_errors = 0;
-  std::size_t lint_warnings = 0;
-  std::shared_ptr<const check::LintReport> lint;
-  if (options.preflight_lint) {
-    if (p.lint_pre != nullptr) {
-      lint = p.lint_pre;
-    } else {
-      check::LintOptions lint_options;
-      lint_options.classify_note = false;
-      lint = std::make_shared<const check::LintReport>(
-          check::lint(sc.ckt, lint_options));
-      if (p.capture_factorization) outcome.lint = lint;
-    }
-    lint_errors = lint->errors;
-    lint_warnings = lint->warnings;
-    if (!lint->ok()) {
-      const core::Diagnostic* first_error = nullptr;
-      core::Diagnostics lint_records;
-      for (const auto& d : lint->diagnostics) {
-        if (d.severity >= core::Severity::Error) {
-          if (first_error == nullptr) first_error = &d;
-          lint_records.push_back(d);
-        }
+  std::shared_ptr<const check::LintReport> lint = std::move(lint_pre);
+  if (lint == nullptr) {
+    check::LintOptions lint_options;
+    lint_options.classify_note = false;
+    lint = std::make_shared<const check::LintReport>(
+        check::lint(sc.ckt, lint_options));
+    if (capture) outcome.lint = lint;
+  }
+  if (!lint->ok()) {
+    const core::Diagnostic* first_error = nullptr;
+    core::Diagnostics lint_records;
+    for (const auto& d : lint->diagnostics) {
+      if (d.severity >= core::Severity::Error) {
+        if (first_error == nullptr) first_error = &d;
+        lint_records.push_back(d);
       }
-      StageEvaluation fallback = detail::elmore_fallback_stage(
-          driver, net, gates, t_in, in_slew,
-          "pre-flight lint: " + first_error->to_string());
-      fallback.timing.diagnostics.insert(
-          fallback.timing.diagnostics.begin(), lint_records.begin(),
-          lint_records.end());
-      fallback.stats.lint_errors = lint_errors;
-      fallback.stats.lint_warnings = lint_warnings;
-      fallback.lint = std::move(outcome.lint);
-      return fallback;
     }
+    StageEvaluation fallback = elmore_fallback_stage(
+        driver, net, gates, t_in, in_slew,
+        "pre-flight lint: " + first_error->to_string());
+    fallback.timing.diagnostics.insert(fallback.timing.diagnostics.begin(),
+                                       lint_records.begin(),
+                                       lint_records.end());
+    fallback.stats.lint_errors = lint->errors;
+    fallback.stats.lint_warnings = lint->warnings;
+    fallback.lint = std::move(outcome.lint);
+    return fallback;
   }
 
   core::Engine engine(sc.ckt);
-  if (p.adopt != nullptr) {
+  if (adopt != nullptr) {
     // A content-identical circuit already factored G in this session:
     // share the LU and replay its factor-time observables (gmin flag,
     // diagnostics) so every Result is bitwise what a fresh factorization
     // would have produced; only the LU work is skipped.
-    engine.system().adopt_g_solver(p.adopt->solver, p.adopt->used_gmin,
-                                   p.adopt->diagnostics);
+    engine.system().adopt_g_solver(adopt->solver, adopt->used_gmin,
+                                   adopt->diagnostics);
   }
   core::EngineOptions eopt;
-  eopt.order = order;
-  eopt.auto_order = auto_order;
+  eopt.order = options.order;
+  eopt.auto_order = true;
   eopt.error_tolerance = 0.01;
-  eopt.max_order = auto_order ? std::max(order + 2, 6) : order;
+  eopt.max_order = std::max(options.order + 2, 6);
   // The analyzer owns the stage pre-flight (above, cached under a
   // Session); never double-lint inside the engine.
   eopt.preflight_lint = false;
@@ -305,14 +291,11 @@ StageEvaluation engine_backed_evaluate(const StageProblem& p, int order,
     sink_t.arrival = t_in + sink_t.stage_delay;
     st.sinks.push_back(std::move(sink_t));
   }
-  const std::shared_ptr<const check::LintReport> fresh_lint =
-      std::move(outcome.lint);
   outcome.stats = batch.stats;
   outcome.stats.stages = 1;
-  outcome.stats.lint_errors += lint_errors;
-  outcome.stats.lint_warnings += lint_warnings;
-  outcome.lint = fresh_lint;
-  if (p.capture_factorization && p.adopt == nullptr) {
+  outcome.stats.lint_errors += lint->errors;
+  outcome.stats.lint_warnings += lint->warnings;
+  if (capture && adopt == nullptr) {
     // Publish this circuit's G factorization (and its factor-time
     // observables) for the post-pass to cache under the content key.
     outcome.solver = engine.system().shared_g_solver();
@@ -322,170 +305,6 @@ StageEvaluation engine_backed_evaluate(const StageProblem& p, int order,
   return outcome;
 }
 
-class AweModel final : public DelayModel {
- public:
-  DelayModelKind kind() const override { return DelayModelKind::Awe; }
-  const char* name() const override { return "awe"; }
-  bool uses_engine() const override { return true; }
-  StageEvaluation evaluate(const StageProblem& p) const override {
-    return engine_backed_evaluate(p, p.options->order, /*auto_order=*/true);
-  }
-};
-
-class TwoPoleModel final : public DelayModel {
- public:
-  DelayModelKind kind() const override { return DelayModelKind::TwoPole; }
-  const char* name() const override { return "two_pole"; }
-  bool uses_engine() const override { return true; }
-  StageEvaluation evaluate(const StageProblem& p) const override {
-    return engine_backed_evaluate(p, /*order=*/2, /*auto_order=*/false);
-  }
-};
-
-class ElmoreBoundModel final : public DelayModel {
- public:
-  DelayModelKind kind() const override {
-    return DelayModelKind::ElmoreBound;
-  }
-  const char* name() const override { return "elmore"; }
-  bool uses_engine() const override { return false; }
-  StageEvaluation evaluate(const StageProblem& p) const override {
-    // Same arithmetic as the failure fallback -- the whole point: when a
-    // stage dies under the Awe model, its substitute is exactly what
-    // this model would have said -- but as a first-class answer: no
-    // degraded/failed taint, no StageFailed diagnostic.
-    StageEvaluation outcome = detail::elmore_fallback_stage(
-        *p.driver, *p.net, *p.gates, p.input_arrival, p.input_slew,
-        "model");
-    outcome.timing.degraded = false;
-    outcome.timing.failed = false;
-    outcome.timing.diagnostics.clear();
-    outcome.stats = {};
-    outcome.stats.stages = 1;
-    return outcome;
-  }
-};
-
-// The characterized-table model: delay and output slew interpolated from
-// a precomputed grid over the scale-free ratio u = input_slew / tau,
-// where tau is the lumped Elmore time constant of the stage.  The grid
-// is characterized once, at first use, from the exact single-pole ramp
-// response (bisection on the closed form) -- the shape of an NLDM cell
-// table with its two axes (load, slew) collapsed onto the normalized
-// axis that actually drives the single-pole answer.  Between grid points
-// the model answers by linear interpolation in ln u, so it carries
-// genuine table-lookup error with respect to the closed form.
-class TableLookupModel final : public DelayModel {
- public:
-  TableLookupModel() {
-    // Log grid over u = slew/tau in [1e-3, 1e3], 97 points.
-    const double lo = std::log(1e-3);
-    const double hi = std::log(1e3);
-    for (std::size_t i = 0; i < kPoints; ++i) {
-      const double lu =
-          lo + (hi - lo) * static_cast<double>(i) /
-                   static_cast<double>(kPoints - 1);
-      log_u_[i] = lu;
-      const double u = std::exp(lu);
-      delay_factor_[i] = crossing(u, 0.5);
-      slew_factor_[i] = crossing(u, 0.8) - crossing(u, 0.2);
-    }
-  }
-
-  DelayModelKind kind() const override {
-    return DelayModelKind::TableLookup;
-  }
-  const char* name() const override { return "table"; }
-  bool uses_engine() const override { return false; }
-
-  StageEvaluation evaluate(const StageProblem& p) const override {
-    const Gate& driver = *p.driver;
-    StageEvaluation outcome;
-    StageTiming& st = outcome.timing;
-    st.driver_gate = driver.name;
-    st.net = p.net->name;
-    st.input_arrival = p.input_arrival;
-
-    const double tau = detail::lumped_elmore_tau(driver, *p.net, *p.gates);
-    double delay = 0.0;
-    double out_slew = p.input_slew;
-    if (tau > 0.0) {
-      const double u =
-          std::max(p.input_slew, 0.0) / tau;  // 0 = ideal step column
-      delay = tau * lookup(log_u_, delay_factor_, u);
-      out_slew = std::max(tau * lookup(log_u_, slew_factor_, u),
-                          p.input_slew);
-    }
-    for (const auto& [sink, node_name] : p.net->sink_node) {
-      SinkTiming sink_t;
-      sink_t.gate = sink;
-      sink_t.stage_delay = driver.intrinsic_delay + delay;
-      sink_t.slew = out_slew;
-      sink_t.arrival = p.input_arrival + sink_t.stage_delay;
-      st.sinks.push_back(std::move(sink_t));
-    }
-    outcome.stats.stages = 1;
-    return outcome;
-  }
-
- private:
-  static constexpr std::size_t kPoints = 97;
-
-  /// Normalized crossing time x = t/tau of level `f` for a unit ramp of
-  /// normalized rise u = T/tau through a single pole:
-  ///   x <= u:  w(x) = (x - (1 - e^-x)) / u
-  ///   x >  u:  w(x) = 1 - ((1 - e^-u)/u) e^-(x-u)
-  /// Monotone, so bisection is exact to the tolerance.
-  static double crossing(double u, double f) {
-    auto w = [u](double x) {
-      if (x <= u) return (x - (1.0 - std::exp(-x))) / u;
-      return 1.0 - ((1.0 - std::exp(-u)) / u) * std::exp(-(x - u));
-    };
-    double lo = 0.0;
-    double hi = u + 50.0;
-    for (int i = 0; i < 200; ++i) {
-      const double mid = 0.5 * (lo + hi);
-      if (w(mid) < f) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    return 0.5 * (lo + hi);
-  }
-
-  static double lookup(const std::array<double, kPoints>& xs,
-                       const std::array<double, kPoints>& ys, double u) {
-    // Clamp below the grid to the step-response column and above it to
-    // the slow-ramp column; interpolate linearly in ln u between.
-    const double lu = std::log(std::max(u, 1e-300));
-    if (lu <= xs.front()) return ys.front();
-    if (lu >= xs.back()) return ys.back();
-    const auto it = std::upper_bound(xs.begin(), xs.end(), lu);
-    const std::size_t j = static_cast<std::size_t>(it - xs.begin());
-    const double t = (lu - xs[j - 1]) / (xs[j] - xs[j - 1]);
-    return ys[j - 1] + t * (ys[j] - ys[j - 1]);
-  }
-
-  std::array<double, kPoints> log_u_{};
-  std::array<double, kPoints> delay_factor_{};
-  std::array<double, kPoints> slew_factor_{};
-};
-
-}  // namespace
-
-const DelayModel& delay_model(DelayModelKind kind) {
-  static const AweModel awe;
-  static const TwoPoleModel two_pole;
-  static const ElmoreBoundModel elmore;
-  static const TableLookupModel table;
-  switch (kind) {
-    case DelayModelKind::Awe: return awe;
-    case DelayModelKind::ElmoreBound: return elmore;
-    case DelayModelKind::TwoPole: return two_pole;
-    case DelayModelKind::TableLookup: return table;
-  }
-  throw std::invalid_argument("delay_model: unknown kind");
-}
+}  // namespace detail
 
 }  // namespace awesim::timing

@@ -133,15 +133,7 @@ std::string stage_result_key(const Gate& driver, const Net& net,
       .number(options.slew_low_fraction)
       .number(options.slew_high_fraction)
       .integer(static_cast<std::uint64_t>(options.order))
-      .number(in_slew)
-      // The pre-flight toggle changes what a lint-rejected stage answers
-      // with (raw evaluation vs the Elmore fallback), so a result cached
-      // under one setting must not serve the other.
-      .tag(options.preflight_lint ? 'l' : '-')
-      // Different delay models give different numbers for the same
-      // stage; one Session serves interleaved queries under several
-      // models, so the kind must split the key space.
-      .integer(static_cast<std::uint64_t>(options.delay_model));
+      .number(in_slew);
   return kb.take();
 }
 
@@ -184,21 +176,56 @@ std::string reduction_key(std::string_view content) {
   return kb.take();
 }
 
+template <typename V>
+V* StageCache::FifoStore<V>::find(const std::string& key) {
+  const auto it = index_.find(key);
+  return it == index_.end() ? nullptr : &it->second->value;
+}
+
+template <typename V>
+void StageCache::FifoStore<V>::erase(const std::string& key) {
+  const auto it = index_.find(key);
+  if (it == index_.end()) return;
+  queue_.erase(it->second);
+  index_.erase(it);
+}
+
+template <typename V>
+std::size_t StageCache::FifoStore<V>::insert(const std::string& key,
+                                             V value) {
+  const auto [it, inserted] = index_.try_emplace(key);
+  if (!inserted) return 0;
+  it->second =
+      queue_.insert(queue_.end(), Slot{&it->first, std::move(value)});
+  std::size_t evicted = 0;
+  for (; index_.size() > capacity_; ++evicted) {
+    AWESIM_TRACE_SPAN("session.invalidate");
+    index_.erase(index_.find(*queue_.front().key));
+    queue_.pop_front();
+  }
+  return evicted;
+}
+
+template <typename V>
+void StageCache::FifoStore<V>::clear() {
+  index_.clear();
+  queue_.clear();
+}
+
 std::optional<StageTiming> StageCache::lookup_stage(
     const std::string& key, const std::string& net_name,
     core::Diagnostics* diags) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = stages_.find(key);
-  if (it == stages_.end()) {
+  const StageEntry* entry = stages_.find(key);
+  if (entry == nullptr) {
     ++counters_.misses;
     return std::nullopt;
   }
   const bool corrupt = core::fault_at("session.cache", net_name) ||
-                       stage_checksum(it->second.timing) !=
-                           it->second.checksum;
+                       stage_checksum(entry->timing) != entry->checksum;
   if (corrupt) {
     AWESIM_TRACE_SPAN("session.invalidate");
-    stages_.erase(it);
+    stages_.erase(key);
     ++counters_.invalidations;
     ++counters_.misses;
     if (diags != nullptr) {
@@ -215,86 +242,69 @@ std::optional<StageTiming> StageCache::lookup_stage(
   }
   AWESIM_TRACE_SPAN("session.reuse");
   ++counters_.hits;
-  return it->second.timing;
+  return entry->timing;
 }
 
 void StageCache::insert_stage(const std::string& key, StageTiming relative) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (stages_.count(key) > 0) return;
-  StageEntry entry;
-  entry.checksum = stage_checksum(relative);
-  entry.timing = std::move(relative);
-  entry.sequence = next_sequence_++;
-  stage_order_.emplace_back(entry.sequence, key);
-  stages_.emplace(key, std::move(entry));
-  evict_stages_locked();
+  const std::uint64_t checksum = stage_checksum(relative);
+  counters_.evictions +=
+      stages_.insert(key, {std::move(relative), checksum});
 }
 
 std::shared_ptr<const CachedFactorization> StageCache::lookup_factorization(
     const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = factors_.find(key);
-  if (it == factors_.end()) {
+  const auto* factor = factors_.find(key);
+  if (factor == nullptr) {
     ++counters_.misses;
     return nullptr;
   }
   ++counters_.hits;
-  return it->second.factor;
+  return *factor;
 }
 
 void StageCache::insert_factorization(const std::string& key,
                                       CachedFactorization factor) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (factors_.count(key) > 0) return;
-  FactorEntry entry;
-  entry.factor =
-      std::make_shared<const CachedFactorization>(std::move(factor));
-  entry.sequence = next_sequence_++;
-  factor_order_.emplace_back(entry.sequence, key);
-  factors_.emplace(key, std::move(entry));
-  evict_factors_locked();
+  counters_.evictions += factors_.insert(
+      key, std::make_shared<const CachedFactorization>(std::move(factor)));
 }
 
 std::shared_ptr<const check::LintReport> StageCache::lookup_lint(
     const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = lints_.find(key);
-  if (it == lints_.end()) {
+  const auto* report = lints_.find(key);
+  if (report == nullptr) {
     ++counters_.lint_misses;
     return nullptr;
   }
   ++counters_.lint_hits;
-  return it->second.report;
+  return *report;
 }
 
 void StageCache::insert_lint(const std::string& key,
                              std::shared_ptr<const check::LintReport> report) {
   if (report == nullptr) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (lints_.count(key) > 0) return;
-  LintEntry entry;
-  entry.report = std::move(report);
-  entry.sequence = next_sequence_++;
-  lint_order_.emplace_back(entry.sequence, key);
-  lints_.emplace(key, std::move(entry));
-  evict_lints_locked();
+  counters_.evictions += lints_.insert(key, std::move(report));
 }
 
 std::shared_ptr<const CachedReduction> StageCache::lookup_reduction(
     const std::string& key, const std::string& net_name,
     core::Diagnostics* diags) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = reductions_.find(key);
-  if (it == reductions_.end()) {
+  const ReductionEntry* entry = reductions_.find(key);
+  if (entry == nullptr) {
     ++counters_.reduction_misses;
     return nullptr;
   }
   const bool corrupt = core::fault_at("reduce.cache", net_name) ||
-                       reduction_checksum(*it->second.reduction) !=
-                           it->second.checksum;
+                       reduction_checksum(*entry->reduction) !=
+                           entry->checksum;
   if (corrupt) {
     AWESIM_TRACE_SPAN("session.invalidate");
-    reductions_.erase(it);
+    reductions_.erase(key);
     ++counters_.invalidations;
     ++counters_.reduction_misses;
     if (diags != nullptr) {
@@ -310,70 +320,16 @@ std::shared_ptr<const CachedReduction> StageCache::lookup_reduction(
     return nullptr;
   }
   ++counters_.reduction_hits;
-  return it->second.reduction;
+  return entry->reduction;
 }
 
 void StageCache::insert_reduction(const std::string& key,
                                   CachedReduction reduction) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (reductions_.count(key) > 0) return;
-  ReductionEntry entry;
-  entry.checksum = reduction_checksum(reduction);
-  entry.reduction =
-      std::make_shared<const CachedReduction>(std::move(reduction));
-  entry.sequence = next_sequence_++;
-  reduction_order_.emplace_back(entry.sequence, key);
-  reductions_.emplace(key, std::move(entry));
-  evict_reductions_locked();
-}
-
-void StageCache::evict_stages_locked() {
-  while (stages_.size() > limits_.max_stage_entries &&
-         !stage_order_.empty()) {
-    const auto [seq, key] = stage_order_.front();
-    stage_order_.pop_front();
-    const auto it = stages_.find(key);
-    if (it == stages_.end() || it->second.sequence != seq) continue;
-    AWESIM_TRACE_SPAN("session.invalidate");
-    stages_.erase(it);
-    ++counters_.evictions;
-  }
-}
-
-void StageCache::evict_factors_locked() {
-  while (factors_.size() > limits_.max_factorizations &&
-         !factor_order_.empty()) {
-    const auto [seq, key] = factor_order_.front();
-    factor_order_.pop_front();
-    const auto it = factors_.find(key);
-    if (it == factors_.end() || it->second.sequence != seq) continue;
-    AWESIM_TRACE_SPAN("session.invalidate");
-    factors_.erase(it);
-    ++counters_.evictions;
-  }
-}
-
-void StageCache::evict_lints_locked() {
-  while (lints_.size() > limits_.max_lint_entries && !lint_order_.empty()) {
-    const auto [seq, key] = lint_order_.front();
-    lint_order_.pop_front();
-    const auto it = lints_.find(key);
-    if (it == lints_.end() || it->second.sequence != seq) continue;
-    lints_.erase(it);
-    ++counters_.evictions;
-  }
-}
-
-void StageCache::evict_reductions_locked() {
-  while (reductions_.size() > limits_.max_reduction_entries &&
-         !reduction_order_.empty()) {
-    const auto [seq, key] = reduction_order_.front();
-    reduction_order_.pop_front();
-    const auto it = reductions_.find(key);
-    if (it == reductions_.end() || it->second.sequence != seq) continue;
-    reductions_.erase(it);
-    ++counters_.evictions;
-  }
+  const std::uint64_t checksum = reduction_checksum(reduction);
+  counters_.evictions += reductions_.insert(
+      key, {std::make_shared<const CachedReduction>(std::move(reduction)),
+            checksum});
 }
 
 StageCache::Counters StageCache::counters() const {
@@ -407,12 +363,7 @@ void StageCache::clear() {
   factors_.clear();
   lints_.clear();
   reductions_.clear();
-  stage_order_.clear();
-  factor_order_.clear();
-  lint_order_.clear();
-  reduction_order_.clear();
   counters_ = {};
-  next_sequence_ = 0;
 }
 
 }  // namespace awesim::timing::detail

@@ -53,7 +53,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -159,17 +159,15 @@ std::string reduction_key(std::string_view content);
 
 class StageCache {
  public:
-  struct Limits {
-    /// FIFO-evicted caps: stage records are small, LU factors are the
-    /// memory hog (a dense factor is O(n^2)), hence the asymmetry.
-    std::size_t max_stage_entries = 4096;
-    std::size_t max_factorizations = 16;
-    /// Pre-flight lint reports are a handful of diagnostics each.
-    std::size_t max_lint_entries = 4096;
-    /// Net reductions: each entry is a few dense (ports+states)^2
-    /// blocks -- heavier than a stage record, far lighter than an LU.
-    std::size_t max_reduction_entries = 1024;
-  };
+  /// FIFO eviction caps: stage records are small, LU factors are the
+  /// memory hog (a dense factor is O(n^2)), hence the asymmetry.  Lint
+  /// reports are a handful of diagnostics each; a net reduction is a few
+  /// dense (ports+states)^2 blocks -- heavier than a stage record, far
+  /// lighter than an LU.
+  static constexpr std::size_t kMaxStageEntries = 4096;
+  static constexpr std::size_t kMaxFactorizations = 16;
+  static constexpr std::size_t kMaxLintEntries = 4096;
+  static constexpr std::size_t kMaxReductionEntries = 1024;
 
   /// Cumulative lifetime counters (never reset by analyze calls;
   /// cleared by clear()).  hits/misses count individual lookups in both
@@ -190,9 +188,6 @@ class StageCache {
     std::uint64_t reduction_hits = 0;
     std::uint64_t reduction_misses = 0;
   };
-
-  explicit StageCache(Limits limits) : limits_(limits) {}
-  StageCache() : StageCache(Limits()) {}
 
   /// Looks up a stage-relative StageTiming.  Verifies the payload
   /// checksum (and consults the `session.cache` fault probe keyed by
@@ -240,44 +235,49 @@ class StageCache {
   void clear();
 
  private:
+  /// One FIFO-evicted store: `index_` owns each key once and maps it to
+  /// the value's slot in `queue_`, which keeps insertion order and points
+  /// back at the key.  Inserting a present key is a no-op; an erased key
+  /// that is inserted again requeues at the back.
+  template <typename V>
+  class FifoStore {
+   public:
+    explicit FifoStore(std::size_t capacity) : capacity_(capacity) {}
+    V* find(const std::string& key);
+    void erase(const std::string& key);
+    /// Stores `value` under `key` unless present; returns the number of
+    /// oldest entries evicted to stay within capacity.
+    std::size_t insert(const std::string& key, V value);
+    std::size_t size() const { return index_.size(); }
+    void clear();
+
+   private:
+    struct Slot {
+      const std::string* key;
+      V value;
+    };
+    std::size_t capacity_;
+    std::list<Slot> queue_;
+    std::map<std::string, typename std::list<Slot>::iterator> index_;
+  };
+
   struct StageEntry {
     StageTiming timing;
     std::uint64_t checksum = 0;
-    std::uint64_t sequence = 0;
-  };
-  struct FactorEntry {
-    std::shared_ptr<const CachedFactorization> factor;
-    std::uint64_t sequence = 0;
-  };
-  struct LintEntry {
-    std::shared_ptr<const check::LintReport> report;
-    std::uint64_t sequence = 0;
   };
   struct ReductionEntry {
     std::shared_ptr<const CachedReduction> reduction;
     std::uint64_t checksum = 0;
-    std::uint64_t sequence = 0;
   };
 
-  void evict_stages_locked();
-  void evict_factors_locked();
-  void evict_lints_locked();
-  void evict_reductions_locked();
-
-  Limits limits_;
   mutable std::mutex mutex_;
-  std::map<std::string, StageEntry> stages_;
-  std::map<std::string, FactorEntry> factors_;
-  std::map<std::string, LintEntry> lints_;
-  std::map<std::string, ReductionEntry> reductions_;
-  // FIFO queues of (sequence, key); a queued key is only evicted while
-  // its sequence still matches the live entry (re-inserted keys requeue).
-  std::deque<std::pair<std::uint64_t, std::string>> stage_order_;
-  std::deque<std::pair<std::uint64_t, std::string>> factor_order_;
-  std::deque<std::pair<std::uint64_t, std::string>> lint_order_;
-  std::deque<std::pair<std::uint64_t, std::string>> reduction_order_;
+  FifoStore<StageEntry> stages_{kMaxStageEntries};
+  FifoStore<std::shared_ptr<const CachedFactorization>> factors_{
+      kMaxFactorizations};
+  FifoStore<std::shared_ptr<const check::LintReport>> lints_{
+      kMaxLintEntries};
+  FifoStore<ReductionEntry> reductions_{kMaxReductionEntries};
   Counters counters_;
-  std::uint64_t next_sequence_ = 0;
 };
 
 }  // namespace awesim::timing::detail

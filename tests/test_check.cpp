@@ -412,20 +412,6 @@ TEST(TimingPreflight, SingularStageReportsTheOffendingElements) {
   EXPECT_TRUE(std::isfinite(stage.sinks.front().arrival));
 }
 
-TEST(TimingPreflight, EscapeHatchRestoresTheRawPath) {
-  const timing::Design design = inductor_loop_design();
-  timing::AnalysisOptions options;
-  options.threads = 1;
-  options.preflight_lint = false;
-  const timing::TimingReport report = design.analyze(options);
-  EXPECT_EQ(report.failed_stages, 1u);  // the LU still fails, later
-  ASSERT_EQ(report.stages.size(), 1u);
-  EXPECT_EQ(find_code(report.stages.front().diagnostics,
-                      core::DiagCode::InductorLoop),
-            nullptr);
-  EXPECT_EQ(report.awe_stats.lint_errors, 0u);
-}
-
 TEST(TimingPreflight, SessionCachesLintReportsByContent) {
   timing::AnalysisOptions options;
   options.threads = 1;

@@ -1,15 +1,11 @@
-// DelayModel conformance: the four stage kernels (AWE, Elmore bound,
-// two-pole, table lookup) behind one interface.
+// The stage kernel: AWE with the lumped Elmore fallback.
 //
-// Every model must produce a structurally identical report (same stages,
-// same sinks, same gate/arc sets -- only the numbers differ), stay
-// bit-identical across thread counts and warm/cold Session runs, and
-// coexist in one Session without cache cross-talk (the model kind is
-// part of the stage-result key).  Model-specific physics contracts ride
-// along: the Elmore bound upper-bounds AWE on distributed RC trees, the
-// Elmore *model* computes exactly the arithmetic of the failure
-// fallback, and the table model tracks the single-pole closed form to
-// interpolation accuracy.  Golden slack values for the paper's
+// The AWE report has the paper tree's structure (same stages, sinks, and
+// gate/arc sets as the design), stays bit-identical across thread counts
+// and warm/cold Session runs, and a Session rebinding its options never
+// serves an entry cached under other options.  The Elmore fallback --
+// what a stage answers when it cannot be evaluated -- upper-bounds AWE
+// on distributed RC trees.  Golden slack values for the paper's
 // interconnect tree (the Fig. 16 MOS net, the circuit behind the
 // Fig. 19 timing-analysis argument) are locked down under tests/golden/.
 #include <gtest/gtest.h>
@@ -19,11 +15,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fault.h"
 #include "obs/json.h"
-#include "timing/delay_model.h"
 #include "timing/session.h"
 
 #ifndef AWESIM_GOLDEN_DIR
@@ -121,70 +117,55 @@ void expect_same_payload(const TimingReport& a, const TimingReport& b) {
 
 }  // namespace
 
-class DelayModelConformance
-    : public ::testing::TestWithParam<DelayModelKind> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    AllModels, DelayModelConformance,
-    ::testing::Values(DelayModelKind::Awe, DelayModelKind::ElmoreBound,
-                      DelayModelKind::TwoPole,
-                      DelayModelKind::TableLookup),
-    [](const ::testing::TestParamInfo<DelayModelKind>& info) {
-      switch (info.param) {
-        case DelayModelKind::Awe: return "Awe";
-        case DelayModelKind::ElmoreBound: return "Elmore";
-        case DelayModelKind::TwoPole: return "TwoPole";
-        case DelayModelKind::TableLookup: return "Table";
-      }
-      return "Unknown";
-    });
-
-TEST_P(DelayModelConformance, ReportStructureIsModelInvariant) {
+TEST(DelayModels, ReportStructureMatchesTheDesign) {
   const Design d = paper_tree_design();
-  AnalysisOptions awe_opt;
-  const TimingReport ref = d.analyze(awe_opt);
-  AnalysisOptions opt;
-  opt.delay_model = GetParam();
-  const TimingReport report = d.analyze(opt);
+  const TimingReport report = d.analyze();
 
-  EXPECT_EQ(report.levels, ref.levels);
-  EXPECT_EQ(report.source_gates, ref.source_gates);
+  EXPECT_EQ(report.levels, 2u);
+  EXPECT_EQ(report.source_gates, std::vector<std::string>{"drv"});
   EXPECT_EQ(report.failed_stages, 0u);
-  ASSERT_EQ(report.stages.size(), ref.stages.size());
-  for (std::size_t s = 0; s < ref.stages.size(); ++s) {
-    EXPECT_EQ(report.stages[s].driver_gate, ref.stages[s].driver_gate);
-    EXPECT_EQ(report.stages[s].net, ref.stages[s].net);
-    ASSERT_EQ(report.stages[s].sinks.size(), ref.stages[s].sinks.size());
-    for (std::size_t k = 0; k < ref.stages[s].sinks.size(); ++k) {
-      EXPECT_EQ(report.stages[s].sinks[k].gate,
-                ref.stages[s].sinks[k].gate);
-      EXPECT_GT(report.stages[s].sinks[k].stage_delay, 0.0);
-      EXPECT_TRUE(std::isfinite(report.stages[s].sinks[k].stage_delay));
-      EXPECT_TRUE(std::isfinite(report.stages[s].sinks[k].slew));
+  // Wave 0 drives the tree; wave 1 holds the loads, gates by name.
+  const std::vector<std::pair<std::string, std::string>> stages = {
+      {"drv", "fig16"},
+      {"load10", "load10_out"},
+      {"load7", "load7_out"},
+      {"load9", "load9_out"}};
+  ASSERT_EQ(report.stages.size(), stages.size());
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    EXPECT_EQ(report.stages[s].driver_gate, stages[s].first);
+    EXPECT_EQ(report.stages[s].net, stages[s].second);
+    std::size_t i = 0;
+    while (d.net_at(i).name != stages[s].second) ++i;
+    const Net& net = d.net_at(i);
+    ASSERT_EQ(report.stages[s].sinks.size(), net.sink_node.size());
+    auto sink = net.sink_node.begin();
+    for (const SinkTiming& t : report.stages[s].sinks) {
+      EXPECT_EQ(t.gate, (sink++)->first);
+      EXPECT_GT(t.stage_delay, 0.0);
+      EXPECT_TRUE(std::isfinite(t.stage_delay));
+      EXPECT_TRUE(std::isfinite(t.slew));
     }
   }
-  // Same key sets in the maps; same slack bookkeeping shape.
-  ASSERT_EQ(report.gate_arrival.size(), ref.gate_arrival.size());
-  for (const auto& [gate, t] : ref.gate_arrival) {
+  // Every gate has an arrival and a slack.
+  ASSERT_EQ(report.gate_arrival.size(), d.gates().size());
+  for (const auto& [gate, g] : d.gates()) {
     EXPECT_EQ(report.gate_arrival.count(gate), 1u) << gate;
     EXPECT_EQ(report.gate_slack.count(gate), 1u) << gate;
   }
   EXPECT_FALSE(report.worst_slack_endpoint.empty());
 }
 
-TEST_P(DelayModelConformance, BitIdenticalAcrossThreadCounts) {
+TEST(DelayModels, BitIdenticalAcrossThreadCounts) {
   const Design d = paper_tree_design();
   AnalysisOptions opt1;
-  opt1.delay_model = GetParam();
   opt1.threads = 1;
   AnalysisOptions opt8 = opt1;
   opt8.threads = 8;
   expect_same_payload(d.analyze(opt1), d.analyze(opt8));
 }
 
-TEST_P(DelayModelConformance, WarmSessionIsBitIdenticalToCold) {
+TEST(DelayModels, WarmSessionIsBitIdenticalToCold) {
   AnalysisOptions opt;
-  opt.delay_model = GetParam();
   opt.required_time = 2.5e-9;
   Session session(paper_tree_design(), opt);
   const TimingReport cold = session.analyze();
@@ -194,37 +175,40 @@ TEST_P(DelayModelConformance, WarmSessionIsBitIdenticalToCold) {
   EXPECT_EQ(warm.awe_stats.stages_recomputed, 0u);
 }
 
-TEST(DelayModels, SessionInterleavesModelsWithoutCacheCrossTalk) {
-  AnalysisOptions awe_opt;
-  awe_opt.threads = 1;
-  Session session(paper_tree_design(), awe_opt);
-  const TimingReport awe1 = session.analyze();
+TEST(DelayModels, SessionRebindsOptionsWithoutCacheCrossTalk) {
+  // The delay threshold enters the stage-result key: a rebind to 0.6
+  // misses, and the rebind back to 0.5 is served wholly from the
+  // entries cached under 0.5 -- each report bitwise what a cold
+  // analysis under the same options computes.
+  const Design d = paper_tree_design();
+  AnalysisOptions half;
+  half.threads = 1;
+  AnalysisOptions sixty = half;
+  sixty.delay_threshold_fraction = 0.6;
+  Session session(d, half);
 
-  AnalysisOptions elmore_opt = awe_opt;
-  elmore_opt.delay_model = DelayModelKind::ElmoreBound;
-  const TimingReport elmore = session.analyze(elmore_opt);
-  // Different physics, different numbers: the bound is pessimistic.
-  EXPECT_GT(elmore.critical_delay, awe1.critical_delay);
-
-  // Back to AWE: the cache serves the AWE entries, not the Elmore ones
-  // -- the model kind is part of the key, so no aliasing is possible.
-  const TimingReport awe2 = session.analyze(awe_opt);
-  expect_same_payload(awe1, awe2);
-  EXPECT_EQ(awe2.awe_stats.stages_reused, awe2.stages.size());
-
-  // And the Elmore entries were cached under their own keys.
-  const TimingReport elmore2 = session.analyze(elmore_opt);
-  expect_same_payload(elmore, elmore2);
-  EXPECT_EQ(elmore2.awe_stats.stages_reused, elmore2.stages.size());
+  const TimingReport first = session.analyze(half);
+  expect_same_payload(first, d.analyze(half));
+  const TimingReport second = session.analyze(sixty);
+  expect_same_payload(second, d.analyze(sixty));
+  EXPECT_GT(second.critical_delay, first.critical_delay);
+  const TimingReport third = session.analyze(half);
+  expect_same_payload(third, d.analyze(half));
+  EXPECT_EQ(third.awe_stats.stages_reused, third.stages.size());
+  EXPECT_EQ(third.awe_stats.stages_recomputed, 0u);
 }
 
 TEST(DelayModels, ElmoreUpperBoundsAweOnDistributedRcTrees) {
+  // Every stage fails on purpose, so each takes the Elmore fallback with
+  // the slews the fallback itself propagated.
   for (const Design& d : {paper_tree_design(), fork_design()}) {
-    AnalysisOptions awe_opt;
-    AnalysisOptions elmore_opt;
-    elmore_opt.delay_model = DelayModelKind::ElmoreBound;
-    const TimingReport awe = d.analyze(awe_opt);
-    const TimingReport elmore = d.analyze(elmore_opt);
+    const TimingReport awe = d.analyze();
+    TimingReport elmore;
+    {
+      core::ScopedFaultInjection inject({{"timing.stage", "*", -1}});
+      elmore = d.analyze();
+    }
+    ASSERT_EQ(elmore.failed_stages, elmore.stages.size());
     ASSERT_EQ(awe.stages.size(), elmore.stages.size());
     for (std::size_t s = 0; s < awe.stages.size(); ++s) {
       ASSERT_EQ(awe.stages[s].sinks.size(), elmore.stages[s].sinks.size());
@@ -239,90 +223,8 @@ TEST(DelayModels, ElmoreUpperBoundsAweOnDistributedRcTrees) {
   }
 }
 
-TEST(DelayModels, ElmoreModelMatchesFailureFallbackArithmetic) {
-  // A first-wave stage sees options.input_slew under every model, so the
-  // injected-failure fallback (under AWE) and the ElmoreBound model
-  // evaluate the same inputs -- and must produce the same numbers.  Only
-  // the bookkeeping differs: the fallback is tainted, the model is not.
-  const Design d = fork_design();
-  AnalysisOptions elmore_opt;
-  elmore_opt.delay_model = DelayModelKind::ElmoreBound;
-  const TimingReport as_model = d.analyze(elmore_opt);
-
-  TimingReport as_fallback;
-  {
-    core::ScopedFaultInjection inject({{"timing.stage", "fork", -1}});
-    as_fallback = d.analyze();
-  }
-  ASSERT_EQ(as_fallback.failed_stages, 1u);
-  ASSERT_EQ(as_model.failed_stages, 0u);
-  EXPECT_EQ(as_model.degraded_stages, 0u);
-  ASSERT_EQ(as_model.stages.size(), 1u);
-  ASSERT_EQ(as_fallback.stages.size(), 1u);
-  EXPECT_FALSE(as_model.stages[0].degraded);
-  EXPECT_TRUE(as_fallback.stages[0].degraded);
-  ASSERT_EQ(as_model.stages[0].sinks.size(),
-            as_fallback.stages[0].sinks.size());
-  for (std::size_t k = 0; k < as_model.stages[0].sinks.size(); ++k) {
-    EXPECT_EQ(as_model.stages[0].sinks[k].stage_delay,
-              as_fallback.stages[0].sinks[k].stage_delay);
-    EXPECT_EQ(as_model.stages[0].sinks[k].slew,
-              as_fallback.stages[0].sinks[k].slew);
-  }
-}
-
-TEST(DelayModels, TableLookupTracksSinglePoleClosedForm) {
-  // A purely lumped stage is exactly one pole, so the table model's
-  // interpolated answer must track the closed-form crossing to within
-  // grid interpolation error.  Closed form (normalized x = t/tau,
-  // u = T/tau):  x <= u: (x - (1 - e^-x))/u = 1/2;  x > u: see
-  // delay_model.cpp.  Bisect it here independently.
-  Design d;
-  d.add_gate({"g1", 1e3, 0.0, 0.0});
-  d.add_gate({"g2", 1e3, 0.0, 0.0});
-  Net net;
-  net.name = "lump";
-  net.parasitics = {c("DRV", 100e-15)};
-  net.sink_node["g2"] = "DRV";
-  d.add_net("g1", net);
-  d.set_primary_input("g1");
-
-  AnalysisOptions opt;
-  opt.delay_model = DelayModelKind::TableLookup;
-  opt.input_slew = 0.13e-9;  // deliberately off any grid point
-  const TimingReport report = d.analyze(opt);
-  ASSERT_EQ(report.stages.size(), 1u);
-  const double tau = 1e3 * 100e-15;
-  const double u = opt.input_slew / tau;
-  auto w = [u](double x) {
-    if (x <= u) return (x - (1.0 - std::exp(-x))) / u;
-    return 1.0 - ((1.0 - std::exp(-u)) / u) * std::exp(-(x - u));
-  };
-  auto crossing = [&](double f) {
-    double lo = 0.0;
-    double hi = u + 50.0;
-    for (int i = 0; i < 200; ++i) {
-      const double mid = 0.5 * (lo + hi);
-      (w(mid) < f ? lo : hi) = mid;
-    }
-    return 0.5 * (lo + hi);
-  };
-  const double exact_delay = tau * crossing(0.5);
-  const double exact_slew = tau * (crossing(0.8) - crossing(0.2));
-  const double got_delay = report.stages[0].sinks[0].stage_delay;
-  const double got_slew = report.stages[0].sinks[0].slew;
-  EXPECT_NEAR(got_delay, exact_delay, 0.01 * exact_delay);
-  EXPECT_NEAR(got_slew, exact_slew, 0.02 * exact_slew);
-  // Step-like input (u far below the grid) degenerates to ln 2 * tau.
-  AnalysisOptions step_opt = opt;
-  step_opt.input_slew = 1e-18;
-  const TimingReport step = d.analyze(step_opt);
-  EXPECT_NEAR(step.stages[0].sinks[0].stage_delay, std::log(2.0) * tau,
-              0.01 * tau);
-}
-
-// Golden slack regression for the paper-tree design under the default
-// AWE model.  Regenerate deliberately with:
+// Golden slack regression for the paper-tree design.  Regenerate
+// deliberately with:
 //   AWESIM_REGEN_GOLDEN=1 ./test_delay_models
 //       --gtest_filter='*GoldenPaperTreeSlacks*'
 TEST(DelayModels, GoldenPaperTreeSlacks) {
@@ -377,19 +279,6 @@ TEST(DelayModels, GoldenPaperTreeSlacks) {
     ASSERT_EQ(report.gate_slack.count(gate), 1u) << gate;
     expect_close(report.gate_slack.at(gate), want.as_number(),
                  gate.c_str());
-  }
-}
-
-TEST(DelayModels, KindNamesAreStable) {
-  EXPECT_STREQ(to_string(DelayModelKind::Awe), "awe");
-  EXPECT_STREQ(to_string(DelayModelKind::ElmoreBound), "elmore");
-  EXPECT_STREQ(to_string(DelayModelKind::TwoPole), "two_pole");
-  EXPECT_STREQ(to_string(DelayModelKind::TableLookup), "table");
-  for (DelayModelKind kind :
-       {DelayModelKind::Awe, DelayModelKind::ElmoreBound,
-        DelayModelKind::TwoPole, DelayModelKind::TableLookup}) {
-    EXPECT_EQ(delay_model(kind).kind(), kind);
-    EXPECT_STREQ(delay_model(kind).name(), to_string(kind));
   }
 }
 

@@ -14,6 +14,7 @@
 
 #include "core/fault.h"
 #include "timing/session.h"
+#include "timing/stage_cache.h"
 #include "util/random_circuits.h"
 
 namespace awesim::timing {
@@ -223,6 +224,47 @@ TEST(Session, FactorizationCacheEvictsFifoBeyondCapacity) {
   const TimingReport warm = session.analyze();
   EXPECT_EQ(warm.awe_stats.stages_reused, 19u);
   EXPECT_EQ(warm.awe_stats.stages_recomputed, 0u);
+}
+
+TEST(Session, StageCacheEvictsOldestLiveEntryAndRequeuesReinsertedKeys) {
+  // Drives one FIFO store directly through the reduction key space,
+  // whose `reduce.cache` probe drops a single entry on demand.
+  detail::StageCache cache;
+  const std::size_t cap = detail::StageCache::kMaxReductionEntries;
+  auto key = [](std::size_t i) {
+    return detail::reduction_key("net" + std::to_string(i));
+  };
+  for (std::size_t i = 0; i < cap; ++i) cache.insert_reduction(key(i), {});
+  EXPECT_EQ(cache.reduction_entries(), cap);
+  // Inserting a present key is a no-op: key 1 keeps its place in line.
+  cache.insert_reduction(key(1), {});
+  // A dropped key that is inserted again requeues at the back.
+  {
+    core::ScopedFaultInjection inject({{"reduce.cache", "net0", 1}});
+    core::Diagnostics diags;
+    EXPECT_EQ(cache.lookup_reduction(key(0), "net0", &diags), nullptr);
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_EQ(diags.front().code, core::DiagCode::CacheInvalidated);
+  }
+  EXPECT_EQ(cache.reduction_entries(), cap - 1);
+  cache.insert_reduction(key(0), {});
+  EXPECT_EQ(cache.counters().evictions, 0u);
+
+  // One entry over the cap evicts the oldest live entry: key 1.
+  cache.insert_reduction(key(cap), {});
+  EXPECT_EQ(cache.reduction_entries(), cap);
+  EXPECT_EQ(cache.counters().evictions, 1u);
+  EXPECT_EQ(cache.lookup_reduction(key(1), "net1", nullptr), nullptr);
+  EXPECT_NE(cache.lookup_reduction(key(0), "net0", nullptr), nullptr);
+  EXPECT_NE(cache.lookup_reduction(key(2), "net2", nullptr), nullptr);
+  const detail::StageCache::Counters counters = cache.counters();
+  EXPECT_EQ(counters.invalidations, 1u);
+  EXPECT_EQ(counters.reduction_hits, 2u);
+  EXPECT_EQ(counters.reduction_misses, 2u);
+
+  cache.clear();
+  EXPECT_EQ(cache.reduction_entries(), 0u);
+  EXPECT_EQ(cache.counters().evictions, 0u);
 }
 
 TEST(Session, MutatorValidation) {
