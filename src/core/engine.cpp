@@ -38,6 +38,18 @@ bool usable_match(const MatchResult& m, bool has_transient) {
   return true;
 }
 
+// a == -b entrywise (so +0 and -0 negate each other; NaN never does).
+bool negation_of(const la::RealVector& a, const la::RealVector& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](double x, double y) { return x == -y; });
+}
+
+la::RealVector negated(la::RealVector v) {
+  for (double& x : v) x = -x;
+  return v;
+}
+
 }  // namespace
 
 const char* to_string(ApproxStatus status) {
@@ -128,6 +140,108 @@ double Approximation::settling_area() const {
   return area;
 }
 
+namespace {
+
+// The crossing scan's skip certificate (DESIGN.md §17), for responses
+// whose terms are all real, stable, simple poles.  Between grid time t_i
+// and t the value moves by at most
+//   |sum of active slopes| (t - t_i) + sum_m c_m (1 - e^{p_m (t - t_i)}),
+// c_m = |k_m| e^{p_m tau_m} at t_i.  Grid points where that bound stays
+// below the distance to every open level, less a rounding margin, cannot
+// show a sign change, so the scan may skip them and still stop in the
+// same first interval: every answer keeps its bits.
+class SkipCertificate {
+ public:
+  SkipCertificate(const std::vector<AtomApproximation>& atoms,
+                  std::span<const double> levels, double t0, double t1)
+      : atoms_(atoms) {
+    usable_ = std::all_of(atoms.begin(), atoms.end(), [](const auto& atom) {
+      return std::isfinite(atom.start_time) &&
+             std::isfinite(atom.affine_offset) &&
+             std::isfinite(atom.affine_slope) &&
+             std::all_of(atom.terms.begin(), atom.terms.end(),
+                         [](const PoleResidueTerm& term) {
+                           return term.power == 1 &&
+                                  term.pole.imag() == 0.0 &&
+                                  term.pole.real() < 0.0 &&
+                                  std::isfinite(term.pole.real()) &&
+                                  std::isfinite(term.residue.real()) &&
+                                  std::isfinite(term.residue.imag());
+                         });
+    });
+    // Rounding margin: far above the evaluation error of value() and of
+    // the bound, relative to the largest magnitude either can touch.
+    const double t_abs = std::max(std::abs(t0), std::abs(t1));
+    double magnitude = 0.0;
+    for (const double level : levels) {
+      magnitude = std::max(magnitude, std::abs(level));
+    }
+    for (const auto& atom : atoms) {
+      magnitude += std::abs(atom.affine_offset) +
+                   std::abs(atom.affine_slope) *
+                       (t_abs + std::abs(atom.start_time));
+      for (const auto& term : atom.terms) {
+        magnitude += std::abs(term.residue.real());
+      }
+    }
+    margin_ = 1e-10 * magnitude;
+  }
+
+  bool usable() const { return usable_; }
+  double margin() const { return margin_; }
+
+  /// The c_m of the atoms active at t_i, in atom and term order.
+  void anchor(double t_i, std::vector<double>& decay) const {
+    decay.clear();
+    for (const auto& atom : atoms_) {
+      if (t_i < atom.start_time) continue;
+      for (const auto& term : atom.terms) {
+        decay.push_back(std::abs(term.residue.real()) *
+                        std::exp(term.pole.real() * (t_i - atom.start_time)));
+      }
+    }
+  }
+
+  /// Bound on |v(t') - v(t_i)| over t_i <= t' <= t, with each atom's
+  /// local time step formed exactly as value() forms it; +inf once t
+  /// reaches an atom start after t_i (the active set changes there).
+  double bound(double t_i, double t, const std::vector<double>& decay) const {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    double slope = 0.0;
+    double slope_abs = 0.0;
+    double d_max = 0.0;
+    double d_min = kInf;
+    for (const auto& atom : atoms_) {
+      if (t_i < atom.start_time) {
+        if (!(t < atom.start_time)) return kInf;
+        continue;
+      }
+      slope += atom.affine_slope;
+      slope_abs += std::abs(atom.affine_slope);
+      const double d = (t - atom.start_time) - (t_i - atom.start_time);
+      d_max = std::max(d_max, d);
+      d_min = std::min(d_min, d);
+    }
+    d_min = std::min(d_min, d_max);
+    double b = std::abs(slope) * d_max + slope_abs * (d_max - d_min);
+    std::size_t m = 0;
+    for (const auto& atom : atoms_) {
+      if (t_i < atom.start_time) continue;
+      for (const auto& term : atom.terms) {
+        b += decay[m++] * -std::expm1(term.pole.real() * d_max);
+      }
+    }
+    return b;
+  }
+
+ private:
+  const std::vector<AtomApproximation>& atoms_;
+  bool usable_ = false;
+  double margin_ = 0.0;
+};
+
+}  // namespace
+
 std::optional<double> Approximation::first_crossing(double level, double t0,
                                                     double t1) const {
   return first_crossings({&level, 1}, t0, t1).front();
@@ -136,12 +250,20 @@ std::optional<double> Approximation::first_crossing(double level, double t0,
 std::vector<std::optional<double>> Approximation::first_crossings(
     std::span<const double> levels, double t0, double t1) const {
   constexpr std::size_t kScanPoints = 4096;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<std::optional<double>> found(levels.size());
   if (!(t1 > t0)) return found;
-  // Bisection refinement of one level's crossing on [lo, hi].
+  auto grid = [&](std::size_t i) {
+    return t0 + (t1 - t0) * static_cast<double>(i) /
+                    static_cast<double>(kScanPoints);
+  };
+  // Bisection refinement of one level's crossing on [lo, hi].  Once the
+  // midpoint rounds onto an endpoint the state is a fixed point, so the
+  // remaining steps would return that midpoint anyway.
   auto refine = [&](double level, double lo, double hi, double flo) {
     for (int it = 0; it < 60; ++it) {
       const double mid = 0.5 * (lo + hi);
+      if (mid == lo || mid == hi) return mid;
       const double fm = value(mid) - level;
       if ((flo < 0.0) == (fm < 0.0)) {
         lo = mid;
@@ -152,6 +274,28 @@ std::vector<std::optional<double>> Approximation::first_crossings(
     }
     return 0.5 * (lo + hi);
   };
+
+  // Largest power-of-two grid step from point i, at (t_i, v_i), that the
+  // skip certificate covers for every open level.
+  const SkipCertificate skip(atoms_, levels, t0, t1);
+  std::vector<double> decay;
+  auto step_from = [&](std::size_t i, double t_i, double v_i) {
+    if (!skip.usable()) return std::size_t{1};
+    double gap = kInf;
+    for (std::size_t k = 0; k < levels.size(); ++k) {
+      if (!found[k]) gap = std::min(gap, std::abs(v_i - levels[k]));
+    }
+    gap -= skip.margin();
+    if (!(gap > 0.0)) return std::size_t{1};
+    skip.anchor(t_i, decay);
+    std::size_t h = 1;
+    while (i + 2 * h <= kScanPoints &&
+           skip.bound(t_i, grid(i + 2 * h), decay) < gap) {
+      h *= 2;
+    }
+    return h;
+  };
+
   double prev_t = t0;
   const double v0 = value(t0);
   std::size_t open = levels.size();
@@ -162,10 +306,9 @@ std::vector<std::optional<double>> Approximation::first_crossings(
     }
   }
   double prev_value = v0;
-  for (std::size_t i = 1; i <= kScanPoints && open > 0; ++i) {
-    const double t =
-        t0 + (t1 - t0) * static_cast<double>(i) /
-                 static_cast<double>(kScanPoints);
+  for (std::size_t i = 0; i < kScanPoints && open > 0;) {
+    i += step_from(i, prev_t, prev_value);
+    const double t = grid(i);
     const double value_t = value(t);
     for (std::size_t k = 0; k < levels.size(); ++k) {
       if (found[k]) continue;
@@ -227,14 +370,37 @@ std::vector<Engine::AtomProblem>& Engine::atom_problems() {
   la::RealVector xa_first(n, 0.0);
   bool have_first = la::norm_inf(xh0_first) > 0.0;
 
+  struct Solved {
+    const mna::SourceEvent* event;
+    la::RealVector xa;
+    la::RealVector xb;
+  };
+  std::vector<Solved> solved;
   for (const auto& ev : mna_.events()) {
     // Particular solution of this segment's input:
     //   G x_a = db1;  G x_b = db0 - C x_a.
-    const la::RealVector xa = mna_.solve(ev.slope_change);
-    la::RealVector rhs = ev.value_jump;
-    const la::RealVector cxa = mna_.apply_C(xa);
-    for (std::size_t i = 0; i < n; ++i) rhs[i] -= cxa[i];
-    const la::RealVector xb = mna_.solve(rhs);
+    // An event that negates an earlier one (a ramp's slope-off at t_r)
+    // takes that event's solutions negated: by the sign symmetry of
+    // rounding they differ from fresh solves at most in the sign of an
+    // exact zero.
+    const auto earlier =
+        std::find_if(solved.begin(), solved.end(), [&](const Solved& s) {
+          return negation_of(ev.slope_change, s.event->slope_change) &&
+                 negation_of(ev.value_jump, s.event->value_jump);
+        });
+    la::RealVector xa;
+    la::RealVector xb;
+    if (earlier != solved.end()) {
+      xa = negated(earlier->xa);
+      xb = negated(earlier->xb);
+    } else {
+      xa = mna_.solve(ev.slope_change);
+      la::RealVector rhs = ev.value_jump;
+      const la::RealVector cxa = mna_.apply_C(xa);
+      for (std::size_t i = 0; i < n; ++i) rhs[i] -= cxa[i];
+      xb = mna_.solve(rhs);
+    }
+    solved.push_back({&ev, xa, xb});
 
     if (ev.time <= 0.0) {
       // Fold into the t=0 atom.
@@ -261,6 +427,22 @@ std::vector<Engine::AtomProblem>& Engine::atom_problems() {
                   AtomProblem{0.0, xb_first, xa_first,
                               MomentSequence(mna_, xh0_first),
                               first_consistent});
+  }
+
+  // Mirror atoms (see atom_mirror()): the first earlier non-mirror atom
+  // whose vectors are the exact negation of this one's.
+  for (std::size_t b = 1; b < atoms_.size(); ++b) {
+    AtomProblem& atom = atoms_[b];
+    for (std::size_t a = 0; a < b; ++a) {
+      const AtomProblem& source = atoms_[a];
+      if (!source.mirror_of && source.consistent == atom.consistent &&
+          negation_of(atom.particular_offset, source.particular_offset) &&
+          negation_of(atom.particular_slope, source.particular_slope) &&
+          negation_of(atom.moments.x_h0(), source.moments.x_h0())) {
+        atom.mirror_of = a;
+        break;
+      }
+    }
   }
 
   // The static operating point enters as a terms-free pseudo-atom handled
@@ -353,7 +535,9 @@ BatchResult Engine::approximate_all(
                                : 2 * options.order + 1;
     std::vector<MomentSequence*> sequences;
     sequences.reserve(atoms.size());
-    for (auto& atom : atoms) sequences.push_back(&atom.moments);
+    for (auto& atom : atoms) {
+      if (!atom.mirror_of) sequences.push_back(&atom.moments);
+    }
     MomentSequence::ensure_all(sequences, j0 + mu_count - 1);
   }
 
@@ -581,40 +765,82 @@ Result Engine::approximate_at(std::size_t out,
 
     double worst_error = 0.0;
     bool all_stable = true;
-    bool first_atom = true;
-    for (auto& problem : atoms) {
-      // Gather mu_{j0} .. mu_{j0 + 2(q+1)}: enough for the q-match, the
-      // (q+1)-order error reference, and the shifted-window fallback.
-      // Without error estimation only the q-match moments are needed.
-      const int mu_count =
-          options.estimate_error ? 2 * (q + 1) + 1 : 2 * q + 1;
-      std::vector<double> mu;
-      {
-        AWESIM_TRACE_SPAN("engine.moments");
-        ScopedTimer timer(stats_.seconds_moments);
-        for (int j = j0; j < j0 + mu_count; ++j) {
-          double v = problem.moments.mu(j, out);
-          if (j == -1 && options.jump_consistent && !problem.consistent &&
-              problem.moments.has_jump(out)) {
-            v = -problem.moments.consistent_initial_value()[out];
-          }
-          mu.push_back(v);
+    // Per-atom outcome, kept so a mirror atom can replay its source's:
+    // the match (residues negated), the diagnostics it emitted, and its
+    // error estimate (nullopt: no accuracy statement to fold in).
+    struct AtomOutcome {
+      LadderOutcome ladder;
+      std::size_t diag_begin = 0;
+      std::size_t diag_end = 0;
+      std::optional<double> error;
+    };
+    std::vector<AtomOutcome> outcomes(atoms.size());
+    for (std::size_t a = 0; a < atoms.size(); ++a) {
+      AtomProblem& problem = atoms[a];
+      AtomOutcome& outcome = outcomes[a];
+      if (problem.mirror_of) {
+        const AtomOutcome& source = outcomes[*problem.mirror_of];
+        outcome = source;
+        for (auto& term : outcome.ladder.match.terms) {
+          term.residue = -term.residue;
         }
-      }
-      if (fault_at("engine.moments", node_name)) {
-        for (double& v : mu) v = kNan;
-        Diagnostic d;
-        d.code = DiagCode::InjectedFault;
-        d.message = "replaced moment window with NaN";
-        d.node = node_name;
-        result.diagnostics.push_back(std::move(d));
+        const core::Diagnostics replay(
+            result.diagnostics.begin() + source.diag_begin,
+            result.diagnostics.begin() + source.diag_end);
+        result.diagnostics.insert(result.diagnostics.end(), replay.begin(),
+                                  replay.end());
+      } else {
+        outcome.diag_begin = result.diagnostics.size();
+        // Gather mu_{j0} .. mu_{j0 + 2(q+1)}: enough for the q-match, the
+        // (q+1)-order error reference, and the shifted-window fallback.
+        // Without error estimation only the q-match moments are needed.
+        const int mu_count =
+            options.estimate_error ? 2 * (q + 1) + 1 : 2 * q + 1;
+        std::vector<double> mu;
+        {
+          AWESIM_TRACE_SPAN("engine.moments");
+          ScopedTimer timer(stats_.seconds_moments);
+          for (int j = j0; j < j0 + mu_count; ++j) {
+            double v = problem.moments.mu(j, out);
+            if (j == -1 && options.jump_consistent && !problem.consistent &&
+                problem.moments.has_jump(out)) {
+              v = -problem.moments.consistent_initial_value()[out];
+            }
+            mu.push_back(v);
+          }
+        }
+        if (fault_at("engine.moments", node_name)) {
+          for (double& v : mu) v = kNan;
+          Diagnostic d;
+          d.code = DiagCode::InjectedFault;
+          d.message = "replaced moment window with NaN";
+          d.node = node_name;
+          result.diagnostics.push_back(std::move(d));
+        }
+
+        outcome.ladder =
+            match_with_ladder(mu, j0, q, options, allow_degrade, node_name,
+                              &result.diagnostics);
+        const LadderOutcome& ladder = outcome.ladder;
+        if (options.estimate_error &&
+            ladder.status <= ApproxStatus::OrderReduced &&
+            !ladder.match.terms.empty()) {
+          const MatchResult ref =
+              attempt_order(mu, j0, q + 1, options, nullptr);
+          outcome.error =
+              options.cauchy_error_bound
+                  ? cauchy_relative_error(ref.terms, ladder.match.terms)
+                  : exact_relative_error(ref.terms, ladder.match.terms);
+        } else if (options.estimate_error &&
+                   ladder.status >= ApproxStatus::ElmoreFallback) {
+          // Degraded bounds carry no q-vs-(q+1) accuracy statement.
+          outcome.error = kNan;
+        }
+        outcome.diag_end = result.diagnostics.size();
+        if (a == 0) result.output_moments = std::move(mu);
       }
 
-      LadderOutcome ladder =
-          match_with_ladder(mu, j0, q, options, allow_degrade, node_name,
-                            &result.diagnostics);
-      MatchResult& match = ladder.match;
-
+      const MatchResult& match = outcome.ladder.match;
       AtomApproximation atom;
       atom.start_time = problem.start_time;
       atom.affine_offset = problem.particular_offset[out];
@@ -625,36 +851,20 @@ Result Engine::approximate_at(std::size_t out,
 
       result.order_used = std::max(result.order_used, match.order_used);
       if (!match.stable) all_stable = false;
-      if (ladder.status > result.status) result.status = ladder.status;
-      switch (ladder.status) {
+      const ApproxStatus status = outcome.ladder.status;
+      if (status > result.status) result.status = status;
+      switch (status) {
         case ApproxStatus::WindowShifted: ++stats_.window_shifts; break;
         case ApproxStatus::OrderReduced: ++stats_.order_stepdowns; break;
         case ApproxStatus::ElmoreFallback: ++stats_.elmore_fallbacks; break;
         default: break;
       }
-
-      if (options.estimate_error &&
-          ladder.status <= ApproxStatus::OrderReduced &&
-          !match.terms.empty()) {
-        const MatchResult ref =
-            attempt_order(mu, j0, q + 1, options, nullptr);
-        const double err =
-            options.cauchy_error_bound
-                ? cauchy_relative_error(ref.terms, match.terms)
-                : exact_relative_error(ref.terms, match.terms);
-        if (std::isnan(err)) {
+      if (outcome.error) {
+        if (std::isnan(*outcome.error)) {
           worst_error = kNan;
         } else if (!std::isnan(worst_error)) {
-          worst_error = std::max(worst_error, err);
+          worst_error = std::max(worst_error, *outcome.error);
         }
-      } else if (options.estimate_error &&
-                 ladder.status >= ApproxStatus::ElmoreFallback) {
-        // Degraded bounds carry no q-vs-(q+1) accuracy statement.
-        worst_error = kNan;
-      }
-      if (first_atom) {
-        result.output_moments.assign(mu.begin(), mu.end());
-        first_atom = false;
       }
     }
     result.stable = all_stable;
@@ -681,6 +891,10 @@ std::size_t Engine::atom_count() { return atom_problems().size(); }
 
 bool Engine::atom_consistent(std::size_t atom) {
   return atom_problems().at(atom).consistent;
+}
+
+std::optional<std::size_t> Engine::atom_mirror(std::size_t atom) {
+  return atom_problems().at(atom).mirror_of;
 }
 
 MomentSequence& Engine::atom_moments(std::size_t atom) {

@@ -152,7 +152,10 @@ class Approximation {
 
   /// first_crossing for several levels at once: one scan of the same
   /// grid serves every level, each refined by the same bisection, so
-  /// result k is bitwise first_crossing(levels[k], t0, t1).
+  /// result k is bitwise first_crossing(levels[k], t0, t1).  For term
+  /// sets of real, stable, simple poles the scan skips grid points a
+  /// bound proves cannot cross an open level (DESIGN.md §17); the
+  /// answer is bitwise that of the full 4096-point scan.
   std::vector<std::optional<double>> first_crossings(
       std::span<const double> levels, double t0, double t1) const;
 
@@ -255,8 +258,17 @@ class Engine {
   /// deviation, index-1 structure (check::index_one_structure) -- so the
   /// sigma-limit jump test is skipped for it.  atom_moments exposes the
   /// atom's moment sequence, sigma-limit included, to prove that rule.
+  ///
+  /// atom_mirror(i) names the earlier atom whose x_b, x_a and x_h0 are
+  /// the exact negation of atom i's, with the same consistency flag (a
+  /// ramp's t_r atom mirrors its t = 0 atom: Section 4.3's superposition
+  /// of one source response).  A mirror's moments are that atom's
+  /// negated, so the engine never advances them: its match is the
+  /// source's with residues negated.  atom_moments(i) still computes a
+  /// mirror's sequence on demand, for tests to compare.
   std::size_t atom_count();
   bool atom_consistent(std::size_t atom);
+  std::optional<std::size_t> atom_mirror(std::size_t atom);
   MomentSequence& atom_moments(std::size_t atom);
 
  private:
@@ -266,6 +278,7 @@ class Engine {
     la::RealVector particular_slope;   // x_a
     MomentSequence moments;
     bool consistent = false;  // see atom_consistent()
+    std::optional<std::size_t> mirror_of;  // see atom_mirror()
   };
 
   struct LadderOutcome {

@@ -218,12 +218,18 @@ double evaluate_terms(const std::vector<PoleResidueTerm>& terms, double t) {
       // Unstable-pole overflow guard; diagnostics only.
       return std::numeric_limits<double>::infinity();
     }
-    la::Complex factor = std::exp(term.pole * t);
     double poly = 1.0;
     for (int i = 1; i < term.power; ++i) {
       poly *= t / static_cast<double>(i);
     }
-    value += (term.residue * factor).real() * poly;
+    if (term.pole.imag() == 0.0 && std::isfinite(term.residue.imag())) {
+      // Real pole: the complex product's real part is Re(k) e^{pt} to
+      // the bit (its Im(k) * 0 term is a signed zero), so skip the
+      // complex exponential.
+      value += term.residue.real() * std::exp(re_exp) * poly;
+    } else {
+      value += (term.residue * std::exp(term.pole * t)).real() * poly;
+    }
   }
   return value;
 }

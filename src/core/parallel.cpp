@@ -58,7 +58,9 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  if (workers_.empty()) {
+  if (count == 1 || workers_.empty()) {
+    // A one-job wave runs inline: waking every worker to claim nothing
+    // costs more than the job on deep, narrow wavefronts.
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }

@@ -39,7 +39,8 @@ class ThreadPool {
   /// complete.  Indices are claimed dynamically; callers needing
   /// deterministic output must write results into per-index slots.  If
   /// jobs throw, the exception of the lowest-index failing job is
-  /// rethrown after every job has finished.
+  /// rethrown after every job has finished.  A single job (count == 1)
+  /// runs inline on the caller without waking the workers.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 

@@ -14,6 +14,16 @@ namespace {
 // treated as numerically zero.
 constexpr double kPivotTolerance = 1e-300;
 
+bool finite(double v) { return std::isfinite(v); }
+bool finite(const Complex& v) {
+  return std::isfinite(v.real()) && std::isfinite(v.imag());
+}
+
+template <typename T>
+bool all_finite(const T* v, std::size_t n) {
+  return std::all_of(v, v + n, [](const T& x) { return finite(x); });
+}
+
 }  // namespace
 
 template <typename T>
@@ -27,6 +37,8 @@ Lu<T>::Lu(Matrix<T> a) : lu_(std::move(a)) {
   }
   perm_.resize(n);
   std::iota(perm_.begin(), perm_.end(), std::size_t{0});
+  l_begin_.assign(n, 0);
+  u_end_.assign(n, n);
 
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivoting: pick the largest magnitude in column k at/below k.
@@ -50,37 +62,61 @@ Lu<T>::Lu(Matrix<T> a) : lu_(std::move(a)) {
       perm_sign_ = -perm_sign_;
     }
     const T pivot = lu_(k, k);
+    // Row k of U is final: record where its nonzero span ends.  The row
+    // updates stop there too, since a finite mult times an exact zero
+    // moves no value, at most the sign of an exact zero.
+    std::size_t& span_end = u_end_[k];
+    while (span_end > k + 1 && lu_(k, span_end - 1) == T{}) --span_end;
     for (std::size_t i = k + 1; i < n; ++i) {
       const T mult = lu_(i, k) / pivot;
       lu_(i, k) = mult;
       if (mult == T{}) continue;
-      for (std::size_t j = k + 1; j < n; ++j) {
+      const std::size_t end = finite(mult) ? span_end : n;
+      for (std::size_t j = k + 1; j < end; ++j) {
         lu_(i, j) -= mult * lu_(k, j);
       }
     }
   }
+  // The L rows are final only after the last row swap.
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t& begin = l_begin_[i];
+    while (begin < i && lu_(i, begin) == T{}) ++begin;
+  }
 }
 
 template <typename T>
-std::vector<T> Lu<T>::solve(const std::vector<T>& b) const {
+std::vector<T> Lu<T>::substitute(const std::vector<T>& b, bool full) const {
   const std::size_t n = size();
-  if (b.size() != n) {
-    throw std::invalid_argument("Lu::solve: rhs size mismatch");
-  }
   // Apply permutation, then forward substitution with unit-lower L.
   std::vector<T> x(n);
   for (std::size_t i = 0; i < n; ++i) x[i] = b[perm_[i]];
   for (std::size_t i = 1; i < n; ++i) {
+    const T* const row = lu_.row(i);
     T acc = x[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * x[j];
+    for (std::size_t j = full ? 0 : l_begin_[i]; j < i; ++j) {
+      acc -= row[j] * x[j];
+    }
     x[i] = acc;
   }
   // Back substitution with U.
   for (std::size_t ii = n; ii-- > 0;) {
+    const T* const row = lu_.row(ii);
     T acc = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * x[j];
-    x[ii] = acc / lu_(ii, ii);
+    for (std::size_t j = ii + 1; j < (full ? n : u_end_[ii]); ++j) {
+      acc -= row[j] * x[j];
+    }
+    x[ii] = acc / row[ii];
   }
+  return x;
+}
+
+template <typename T>
+std::vector<T> Lu<T>::solve(const std::vector<T>& b) const {
+  if (b.size() != size()) {
+    throw std::invalid_argument("Lu::solve: rhs size mismatch");
+  }
+  std::vector<T> x = substitute(b, false);
+  if (!all_finite(x.data(), x.size())) return substitute(b, true);
   return x;
 }
 
@@ -106,11 +142,11 @@ std::vector<std::vector<T>> Lu<T>::solve_multi(
       T* const col = panel + r * n;
       for (std::size_t i = 0; i < n; ++i) col[i] = b[perm_[i]];
     }
-    // Forward with unit-lower L: each factor row is read once and
+    // Forward with unit-lower L: each factor row span is read once and
     // applied to every right-hand side in the panel.  The per-RHS
     // operation sequence matches solve() exactly.
     for (std::size_t i = 1; i < n; ++i) {
-      for (std::size_t j = 0; j < i; ++j) {
+      for (std::size_t j = l_begin_[i]; j < i; ++j) {
         const T lij = lu_(i, j);
         for (std::size_t r = 0; r < width; ++r) {
           panel[r * n + i] -= lij * panel[r * n + j];
@@ -119,7 +155,7 @@ std::vector<std::vector<T>> Lu<T>::solve_multi(
     }
     // Back substitution with U.
     for (std::size_t ii = n; ii-- > 0;) {
-      for (std::size_t j = ii + 1; j < n; ++j) {
+      for (std::size_t j = ii + 1; j < u_end_[ii]; ++j) {
         const T uij = lu_(ii, j);
         for (std::size_t r = 0; r < width; ++r) {
           panel[r * n + ii] -= uij * panel[r * n + j];
@@ -131,7 +167,9 @@ std::vector<std::vector<T>> Lu<T>::solve_multi(
       }
     }
     for (std::size_t r = 0; r < width; ++r) {
-      xs[b0 + r].assign(panel + r * n, panel + (r + 1) * n);
+      const T* const col = panel + r * n;
+      xs[b0 + r] = all_finite(col, n) ? std::vector<T>(col, col + n)
+                                      : substitute(bs[b0 + r], true);
     }
   }
   return xs;

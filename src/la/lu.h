@@ -43,9 +43,17 @@ class Lu {
   std::size_t size() const { return lu_.rows(); }
 
   /// Solve A x = b.  b.size() must equal size().
+  ///
+  /// The substitutions walk each factor row only over its nonzero span,
+  /// recorded at factor time: from the first nonzero of the L row, to
+  /// the last nonzero of the U row, in column order.  Against a walk of
+  /// the full triangles this drops only terms 0 * x[j]: for finite x the
+  /// result differs at most in the sign of an exact zero.  A solve whose
+  /// result holds a non-finite entry is redone with the full walk, so
+  /// NaN/inf propagation is exactly that of the dense substitution.
   std::vector<T> solve(const std::vector<T>& b) const;
 
-  /// Batched solve with cache-blocked panels: the factor's rows are
+  /// Batched solve with cache-blocked panels: the factor's row spans are
   /// streamed once per panel of up to 8 right-hand sides instead of once
   /// per vector.  Per-RHS results are bitwise identical to solve() --
   /// the arithmetic order within each right-hand side is unchanged, only
@@ -68,9 +76,17 @@ class Lu {
   double pivot_growth() const;
 
  private:
+  // Forward/back substitution of one right-hand side, over the row
+  // spans or (full) over the whole triangles.
+  std::vector<T> substitute(const std::vector<T>& b, bool full) const;
+
   Matrix<T> lu_;               // combined L (unit diagonal) and U factors
   std::vector<std::size_t> perm_;  // row permutation
   int perm_sign_ = 1;
+  // Nonzero spans: row i of L is zero left of column l_begin_[i], row i
+  // of U is zero from column u_end_[i] on.
+  std::vector<std::size_t> l_begin_;
+  std::vector<std::size_t> u_end_;
 };
 
 using RealLu = Lu<double>;

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -292,6 +293,12 @@ void Server::accept_loop() {
     }
 
     set_recv_timeout(fd, options_.idle_timeout_s);
+    if (options_.unix_path.empty()) {
+      // One NDJSON line per reply: without TCP_NODELAY, Nagle holds each
+      // reply until the client's delayed ACK arrives.
+      const int one = 1;
+      (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    }
 
     std::lock_guard<std::mutex> lock(conn_mutex_);
     reap_finished_locked();

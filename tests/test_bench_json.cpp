@@ -10,8 +10,11 @@
 #include <vector>
 
 #include "cases.h"
+#include "circuits/paper_circuits.h"
+#include "core/engine.h"
 #include "harness.h"
 #include "obs/json.h"
+#include "sim/transient.h"
 
 using namespace awesim;
 using obs::json::Value;
@@ -80,7 +83,25 @@ TEST(BenchRun, OneCaseProducesTimedSamplesAndAccuracy) {
   // measured L2 error must be far below a percent.
   EXPECT_TRUE(std::isfinite(r.accuracy));
   EXPECT_LT(r.accuracy, 1e-2);
-  EXPECT_GT(bench::speedup_vs_sim(r), 1.0);
+  // The wall-clock speedup is reported, not asserted: under a loaded
+  // `ctest -j` it is noise.  The counted work behind it is exact: the
+  // AWE run factors once and substitutes a handful of times, where the
+  // reference simulation takes one step per sample.
+  EXPECT_GT(bench::speedup_vs_sim(r), 0.0);
+  const circuit::Circuit ckt = circuits::fig4_rc_tree();
+  core::Engine engine(ckt);
+  core::EngineOptions eopt;
+  eopt.order = 2;
+  eopt.estimate_error = false;
+  eopt.jump_consistent = false;
+  engine.approximate(ckt.find_node("n4"), eopt);
+  EXPECT_EQ(engine.stats().factorizations, 1u);
+  EXPECT_LE(engine.stats().substitutions, 8u);
+  sim::TransientSimulator simulator(ckt);
+  sim::TransientOptions sopt;
+  sopt.timestep = 3e-3 / 2000.0;
+  const auto wave = simulator.run({ckt.find_node("n4")}, 3e-3, sopt);
+  EXPECT_GE(wave.size(), 2000u);
 }
 
 TEST(BenchJson, EmittedDocumentRoundTripsAndValidates) {

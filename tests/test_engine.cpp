@@ -2,8 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
-#include <optional>
 #include <vector>
 
 #include "check/lint.h"
@@ -329,35 +327,6 @@ TEST(Engine, SettlingAreaIsChargeConservationExact) {
 
 namespace {
 
-/// The stage circuit of a generated one-net design, as the timing
-/// analyzer builds it (source -> 500-ohm driver -> parasitics), driven
-/// by `stimulus`.  With `inductors`, every third resistor gets a 1 nH
-/// inductor in series (an RLC net).
-Circuit stage_circuit(const timing::testutil::StageDesign& stage,
-                      const Stimulus& stimulus, bool inductors = false) {
-  Circuit ckt;
-  const auto in = ckt.node("__in");
-  ckt.add_vsource("Vdrv", in, kGround, stimulus);
-  ckt.add_resistor("Rdrv", in, ckt.node("DRV"), 500.0);
-  const timing::Net& net = stage.design.net_at(0);
-  for (std::size_t i = 0; i < net.parasitics.size(); ++i) {
-    const timing::NetElement& e = net.parasitics[i];
-    const std::string name = "p" + std::to_string(i);
-    const auto a = ckt.node(e.node_a);
-    const auto b = ckt.node(e.node_b);
-    if (e.kind == timing::NetElement::Kind::Capacitor) {
-      ckt.add_capacitor(name, a, b, e.value);
-    } else if (inductors && i % 3 == 0) {
-      const auto mid = ckt.node("__l" + std::to_string(i));
-      ckt.add_resistor(name, a, mid, e.value);
-      ckt.add_inductor("L" + name, mid, b, 1e-9);
-    } else {
-      ckt.add_resistor(name, a, b, e.value);
-    }
-  }
-  return ckt;
-}
-
 /// Every atom of `ckt` is flagged consistent, and the sigma-limit agrees:
 /// no unknown of any atom jumps at its start.
 void expect_consistent_atoms_never_jump(const Circuit& ckt,
@@ -386,15 +355,15 @@ TEST(EngineJump, ConsistentRampAtomsNeverJumpOnRandomCircuits) {
     const StageDesign line = rc_line_design(seed, 12);
     const StageDesign tree = rc_tree_design(seed, 20);
     const StageDesign mesh = rc_mesh_design(seed, 12, 4);
-    expect_consistent_atoms_never_jump(stage_circuit(line, ramp),
+    expect_consistent_atoms_never_jump(timing::testutil::stage_circuit(line, ramp),
                                        "line" + tag);
-    expect_consistent_atoms_never_jump(stage_circuit(tree, ramp),
+    expect_consistent_atoms_never_jump(timing::testutil::stage_circuit(tree, ramp),
                                        "tree" + tag);
-    expect_consistent_atoms_never_jump(stage_circuit(mesh, pwl),
+    expect_consistent_atoms_never_jump(timing::testutil::stage_circuit(mesh, pwl),
                                        "mesh pwl" + tag);
-    expect_consistent_atoms_never_jump(stage_circuit(line, ramp, true),
+    expect_consistent_atoms_never_jump(timing::testutil::stage_circuit(line, ramp, true),
                                        "rlc line" + tag);
-    expect_consistent_atoms_never_jump(stage_circuit(mesh, pwl, true),
+    expect_consistent_atoms_never_jump(timing::testutil::stage_circuit(mesh, pwl, true),
                                        "rlc mesh pwl" + tag);
   }
   // The paper's floating coupling capacitor (Fig. 22) under a finite
@@ -416,7 +385,7 @@ TEST(EngineJump, ConsistentRampAtomsNeverJumpOnRandomCircuits) {
 }
 
 TEST(EngineJump, ConsistentRampStageFactorsOnlyG) {
-  const Circuit ckt = stage_circuit(
+  const Circuit ckt = timing::testutil::stage_circuit(
       timing::testutil::rc_tree_design(3, 30),
       Stimulus::ramp_step(0.0, 1.0, 50e-12));
   Engine engine(ckt);
@@ -515,107 +484,6 @@ TEST(EngineJump, IndexOneStructureRules) {
   vcvs.add_vcvs("E1", vcvs.node("buf"), kGround, out, kGround, 2.0);
   vcvs.add_resistor("R2", vcvs.find_node("buf"), kGround, 1e3);
   EXPECT_FALSE(check::index_one_structure(vcvs));
-}
-
-// ---------------------------------------------------------------------
-// One crossing scan for several levels.
-
-namespace {
-
-/// The per-level scan first_crossings replaces, kept verbatim as the
-/// reference: 4096-point grid, first sign change, 60 bisection steps.
-std::optional<double> reference_crossing(const core::Approximation& approx,
-                                         double level, double t0,
-                                         double t1) {
-  constexpr std::size_t kScanPoints = 4096;
-  if (!(t1 > t0)) return std::nullopt;
-  double prev_t = t0;
-  double prev_v = approx.value(t0) - level;
-  if (prev_v == 0.0) return t0;
-  for (std::size_t i = 1; i <= kScanPoints; ++i) {
-    const double t = t0 + (t1 - t0) * static_cast<double>(i) /
-                              static_cast<double>(kScanPoints);
-    const double v = approx.value(t) - level;
-    if ((prev_v < 0.0 && v >= 0.0) || (prev_v > 0.0 && v <= 0.0)) {
-      double lo = prev_t;
-      double hi = t;
-      double flo = prev_v;
-      for (int it = 0; it < 60; ++it) {
-        const double mid = 0.5 * (lo + hi);
-        const double fm = approx.value(mid) - level;
-        if ((flo < 0.0) == (fm < 0.0)) {
-          lo = mid;
-          flo = fm;
-        } else {
-          hi = mid;
-        }
-      }
-      return 0.5 * (lo + hi);
-    }
-    prev_t = t;
-    prev_v = v;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-TEST(Approximation, FirstCrossingsMatchPerLevelScansBitwise) {
-  auto same = [](const std::optional<double>& a,
-                 const std::optional<double>& b) {
-    if (a.has_value() != b.has_value()) return false;
-    return !a || std::memcmp(&*a, &*b, sizeof(double)) == 0;
-  };
-  // The underdamped Fig. 25 ladder (the Figs. 26/27 responses) rings
-  // through its final value, so levels near it are crossed on the way
-  // down as well as up; a fast RC for a monotone contrast.
-  circuits::Drive drive;
-  drive.rise_time = 0.1e-9;
-  const Circuit rlc = circuits::fig25_rlc_ladder(drive);
-  const Circuit rc = single_rc(1e3, 1e-12, 0.0, 5.0);
-  struct Case {
-    const Circuit* ckt;
-    const char* node;
-  };
-  for (const Case& c : {Case{&rlc, "n3"}, Case{&rc, "out"}}) {
-    Engine engine(*c.ckt);
-    EngineOptions opt;
-    opt.order = 6;
-    opt.auto_order = false;
-    const auto result = engine.approximate(c.ckt->find_node(c.node), opt);
-    const core::Approximation& approx = result.approximation;
-    const double v0 = approx.value(0.0);
-    // Thresholds, overshoot levels, never-crossed levels, the starting
-    // value itself, repeats, and an unsorted order.
-    const std::vector<double> levels = {2.5, 1.0, 4.0,  5.2, 5.6, 4.9,
-                                        9.0, -1.0, v0, 2.5, 0.5, 4.99};
-    const double horizon = 12.0 * approx.dominant_time_constant();
-    for (const auto& [t0, t1] :
-         std::vector<std::pair<double, double>>{{0.0, horizon},
-                                                {0.3 * horizon, horizon},
-                                                {horizon, horizon},
-                                                {horizon, 0.0}}) {
-      const std::vector<std::optional<double>> all =
-          approx.first_crossings(levels, t0, t1);
-      ASSERT_EQ(all.size(), levels.size());
-      std::size_t crossed = 0;
-      for (std::size_t k = 0; k < levels.size(); ++k) {
-        const std::optional<double> want =
-            reference_crossing(approx, levels[k], t0, t1);
-        EXPECT_TRUE(same(all[k], want))
-            << c.node << " level " << levels[k] << " on [" << t0 << ", "
-            << t1 << "]";
-        EXPECT_TRUE(same(approx.first_crossing(levels[k], t0, t1), want))
-            << c.node << " level " << levels[k];
-        if (all[k]) ++crossed;
-      }
-      if (t1 <= t0) {
-        EXPECT_EQ(crossed, 0u);
-      } else {
-        EXPECT_LT(crossed, levels.size());  // 9.0 and -1.0 never cross
-      }
-    }
-  }
 }
 
 }  // namespace awesim

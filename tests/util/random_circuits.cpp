@@ -262,4 +262,30 @@ StageDesign rc_mesh_design(std::uint32_t seed, std::size_t sections,
   return b.finish(res(rng) * 2.0);
 }
 
+circuit::Circuit stage_circuit(const StageDesign& stage,
+                               const circuit::Stimulus& stimulus,
+                               bool inductors, double inductance) {
+  circuit::Circuit ckt;
+  const auto in = ckt.node("__in");
+  ckt.add_vsource("Vdrv", in, circuit::kGround, stimulus);
+  ckt.add_resistor("Rdrv", in, ckt.node("DRV"), 500.0);
+  const Net& net = stage.design.net_at(0);
+  for (std::size_t i = 0; i < net.parasitics.size(); ++i) {
+    const NetElement& e = net.parasitics[i];
+    const std::string name = "p" + std::to_string(i);
+    const auto a = ckt.node(e.node_a);
+    const auto b = ckt.node(e.node_b);
+    if (e.kind == NetElement::Kind::Capacitor) {
+      ckt.add_capacitor(name, a, b, e.value);
+    } else if (inductors && i % 3 == 0) {
+      const auto mid = ckt.node("__l" + std::to_string(i));
+      ckt.add_resistor(name, a, mid, e.value);
+      ckt.add_inductor("L" + name, mid, b, inductance);
+    } else {
+      ckt.add_resistor(name, a, b, e.value);
+    }
+  }
+  return ckt;
+}
+
 }  // namespace awesim::timing::testutil

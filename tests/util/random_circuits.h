@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "circuit/circuit.h"
 #include "timing/analyzer.h"
 
 namespace awesim::timing::testutil {
@@ -77,5 +78,15 @@ StageDesign rc_line_design(std::uint32_t seed, std::size_t sections);
 StageDesign rc_tree_design(std::uint32_t seed, std::size_t nodes);
 StageDesign rc_mesh_design(std::uint32_t seed, std::size_t sections,
                            std::size_t cross_links);
+
+/// The stage circuit of a generated one-net design, as the timing
+/// analyzer builds it (source "Vdrv" -> 500-ohm driver -> parasitics),
+/// driven by `stimulus`.  With `inductors`, every third resistor gets an
+/// `inductance` in series (an RLC net; 1 nH stays overdamped, 100 nH
+/// rings).
+circuit::Circuit stage_circuit(const StageDesign& stage,
+                               const circuit::Stimulus& stimulus,
+                               bool inductors = false,
+                               double inductance = 1e-9);
 
 }  // namespace awesim::timing::testutil
