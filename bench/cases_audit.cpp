@@ -8,8 +8,10 @@
 //     that the pre-flight is nearly free: the audit must cost under 5%
 //     of the cold analysis it runs ahead of (the "speedup" column
 //     reads as cold-analysis-time / audit-time, so the gate is
-//     speedup >= 20).  The margin comes from the oracle-call dedup
-//     across isomorphic nets: 10k nets cost 8 oracle runs.
+//     speedup >= 20).  The margin comes from doing the audit's
+//     topology work once per content class: the 10k nets are 8
+//     classes, so 8 eligibility checks and oracle topologies, and one
+//     cheap numeric oracle step per net.
 #include <memory>
 #include <string>
 #include <utility>

@@ -1,13 +1,13 @@
 #include "audit/audit.h"
 
-#include <algorithm>
-#include <map>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "audit/design_netlist.h"
+#include "obs/trace.h"
 #include "timing/stage_cache.h"
 
 namespace awesim::audit {
@@ -101,90 +101,131 @@ void run_graph_tier(const timing::Design& design,
   }
 }
 
-/// Oracle input for one stage: the driving gate's resistance as a
-/// leading element from a virtual ideal-source node, the net's
-/// parasitics verbatim, and each known sink pin's input capacitance as
-/// a grounded cap at its hookup node.
-check::OracleInput stage_oracle_input(const timing::Design& design,
-                                      const std::string& driver,
-                                      const timing::Net& net) {
-  check::OracleInput input;
-  input.source = "\x01src";  // never collides with a netlist node name
-  input.elements.reserve(net.parasitics.size() + net.sink_node.size() + 1);
-  const auto gate_it = design.gates().find(driver);
-  input.elements.push_back({check::OracleElement::Kind::Resistor,
-                            input.source, "DRV",
-                            gate_it == design.gates().end()
-                                ? 0.0
-                                : gate_it->second.drive_resistance});
+/// Nets grouped by reduction_content_key.  Two nets in one class have
+/// equal parasitics (kinds, node names, value bits), equal macros and
+/// equal boundary node sets, so everything the audit derives from those
+/// -- eligibility, oracle topology, value-less shape -- is class work.
+struct ContentClasses {
+  /// Per class, its nets in net order; classes in first-member order.
+  std::vector<std::vector<std::size_t>> members;
+  /// Per net, its class.
+  std::vector<std::size_t> of_net;
+};
+
+ContentClasses content_classes(const timing::Design& design,
+                               const reduce::ReduceOptions& options) {
+  ContentClasses classes;
+  classes.of_net.reserve(design.net_count());
+  // Lookup-only: the class order is first appearance in net order.
+  std::unordered_map<std::string, std::size_t> index;
+  index.reserve(design.net_count());
+  for (std::size_t i = 0; i < design.net_count(); ++i) {
+    const auto [it, fresh] = index.try_emplace(
+        reduce::reduction_content_key(design.net_at(i), options),
+        classes.members.size());
+    if (fresh) classes.members.emplace_back();
+    classes.members[it->second].push_back(i);
+    classes.of_net.push_back(it->second);
+  }
+  return classes;
+}
+
+check::OracleElement::Kind oracle_kind(timing::NetElement::Kind kind) {
+  switch (kind) {
+    case timing::NetElement::Kind::Capacitor:
+      return check::OracleElement::Kind::Capacitor;
+    case timing::NetElement::Kind::Inductor:
+      return check::OracleElement::Kind::Inductor;
+    default:
+      return check::OracleElement::Kind::Resistor;
+  }
+}
+
+/// The class work on one content class: its reduction eligibility and
+/// the class half of a stage's oracle input -- a virtual ideal-source
+/// node whose driver edge to "DRV" each instance fills with its driving
+/// gate's resistance, the net's parasitics verbatim, and every boundary
+/// node interned so an instance's sink pins find their node ids.  One
+/// node table serves both.
+struct CellWork {
+  reduce::Eligibility eligibility = reduce::Eligibility::Eligible;
+  check::OracleTopology topology;
+  /// Boundary node name -> node id (views into the class's first net).
+  std::unordered_map<std::string_view, int> pins;
+};
+
+CellWork cell_work(const timing::Net& net,
+                       const reduce::ReduceOptions& options) {
+  CellWork cell;
+  check::OracleTopologyBuilder builder(net.parasitics.size());
+  reduce::InternedNet interned;
+  interned.edges.reserve(net.parasitics.size());
+  const int driver = builder.node("DRV");
   for (const timing::NetElement& e : net.parasitics) {
-    check::OracleElement::Kind kind = check::OracleElement::Kind::Resistor;
-    switch (e.kind) {
-      case timing::NetElement::Kind::Resistor:
-        kind = check::OracleElement::Kind::Resistor;
-        break;
-      case timing::NetElement::Kind::Capacitor:
-        kind = check::OracleElement::Kind::Capacitor;
-        break;
-      case timing::NetElement::Kind::Inductor:
-        kind = check::OracleElement::Kind::Inductor;
-        break;
-    }
-    input.elements.push_back({kind, e.node_a, e.node_b, e.value});
+    const int a = builder.node(e.node_a);
+    const int b = builder.node(e.node_b);
+    builder.add(oracle_kind(e.kind), a, b, e.value);
+    interned.add(e.kind, a, b);
   }
+  cell.pins.emplace("DRV", driver);
+  interned.boundary_nodes = 1;
   for (const auto& [sink, node] : net.sink_node) {
-    const auto sink_it = design.gates().find(sink);
-    if (sink_it == design.gates().end()) continue;  // design output
-    input.elements.push_back({check::OracleElement::Kind::Capacitor, node,
-                              "0", sink_it->second.input_capacitance});
+    (void)sink;
+    const int id = builder.node(node);
+    if (cell.pins.try_emplace(node, id).second && id != 0) {
+      ++interned.boundary_nodes;
+    }
   }
-  return input;
+  interned.ports = cell.pins.size();
+  interned.nodes = builder.nodes() - 1;
+  cell.eligibility = reduce::net_eligibility(net, interned, options);
+  // The source last, so the content's ids come first ("\x01src" never
+  // collides with a netlist node name).
+  const int source = builder.node("\x01src");
+  cell.topology = std::move(builder).build(source, driver,
+                                           /*nonequilibrium_ic=*/false);
+  return cell;
 }
 
 void run_conditioning_tier(const timing::Design& design,
                            const AuditOptions& options,
-                           const std::vector<std::string>& content_keys,
-                           Emitter& em) {
+                           const ContentClasses& classes, Emitter& em) {
   AuditReport& report = *em.report;
-  report.nets.reserve(design.net_count());
-  // Isomorphic nets in the same electrical context -- equal content key
-  // (name-agnostic topology + values) AND equal driver resistance and
-  // sink pin caps -- have identical estimates, so the oracle runs once
-  // per distinct cell and every other instance copies the answer.  On
-  // repeated-cell fabrics (the mega_design shape) this is what keeps
-  // the whole pre-flight a rounding error next to the analysis.
-  std::unordered_map<std::string, std::size_t> memo;  // key -> nets index
-  memo.reserve(design.net_count());
+  report.nets.resize(design.net_count());
+  // Class work once per content class; per net only the instance's
+  // driver resistance and sink pin caps go through the numeric step.
+  check::OracleInstance instance;
+  for (const std::vector<std::size_t>& members : classes.members) {
+    const timing::Net& first = design.net_at(members.front());
+    CellWork cell;
+    {
+      AWESIM_TRACE_SPAN("audit.cell");
+      cell = cell_work(first, options.reduce);
+    }
+    for (const std::size_t i : members) {
+      const timing::Net& net = design.net_at(i);
+      const auto gate_it = design.gates().find(design.net_driver(i));
+      instance.drive = gate_it == design.gates().end()
+                           ? 0.0
+                           : gate_it->second.drive_resistance;
+      instance.pin_caps.clear();
+      for (const auto& [sink, node] : net.sink_node) {
+        const auto sink_it = design.gates().find(sink);
+        if (sink_it == design.gates().end()) continue;  // design output
+        instance.pin_caps.emplace_back(cell.pins.at(node),
+                                       sink_it->second.input_capacitance);
+      }
+      NetAssessment& assessment = report.nets[i];
+      assessment.eligibility = cell.eligibility;
+      assessment.estimate =
+          check::assess(cell.topology, instance, options.oracle);
+    }
+  }
   for (std::size_t i = 0; i < design.net_count(); ++i) {
     const timing::Net& net = design.net_at(i);
-    NetAssessment assessment;
+    NetAssessment& assessment = report.nets[i];
     assessment.net = net.name;
     assessment.driver = design.net_driver(i);
-    timing::detail::KeyBuilder kb;
-    kb.reserve(content_keys[i].size() + 16 * (net.sink_node.size() + 2));
-    kb.text(content_keys[i]).tag('G');
-    const auto gate_it = design.gates().find(assessment.driver);
-    kb.number(gate_it == design.gates().end()
-                  ? 0.0
-                  : gate_it->second.drive_resistance);
-    for (const auto& [sink, node] : net.sink_node) {
-      (void)node;
-      const auto sink_it = design.gates().find(sink);
-      kb.number(sink_it == design.gates().end()
-                    ? -1.0  // design output: no pin cap
-                    : sink_it->second.input_capacitance);
-    }
-    const auto [memo_it, fresh] = memo.try_emplace(kb.take(), i);
-    if (!fresh) {
-      const NetAssessment& donor = report.nets[memo_it->second];
-      assessment.eligibility = donor.eligibility;
-      assessment.estimate = donor.estimate;
-    } else {
-      assessment.eligibility = reduce::net_eligibility(net, options.reduce);
-      assessment.estimate = check::assess(
-          stage_oracle_input(design, assessment.driver, net),
-          options.oracle);
-    }
     if (assessment.estimate.hazard) {
       em.emit(core::DiagCode::ConditioningHazard, core::Severity::Warning,
               "net '" + net.name + "': " + assessment.estimate.detail,
@@ -192,68 +233,43 @@ void run_conditioning_tier(const timing::Design& design,
               check::hankel_condition(assessment.estimate.spread,
                                       options.oracle.target_order));
     }
-    report.nets.push_back(std::move(assessment));
   }
 }
 
-/// The value-less shape of a net: reduction_content_key bytes with
-/// every element value skipped (and no options -- shape is a property
-/// of the net alone).  Two nets with equal shape keys are isomorphic up
-/// to their value vectors.
-std::string shape_key(const timing::Net& net) {
+/// The value-less parasitics of a net: reduction_content_key's element
+/// records with every value skipped.  Nets with equal skeletons and
+/// equal sink-node lists are isomorphic up to their value vectors.
+std::string skeleton_key(const timing::Net& net) {
   timing::detail::KeyBuilder kb;
-  kb.reserve(32 + net.parasitics.size() * 24);
-  kb.tag('S').integer(net.parasitics.size());
+  kb.reserve(16 + net.parasitics.size() * 24);
+  kb.integer(net.parasitics.size());
   for (const timing::NetElement& e : net.parasitics) {
     kb.integer(static_cast<std::uint64_t>(e.kind))
         .text(e.node_a)
         .text(e.node_b);
   }
-  kb.tag('B').integer(net.sink_node.size() + 1).text("DRV");
-  for (const auto& [gate, node] : net.sink_node) {
-    (void)gate;
-    kb.text(node);
-  }
   return kb.take();
 }
 
 void run_repetition_tier(const timing::Design& design,
-                         const std::vector<std::string>& content_keys,
-                         Emitter& em) {
+                         const ContentClasses& classes, Emitter& em) {
   AuditReport& report = *em.report;
-  // Exact groups: the \x01R content key discipline from src/reduce --
-  // name-agnostic, so instances of one cell under different names
-  // collide on purpose.
-  std::map<std::string, std::vector<std::size_t>> exact;
-  std::map<std::string, std::vector<std::size_t>> shapes;
-  for (std::size_t i = 0; i < design.net_count(); ++i) {
-    const timing::Net& net = design.net_at(i);
-    exact[content_keys[i]].push_back(i);
-    shapes[shape_key(net)].push_back(i);
-  }
-
-  // Deterministic report order: groups by first-member net index.
-  std::vector<const std::vector<std::size_t>*> groups;
-  for (const auto& [key, members] : exact) {
-    (void)key;
-    if (members.size() >= 2) groups.push_back(&members);
-  }
-  std::sort(groups.begin(), groups.end(),
-            [](const auto* a, const auto* b) {
-              return a->front() < b->front();
-            });
-  for (const auto* members : groups) {
+  // Exact groups are the content classes: the \x01R content key
+  // discipline from src/reduce -- name-agnostic, so instances of one
+  // cell under different names collide on purpose.
+  for (const std::vector<std::size_t>& members : classes.members) {
+    if (members.size() < 2) continue;
     RepetitionGroup group;
-    group.representative = design.net_at(members->front()).name;
+    group.representative = design.net_at(members.front()).name;
     std::string listing;
-    for (const std::size_t i : *members) {
+    for (const std::size_t i : members) {
       group.members.push_back(design.net_at(i).name);
       if (!listing.empty()) listing += ", ";
       listing += design.net_at(i).name;
     }
     std::ostringstream msg;
-    msg << members->size() << " nets share one reduction-store entry ("
-        << listing << "): 1 collapse, " << members->size() - 1
+    msg << members.size() << " nets share one reduction-store entry ("
+        << listing << "): 1 collapse, " << members.size() - 1
         << " rehydration(s)";
     em.emit(core::DiagCode::RepeatedStructure, core::Severity::Info,
             msg.str(), group.representative,
@@ -261,22 +277,43 @@ void run_repetition_tier(const timing::Design& design,
     report.repeated.push_back(std::move(group));
   }
 
+  // Shape groups: the class's skeleton plus each net's sink-node order,
+  // formed in net order (so groups come in first-member order).  Both
+  // maps are lookup-only.
+  std::unordered_map<std::string, std::size_t> skeletons;
+  std::vector<std::size_t> class_skeleton;
+  class_skeleton.reserve(classes.members.size());
+  for (const std::vector<std::size_t>& members : classes.members) {
+    class_skeleton.push_back(
+        skeletons
+            .try_emplace(skeleton_key(design.net_at(members.front())),
+                         skeletons.size())
+            .first->second);
+  }
+  std::unordered_map<std::string, std::size_t> shape_index;
+  std::vector<std::vector<std::size_t>> shapes;
+  for (std::size_t i = 0; i < design.net_count(); ++i) {
+    const timing::Net& net = design.net_at(i);
+    timing::detail::KeyBuilder kb;
+    kb.integer(class_skeleton[classes.of_net[i]])
+        .integer(net.sink_node.size());
+    for (const auto& [gate, node] : net.sink_node) {
+      (void)gate;
+      kb.text(node);
+    }
+    const auto [it, fresh] = shape_index.try_emplace(kb.take(), shapes.size());
+    if (fresh) shapes.emplace_back();
+    shapes[it->second].push_back(i);
+  }
+
   // Near-misses: same shape, value vectors differing in exactly one
   // entry, and not already exact duplicates.  Each shape group compares
   // against its first member only (O(n) in nets, deterministic).
-  std::vector<const std::vector<std::size_t>*> shape_groups;
-  for (const auto& [key, members] : shapes) {
-    (void)key;
-    if (members.size() >= 2) shape_groups.push_back(&members);
-  }
-  std::sort(shape_groups.begin(), shape_groups.end(),
-            [](const auto* a, const auto* b) {
-              return a->front() < b->front();
-            });
-  for (const auto* members : shape_groups) {
-    const timing::Net& rep = design.net_at(members->front());
-    for (std::size_t k = 1; k < members->size(); ++k) {
-      const timing::Net& other = design.net_at((*members)[k]);
+  for (const std::vector<std::size_t>& members : shapes) {
+    if (members.size() < 2) continue;
+    const timing::Net& rep = design.net_at(members.front());
+    for (std::size_t k = 1; k < members.size(); ++k) {
+      const timing::Net& other = design.net_at(members[k]);
       std::size_t diffs = 0, diff_index = 0;
       for (std::size_t e = 0; e < rep.parasitics.size() && diffs < 2; ++e) {
         if (rep.parasitics[e].value != other.parasitics[e].value) {
@@ -312,22 +349,27 @@ AuditReport audit_design(const timing::Design& design,
                          const DesignSourceMap* sources) {
   AuditReport report;
   Emitter em{&report, sources};
-  if (options.graph_rules) run_graph_tier(design, options, em);
-  // The name-agnostic content keys are shared infrastructure: the
-  // conditioning tier dedups oracle calls across isomorphic nets, the
-  // repetition tier groups by them -- serialize each net exactly once.
-  std::vector<std::string> content_keys;
-  if (options.conditioning || options.repetition) {
-    content_keys.reserve(design.net_count());
-    for (std::size_t i = 0; i < design.net_count(); ++i) {
-      content_keys.push_back(
-          reduce::reduction_content_key(design.net_at(i), options.reduce));
-    }
+  if (options.graph_rules) {
+    AWESIM_TRACE_SPAN("audit.graph");
+    run_graph_tier(design, options, em);
+  }
+  if (!options.conditioning && !options.repetition) return report;
+  // The content classes are shared infrastructure: the conditioning
+  // tier does its class work once per class, the repetition tier's
+  // exact groups are the classes -- serialize each net's key once.
+  ContentClasses classes;
+  {
+    AWESIM_TRACE_SPAN("audit.classes");
+    classes = content_classes(design, options.reduce);
   }
   if (options.conditioning) {
-    run_conditioning_tier(design, options, content_keys, em);
+    AWESIM_TRACE_SPAN("audit.conditioning");
+    run_conditioning_tier(design, options, classes, em);
   }
-  if (options.repetition) run_repetition_tier(design, content_keys, em);
+  if (options.repetition) {
+    AWESIM_TRACE_SPAN("audit.repetition");
+    run_repetition_tier(design, classes, em);
+  }
   return report;
 }
 

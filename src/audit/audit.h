@@ -18,6 +18,12 @@
 //      nets identical up to exactly one value -- as missed-sharing
 //      opportunities.
 //
+// Tiers 2 and 3 pay for names and topology once per *content class*
+// (nets with equal reduction content key): eligibility, the oracle's
+// topology step and the value-less shape skeleton are class work; per
+// net only the driver resistance and sink pin caps go through the
+// oracle's numeric step, and the sink-node order joins the shape.
+//
 // Every finding is a typed core::Diagnostic; when a DesignSourceMap is
 // supplied (designs parsed from text) findings carry exact
 // file:line:column provenance.  Severity contract: combinational

@@ -13,7 +13,7 @@ namespace awesim::check {
 
 namespace {
 
-bool is_ground(const std::string& name) {
+bool is_ground(std::string_view name) {
   return name == "0" || name == "gnd" || name == "GND";
 }
 
@@ -53,93 +53,138 @@ double hankel_condition(double spread, int order) {
   return std::pow(10.0, digits);
 }
 
-ConditioningEstimate assess(const OracleInput& input,
-                            const OracleOptions& options) {
-  ConditioningEstimate est;
-  est.nonequilibrium_ic = input.nonequilibrium_ic;
+OracleTopologyBuilder::OracleTopologyBuilder(std::size_t elements) {
+  ids_.reserve(elements + 2);
+  topology_.resistances.reserve(elements);
+  edges_.reserve(elements);
+}
 
-  // Node table: ground pinned at 0, others in first-appearance order.
-  // Hashed with string_view keys into the caller's element strings (the
-  // input outlives this call), and interned in ONE pass that caches the
-  // dense ids per element -- on kilo-node nets the repeated ordered-map
-  // probes were the whole cost of the audit's conditioning tier.
-  std::unordered_map<std::string_view, int> ids;
-  ids.reserve(input.elements.size() + 1);
-  const auto intern = [&](const std::string& name) {
-    if (is_ground(name)) return 0;
-    const auto [it, inserted] =
-        ids.try_emplace(std::string_view(name),
-                        static_cast<int>(ids.size()) + 1);
-    return it->second;
-  };
+int OracleTopologyBuilder::node(std::string_view name) {
+  if (is_ground(name)) return 0;
+  const auto [it, inserted] =
+      ids_.try_emplace(name, static_cast<int>(ids_.size()) + 1);
+  if (inserted) topology_.cap.resize(ids_.size() + 1, 0.0);
+  return it->second;
+}
 
-  bool has_inductor = false;
-  double sum_r = 0.0, sum_c = 0.0;
-  std::vector<std::pair<int, int>> ends;
-  ends.reserve(input.elements.size());
-  for (const OracleElement& e : input.elements) {
-    ends.emplace_back(intern(e.node_a), intern(e.node_b));
-    switch (e.kind) {
-      case OracleElement::Kind::Resistor: sum_r += e.value; break;
-      case OracleElement::Kind::Capacitor: sum_c += e.value; break;
-      case OracleElement::Kind::Inductor: has_inductor = true; break;
-    }
-  }
-  const int source_id =
-      input.source.empty() || is_ground(input.source) ? -1
-                                                      : intern(input.source);
-  const std::size_t n = ids.size() + 1;
-
-  // Per-node grounded capacitance (coupling caps count on both plates:
-  // the Elmore walk treats them as grounded, a deliberate overestimate).
-  std::vector<double> cap(n, 0.0);
-  // Resistive adjacency; edges touching ground are never traversed
-  // (ground is a potential sink, not a tree branch).
-  std::vector<std::vector<std::pair<int, double>>> adj(n);
-  for (std::size_t i = 0; i < input.elements.size(); ++i) {
-    const OracleElement& e = input.elements[i];
-    const auto [a, b] = ends[i];
-    if (e.kind == OracleElement::Kind::Capacitor) {
-      if (a != 0) cap[static_cast<std::size_t>(a)] += e.value;
-      if (b != 0) cap[static_cast<std::size_t>(b)] += e.value;
-    } else if (e.kind == OracleElement::Kind::Resistor) {
-      if (a != 0 && b != 0 && e.value > 0.0 && std::isfinite(e.value)) {
-        adj[static_cast<std::size_t>(a)].push_back({b, e.value});
-        adj[static_cast<std::size_t>(b)].push_back({a, e.value});
+void OracleTopologyBuilder::add(OracleElement::Kind kind, int a, int b,
+                                double value) {
+  OracleTopology& t = topology_;
+  switch (kind) {
+    case OracleElement::Kind::Resistor:
+      t.resistances.push_back(value);
+      // Edges touching ground are never traversed (ground is a
+      // potential sink, not a tree branch).
+      if (a != 0 && b != 0 && value > 0.0 && std::isfinite(value)) {
+        edges_.push_back({a, b, value});
       }
+      break;
+    case OracleElement::Kind::Capacitor:
+      t.cap_sum += value;
+      if (a != 0) t.cap[static_cast<std::size_t>(a)] += value;
+      if (b != 0) t.cap[static_cast<std::size_t>(b)] += value;
+      break;
+    case OracleElement::Kind::Inductor:
+      t.has_inductor = true;
+      break;
+  }
+}
+
+OracleTopology OracleTopologyBuilder::build(int source, int driver,
+                                            bool nonequilibrium_ic) && {
+  OracleTopology t = std::move(topology_);
+  t.nodes = ids_.size() + 1;
+  t.cap.resize(t.nodes, 0.0);
+  t.source = source;
+  t.driver = driver;
+  t.nonequilibrium_ic = nonequilibrium_ic;
+  if (source <= 0 || t.has_inductor) return t;  // never a tree
+
+  // Resistive adjacency as compressed rows, each row in element order.
+  const std::size_t n = t.nodes;
+  std::vector<std::size_t> start(n + 1, 0);
+  for (const Edge& e : edges_) {
+    ++start[static_cast<std::size_t>(e.a) + 1];
+    ++start[static_cast<std::size_t>(e.b) + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) start[i + 1] += start[i];
+  std::vector<std::pair<int, double>> adj(start[n]);
+  {
+    std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+    for (const Edge& e : edges_) {
+      adj[fill[static_cast<std::size_t>(e.a)]++] = {e.b, e.r};
+      adj[fill[static_cast<std::size_t>(e.b)]++] = {e.a, e.r};
     }
   }
 
-  const int source = source_id;
-
-  bool tree = source > 0 && !has_inductor;
-  std::vector<int> parent(n, -1);
-  std::vector<double> edge_r(n, 0.0), r_path(n, 0.0);
-  std::vector<int> order;  // BFS order, source first
-  if (tree) {
+  // BFS from the source.  With the driver edge it is the first element,
+  // so it leads both endpoints' rows.
+  const auto walk = [&](bool with_driver) {
+    OracleTopology::Walk w;
+    w.parent.assign(n, -1);
+    w.edge_r.assign(n, 0.0);
     std::vector<char> seen(n, 0);
     seen[static_cast<std::size_t>(source)] = 1;
-    order.push_back(source);
-    for (std::size_t head = 0; head < order.size() && tree; ++head) {
-      const int u = order[head];
-      for (const auto& [v, r] : adj[static_cast<std::size_t>(u)]) {
-        if (v == parent[static_cast<std::size_t>(u)]) continue;
-        if (seen[static_cast<std::size_t>(v)]) {
-          tree = false;  // resistive loop: a mesh, taus are not exact
-          break;
-        }
+    w.order.push_back(source);
+    bool tree = true;
+    for (std::size_t head = 0; head < w.order.size() && tree; ++head) {
+      const int u = w.order[head];
+      const auto visit = [&](int v, double r) {
+        if (v == w.parent[static_cast<std::size_t>(u)]) return true;
+        if (seen[static_cast<std::size_t>(v)]) return false;  // a loop
         seen[static_cast<std::size_t>(v)] = 1;
-        parent[static_cast<std::size_t>(v)] = u;
-        edge_r[static_cast<std::size_t>(v)] = r;
-        r_path[static_cast<std::size_t>(v)] =
-            r_path[static_cast<std::size_t>(u)] + r;
-        order.push_back(v);
+        w.parent[static_cast<std::size_t>(v)] = u;
+        w.edge_r[static_cast<std::size_t>(v)] = r;
+        w.order.push_back(v);
+        return true;
+      };
+      if (with_driver && u == source) tree = visit(driver, 0.0);
+      if (tree && with_driver && u == driver) tree = visit(source, 0.0);
+      const std::size_t row = static_cast<std::size_t>(u);
+      for (std::size_t k = start[row]; k < start[row + 1] && tree; ++k) {
+        tree = visit(adj[k].first, adj[k].second);
       }
     }
-  }
+    w.tree = tree;
+    if (!tree) w = OracleTopology::Walk{};  // only the verdict is read
+    return w;
+  };
+  t.bare = walk(false);
+  // A driver edge to ground is never traversed, as any ground tie.
+  if (driver > 0) t.driven = walk(true);
+  return t;
+}
 
-  if (tree) {
+ConditioningEstimate assess(const OracleTopology& topology,
+                            const OracleInstance& instance,
+                            const OracleOptions& options) {
+  ConditioningEstimate est;
+  est.nonequilibrium_ic = topology.nonequilibrium_ic;
+
+  // Per-node grounded capacitance: the topology's, then the pin caps.
+  std::vector<double> cap = topology.cap;
+  for (const auto& [node, c] : instance.pin_caps) {
+    if (node != 0) cap[static_cast<std::size_t>(node)] += c;
+  }
+  const bool driven = topology.driver > 0 && instance.drive > 0.0 &&
+                      std::isfinite(instance.drive);
+  const OracleTopology::Walk& walk = driven ? topology.driven
+                                            : topology.bare;
+  const std::vector<int>& order = walk.order;
+  const std::vector<int>& parent = walk.parent;
+  const std::size_t n = topology.nodes;
+  const int source = topology.source;
+
+  if (walk.tree) {
     est.rc_tree = true;
+    std::vector<double> edge_r = walk.edge_r;
+    if (driven) edge_r[static_cast<std::size_t>(topology.driver)] =
+        instance.drive;
+    std::vector<double> r_path(n, 0.0);
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      const auto v = static_cast<std::size_t>(order[i]);
+      r_path[v] = r_path[static_cast<std::size_t>(parent[v])] + edge_r[v];
+    }
     // Exact Elmore time constants: tau_i = R(source->i) * C_i.
     for (const int u : order) {
       const double tau = r_path[static_cast<std::size_t>(u)] *
@@ -198,7 +243,13 @@ ConditioningEstimate assess(const OracleInput& input,
                          (m2[worst] * m2[worst]);
     }
   } else {
-    // Coarse lumped estimate: one time constant, no spread signal.
+    // Coarse lumped estimate: one time constant, no spread signal.  The
+    // sums run in element order: driver edge, topology, pin caps.
+    double sum_r = 0.0;
+    if (topology.driver >= 0) sum_r += instance.drive;
+    for (const double r : topology.resistances) sum_r += r;
+    double sum_c = topology.cap_sum;
+    for (const auto& pin : instance.pin_caps) sum_c += pin.second;
     est.rc_tree = false;
     est.elmore_delay = sum_r * sum_c;
     for (std::size_t i = 1; i < n; ++i) {
@@ -218,6 +269,21 @@ ConditioningEstimate assess(const OracleInput& input,
                options.target_order < est.min_safe_order;
   est.detail = describe(est, options.target_order);
   return est;
+}
+
+ConditioningEstimate assess(const OracleInput& input,
+                            const OracleOptions& options) {
+  OracleTopologyBuilder builder(input.elements.size());
+  for (const OracleElement& e : input.elements) {
+    const int a = builder.node(e.node_a);
+    const int b = builder.node(e.node_b);
+    builder.add(e.kind, a, b, e.value);
+  }
+  const int source = input.source.empty() ? -1 : builder.node(input.source);
+  return assess(std::move(builder).build(source == 0 ? -1 : source,
+                                         /*driver=*/-1,
+                                         input.nonequilibrium_ic),
+                {}, options);
 }
 
 ConditioningEstimate assess_circuit(const circuit::Circuit& circuit,

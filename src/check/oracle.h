@@ -45,6 +45,9 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -118,6 +121,106 @@ struct OracleInput {
   bool nonequilibrium_ic = false;
 };
 
+/// The oracle runs as two steps over one core, so a caller assessing
+/// many instances of one content class pays for names and topology
+/// once:
+///
+///   * the *topology* (class) step interns node names to dense ids and
+///     builds everything that depends on the element list alone -- the
+///     resistive adjacency, the tree/loop verdict and BFS order from the
+///     source, the per-node parasitic capacitance and its sum;
+///   * the *numeric* (instance) step adds what one use of the content
+///     puts around it -- a driver resistance from the source as the
+///     first element, grounded pin caps after the last -- and computes
+///     the Elmore taus, the first three tree moments, the order window
+///     and the verdict sentence on integer-indexed arrays.
+///
+/// Both steps keep the single-pass arithmetic order (element order for
+/// every sum, BFS order for every walk), so an estimate is the same
+/// bits whichever front door produced it.
+struct OracleTopology {
+  /// Dense node ids [0, nodes); 0 is ground.
+  std::size_t nodes = 1;
+  /// Node the ideal source drives; -1 when there is none (the lumped
+  /// estimate only).
+  int source = -1;
+  /// Node a per-instance driver edge ties to `source`, or -1 when the
+  /// instances carry no driver edge.
+  int driver = -1;
+  bool has_inductor = false;
+  bool nonequilibrium_ic = false;
+  /// Every resistor value, in element order (the lumped R sum).
+  std::vector<double> resistances;
+  /// Per-node grounded capacitance, accumulated in element order
+  /// (coupling caps count on both plates).
+  std::vector<double> cap;
+  /// Every capacitor value summed in element order.
+  double cap_sum = 0.0;
+
+  /// One BFS over the resistive adjacency from `source`.
+  struct Walk {
+    /// No resistive loop reachable from the source.
+    bool tree = false;
+    /// BFS order, source first (empty unless `tree`).
+    std::vector<int> order;
+    /// Per node: BFS parent (-1 off the tree) and the resistance of the
+    /// edge to it.  The driver edge's entry is a placeholder that the
+    /// instance's drive resistance replaces.
+    std::vector<int> parent;
+    std::vector<double> edge_r;
+  };
+  /// The walk without the driver edge and, when `driver > 0`, with it
+  /// stamped ahead of every other element.
+  Walk bare;
+  Walk driven;
+};
+
+/// Builds an OracleTopology from elements over node names.  Names are
+/// held as views: each must stay alive until build().
+class OracleTopologyBuilder {
+ public:
+  explicit OracleTopologyBuilder(std::size_t elements = 0);
+
+  /// Dense id of `name`: 0 for a ground name, otherwise the next id on
+  /// first use.
+  int node(std::string_view name);
+  /// Ids handed out so far, ground included.
+  std::size_t nodes() const { return ids_.size() + 1; }
+  /// Append one element between interned nodes.
+  void add(OracleElement::Kind kind, int a, int b, double value);
+  /// Finish the class step: `source` as above (-1 for none), `driver`
+  /// the node per-instance driver edges tie to it (-1 for none).
+  OracleTopology build(int source, int driver, bool nonequilibrium_ic) &&;
+
+ private:
+  struct Edge {
+    int a;
+    int b;
+    double r;
+  };
+  std::unordered_map<std::string_view, int> ids_;
+  OracleTopology topology_;
+  /// Traversable resistors (both ends off ground, finite and positive),
+  /// in element order.
+  std::vector<Edge> edges_;
+};
+
+/// What one instance puts around a topology's elements.
+struct OracleInstance {
+  /// Resistance of the driver edge source -> topology.driver, the first
+  /// element (ignored when the topology has no driver node; no edge
+  /// when not finite and positive, but it still enters the R sum).
+  double drive = 0.0;
+  /// Grounded caps (node id, farads) after the last element, in order.
+  std::vector<std::pair<int, double>> pin_caps;
+};
+
+/// The numeric step: one instance of a class topology.
+ConditioningEstimate assess(const OracleTopology& topology,
+                            const OracleInstance& instance,
+                            const OracleOptions& options = {});
+
+/// Both steps over a generic element list (no driver edge, no pin caps).
 ConditioningEstimate assess(const OracleInput& input,
                             const OracleOptions& options = {});
 

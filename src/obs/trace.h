@@ -31,6 +31,12 @@
 //   parallel.job     one thread-pool job (wraps timing.stage)
 //   check.lint       one static lint pass over a circuit
 //   audit.parse      one design-netlist parse (audit::parse_design)
+//   audit.graph      the audit's graph tier
+//   audit.classes    content keys serialized and nets grouped into
+//                    content classes (once per audit_design)
+//   audit.conditioning  the conditioning tier (audit.cell included)
+//   audit.cell       one content class's eligibility and oracle topology
+//   audit.repetition the repetition tier
 //   session.reuse    one stage served from the Session stage cache
 //                    (verified hit in the serial pre-pass)
 //   session.invalidate  one cache entry dropped (failed verification

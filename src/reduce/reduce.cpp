@@ -107,51 +107,83 @@ const char* to_string(Eligibility eligibility) {
   return "unknown";
 }
 
-Eligibility net_eligibility(const timing::Net& net,
-                            const ReduceOptions& options) {
+namespace {
+
+/// The gates that read only the net's boundary, in reduce_net's order.
+Eligibility boundary_gates(const timing::Net& net, std::size_t ports,
+                           const ReduceOptions& options) {
   if (!net.macros.empty()) return Eligibility::HasMacros;
-  const std::set<std::string> boundary = boundary_names(net);
-  if (boundary.size() > options.max_ports) return Eligibility::TooManyPorts;
+  if (ports > options.max_ports) return Eligibility::TooManyPorts;
   for (const auto& [gate, node] : net.sink_node) {
     (void)gate;
     if (is_ground(node)) return Eligibility::SinkAtGround;
   }
-  NodeTable table;
-  table.ids.reserve(boundary.size() + net.parasitics.size());
-  for (const std::string& name : boundary) table.intern(name);
-  table.boundary = table.ids.size();
-  // One pass: intern endpoints and build the classification edges
-  // together (the interior-count gate just reads the edges back).
-  std::vector<check::Edge> edges;
-  edges.reserve(net.parasitics.size());
-  for (const timing::NetElement& e : net.parasitics) {
-    check::Edge edge;
-    edge.a = table.intern(e.node_a);
-    edge.b = table.intern(e.node_b);
-    switch (e.kind) {
-      case timing::NetElement::Kind::Resistor:
-        edge.kind = check::Edge::Kind::Resistive;
-        break;
-      case timing::NetElement::Kind::Capacitor:
-        edge.kind = check::Edge::Kind::Capacitive;
-        break;
-      case timing::NetElement::Kind::Inductor:
-        edge.kind = check::Edge::Kind::Inductive;
-        break;
-    }
-    edges.push_back(edge);
-  }
-  const std::size_t ni = table.ids.size() - table.boundary;
+  return Eligibility::Eligible;
+}
+
+/// The gates that read the interned node table.
+Eligibility table_gates(const InternedNet& table,
+                        const ReduceOptions& options) {
+  const std::size_t ni = table.nodes - table.boundary_nodes;
   if (ni < std::max<std::size_t>(options.min_interior, 1)) {
     return Eligibility::InteriorTooSmall;
   }
   const check::TopologyClass cls =
-      check::classify_edges(table.ids.size() + 1, edges);
+      check::classify_edges(table.nodes + 1, table.edges);
   if (cls != check::TopologyClass::RcTree &&
       cls != check::TopologyClass::RcMesh) {
     return Eligibility::NonRc;
   }
   return Eligibility::Eligible;
+}
+
+}  // namespace
+
+void InternedNet::add(timing::NetElement::Kind kind, int a, int b) {
+  check::Edge edge;
+  edge.a = a;
+  edge.b = b;
+  switch (kind) {
+    case timing::NetElement::Kind::Resistor:
+      edge.kind = check::Edge::Kind::Resistive;
+      break;
+    case timing::NetElement::Kind::Capacitor:
+      edge.kind = check::Edge::Kind::Capacitive;
+      break;
+    case timing::NetElement::Kind::Inductor:
+      edge.kind = check::Edge::Kind::Inductive;
+      break;
+  }
+  edges.push_back(edge);
+}
+
+Eligibility net_eligibility(const timing::Net& net,
+                            const ReduceOptions& options) {
+  const std::set<std::string> boundary = boundary_names(net);
+  const Eligibility early = boundary_gates(net, boundary.size(), options);
+  if (early != Eligibility::Eligible) return early;
+  NodeTable table;
+  table.ids.reserve(boundary.size() + net.parasitics.size());
+  for (const std::string& name : boundary) table.intern(name);
+  InternedNet interned;
+  interned.ports = boundary.size();
+  interned.boundary_nodes = table.ids.size();
+  interned.edges.reserve(net.parasitics.size());
+  for (const timing::NetElement& e : net.parasitics) {
+    const int a = table.intern(e.node_a);
+    const int b = table.intern(e.node_b);
+    interned.add(e.kind, a, b);
+  }
+  interned.nodes = table.ids.size();
+  return table_gates(interned, options);
+}
+
+Eligibility net_eligibility(const timing::Net& net,
+                            const InternedNet& interned,
+                            const ReduceOptions& options) {
+  const Eligibility early = boundary_gates(net, interned.ports, options);
+  if (early != Eligibility::Eligible) return early;
+  return table_gates(interned, options);
 }
 
 std::string reduction_content_key(const timing::Net& net,
@@ -164,6 +196,17 @@ std::string reduction_content_key(const timing::Net& net,
         .text(e.node_a)
         .text(e.node_b)
         .number(e.value);
+  }
+  // A net that already carries macros is a different circuit from its
+  // parasitics alone (and refuses reduction): every stamp entry is
+  // content, as in the stage key's 'M' section.
+  kb.tag('M').integer(net.macros.size());
+  for (const timing::NetMacro& m : net.macros) {
+    kb.integer(m.ports.size()).integer(m.states);
+    for (const std::string& port : m.ports) kb.text(port);
+    for (const double v : m.g) kb.number(v);
+    for (const double v : m.c) kb.number(v);
+    kb.number(m.sum_resistance).number(m.sum_capacitance);
   }
   const std::set<std::string> boundary = boundary_names(net);
   kb.tag('B').integer(boundary.size());
@@ -514,8 +557,15 @@ DesignReduction reduce_design(const timing::Design& design,
       cached = std::move(fresh);
     }
 
-    timing::Net stitched = net;
-    if (cached->reduced) {
+    // A served reduction replaces the parasitics wholesale: build the
+    // stitched net from its parts rather than copy what it replaces.
+    timing::Net stitched;
+    stitched.name = net.name;
+    stitched.sink_node = net.sink_node;
+    if (!cached->reduced) {
+      stitched.parasitics = net.parasitics;
+      stitched.macros = net.macros;
+    } else {
       stitched.parasitics = cached->parasitics;
       stitched.macros = cached->macros;
       ++out.nets_reduced;

@@ -59,7 +59,9 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
+#include "check/partition.h"
 #include "core/diagnostic.h"
 #include "timing/analyzer.h"
 
@@ -128,12 +130,37 @@ const char* to_string(Eligibility eligibility);
 Eligibility net_eligibility(const timing::Net& net,
                             const ReduceOptions& options = {});
 
+/// A net's nodes as a caller already interned them (dense ids from 1,
+/// ground 0, every name one id), so a caller that needs the same table
+/// for its own walk does not build a second one.
+struct InternedNet {
+  /// Distinct boundary names: "DRV" and every sink hookup, ground names
+  /// included.
+  std::size_t ports = 0;
+  /// Distinct non-ground boundary names.
+  std::size_t boundary_nodes = 0;
+  /// Distinct non-ground names over the boundary and the parasitics;
+  /// every id in `edges` is at most this.
+  std::size_t nodes = 0;
+  /// Every parasitic by node ids, in element order.
+  std::vector<check::Edge> edges;
+
+  /// Append the next parasitic's edge.
+  void add(timing::NetElement::Kind kind, int a, int b);
+};
+
+/// net_eligibility over `interned`, the same gates in the same order.
+Eligibility net_eligibility(const timing::Net& net,
+                            const InternedNet& interned,
+                            const ReduceOptions& options = {});
+
 /// The exact bytes a net's reduction depends on: parasitics (kind,
-/// nodes, value), the sorted boundary node-name set, and every
-/// ReduceOptions field.  Deliberately name-agnostic (net name, sink
-/// *gate* names, and gate parameters are absent), so two instances of
-/// the same cell under different names share one reduction -- wrap with
-/// timing::detail::reduction_key() to address a StageCache entry.
+/// nodes, value), any macros the net already carries, the sorted
+/// boundary node-name set, and every ReduceOptions field.  Deliberately
+/// name-agnostic (net name, sink *gate* names, and gate parameters are
+/// absent), so two instances of the same cell under different names
+/// share one reduction -- wrap with timing::detail::reduction_key() to
+/// address a StageCache entry.
 std::string reduction_content_key(const timing::Net& net,
                                   const ReduceOptions& options);
 

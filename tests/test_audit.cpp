@@ -470,6 +470,199 @@ TEST(EnginePreflight, AuditAnnotatesResultsWithoutChangingThem) {
 }
 
 // ---------------------------------------------------------------------
+// Content classes: what one class shares and what stays per instance.
+
+/// A design of one gate per net plus the sink gates, every gate with
+/// the given drive resistance and pin cap unless named in `cin`.
+timing::Design gate_design(const std::vector<std::string>& gates,
+                           const std::map<std::string, double>& cin = {}) {
+  timing::Design design;
+  for (const std::string& name : gates) {
+    timing::Gate g;
+    g.name = name;
+    g.drive_resistance = 400.0;
+    const auto it = cin.find(name);
+    if (it != cin.end()) g.input_capacitance = it->second;
+    design.add_gate(g);
+  }
+  return design;
+}
+
+TEST(AuditClasses, NetCarryingMacrosIsItsOwnClass) {
+  const auto stage = timing::testutil::rc_line_design(41, 30);
+  timing::Net plain = stage.design.net_at(0);
+  plain.name = "plain";
+  timing::Net with_macro = plain;
+  with_macro.name = "with_macro";
+  with_macro.sink_node.clear();
+  with_macro.sink_node["snk2"] = plain.sink_node.at("snk");
+  timing::NetMacro macro;
+  macro.ports = {"DRV"};
+  macro.g = {1e-3};
+  macro.c = {0.0};
+  with_macro.macros.push_back(macro);
+  timing::Design design = gate_design({"drv", "drv2", "snk", "snk2"});
+  design.set_primary_input("drv");
+  design.set_primary_input("drv2");
+  design.add_net("drv", plain);
+  design.add_net("drv2", with_macro);
+
+  const AuditReport report = audit_design(design);
+  ASSERT_EQ(report.nets.size(), 2u);
+  EXPECT_EQ(report.nets[0].eligibility, reduce::Eligibility::Eligible);
+  EXPECT_EQ(report.nets[1].eligibility, reduce::Eligibility::HasMacros);
+  EXPECT_TRUE(report.repeated.empty());
+  EXPECT_EQ(find_code(report, core::DiagCode::RepeatedStructure), nullptr);
+}
+
+TEST(AuditClasses, PermutedSinkPinsGetTheirOwnEstimate) {
+  // One RC tree cell with two sinks; both nets attach a 1 fF and a 9 fF
+  // pin, but at swapped nodes (the sink gates sort the other way).
+  timing::Net cell;
+  cell.parasitics = {
+      timing::testutil::r("DRV", "a", 100.0),
+      timing::testutil::r("a", "S0", 50.0),
+      timing::testutil::r("DRV", "b", 3000.0),
+      timing::testutil::r("b", "S1", 20.0),
+      timing::testutil::c("a", 2e-15),
+      timing::testutil::c("b", 4e-15),
+  };
+  timing::Net first = cell;
+  first.name = "n_first";
+  first.sink_node = {{"a1", "S1"}, {"b9", "S0"}};
+  timing::Net second = cell;
+  second.name = "n_second";
+  second.sink_node = {{"c1", "S0"}, {"d9", "S1"}};
+  timing::Design design =
+      gate_design({"d1", "d2", "a1", "b9", "c1", "d9"},
+                  {{"a1", 1e-15}, {"b9", 9e-15}, {"c1", 1e-15},
+                   {"d9", 9e-15}});
+  design.set_primary_input("d1");
+  design.set_primary_input("d2");
+  design.add_net("d1", first);
+  design.add_net("d2", second);
+
+  const AuditReport report = audit_design(design);
+  ASSERT_EQ(report.nets.size(), 2u);
+  ASSERT_EQ(report.repeated.size(), 1u);  // one content class
+  for (std::size_t i = 0; i < 2; ++i) {
+    const timing::Net& net = design.net_at(i);
+    check::OracleInput input;
+    input.source = "src";
+    input.elements.push_back(
+        {check::OracleElement::Kind::Resistor, "src", "DRV", 400.0});
+    for (const timing::NetElement& e : net.parasitics) {
+      input.elements.push_back(
+          {e.kind == timing::NetElement::Kind::Resistor
+               ? check::OracleElement::Kind::Resistor
+               : check::OracleElement::Kind::Capacitor,
+           e.node_a, e.node_b, e.value});
+    }
+    for (const auto& [gate, node] : net.sink_node) {
+      input.elements.push_back({check::OracleElement::Kind::Capacitor, node,
+                                "0",
+                                design.gates().at(gate).input_capacitance});
+    }
+    const check::ConditioningEstimate want = check::assess(input);
+    const check::ConditioningEstimate& got = report.nets[i].estimate;
+    EXPECT_TRUE(got.rc_tree);
+    EXPECT_EQ(got.tau_count, want.tau_count);
+    EXPECT_EQ(got.tau_min, want.tau_min) << net.name;
+    EXPECT_EQ(got.tau_max, want.tau_max) << net.name;
+    EXPECT_EQ(got.elmore_delay, want.elmore_delay) << net.name;
+    EXPECT_EQ(got.moment_ratio, want.moment_ratio) << net.name;
+    EXPECT_EQ(got.detail, want.detail);
+  }
+  EXPECT_NE(report.nets[0].estimate.tau_max, report.nets[1].estimate.tau_max);
+}
+
+/// Records the audit's spans under `options` and returns the count of
+/// each audit.* phase (absent phases count 0).
+std::map<std::string, std::uint64_t> audit_span_counts(
+    const timing::Design& design, const AuditOptions& options) {
+  const bool was_enabled = obs::tracing_enabled();
+  obs::set_tracing(true);
+  obs::reset_phases();
+  audit_design(design, options);
+  const obs::PhaseBreakdown phases = obs::snapshot();
+  obs::set_tracing(was_enabled);
+  obs::reset_phases();
+  std::map<std::string, std::uint64_t> counts;
+  for (const char* name : {"audit.graph", "audit.classes", "audit.cell",
+                           "audit.conditioning", "audit.repetition"}) {
+    counts[name] = 0;
+  }
+  for (const obs::NamedPhaseStats& p : phases) {
+    if (p.name.rfind("audit.", 0) == 0) counts[p.name] = p.stats.count;
+  }
+  return counts;
+}
+
+TEST(AuditSpans, OneCellSpanPerContentClassAndOneSpanPerTier) {
+  if (!obs::tracing_compiled_in()) GTEST_SKIP() << "tracing compiled out";
+  // 400 nets instantiating 24 cells; every gate has its own rdrive and
+  // cin, so no two nets share an electrical context.
+  constexpr int kNets = 400;
+  constexpr int kCells = 24;
+  std::vector<timing::Net> cells;
+  for (int c = 0; c < kCells; ++c) {
+    cells.push_back(timing::testutil::rc_tree_design(
+                        static_cast<std::uint32_t>(100 + c), 12)
+                        .design.net_at(0));
+  }
+  timing::Design design;
+  for (int i = 0; i <= kNets; ++i) {
+    timing::Gate g;
+    g.name = "g" + std::to_string(i);
+    g.drive_resistance = 200.0 + i;
+    g.input_capacitance = (2.0 + 0.01 * i) * 1e-15;
+    design.add_gate(g);
+  }
+  design.set_primary_input("g0");
+  for (int i = 0; i < kNets; ++i) {
+    timing::Net net = cells[static_cast<std::size_t>(i % kCells)];
+    net.name = "n" + std::to_string(i);
+    // Every sink of the cell is a pin of the next gate's instance: keep
+    // the hookup nodes, rename the sink gates to design outputs except
+    // the first, which drives the chain on.
+    std::map<std::string, std::string> sinks;
+    int k = 0;
+    for (const auto& [gate, node] : net.sink_node) {
+      (void)gate;
+      sinks[k++ == 0 ? "g" + std::to_string(i + 1)
+                     : "o" + std::to_string(i) + "_" + std::to_string(k)] =
+          node;
+    }
+    net.sink_node = std::move(sinks);
+    design.add_net("g" + std::to_string(i), std::move(net));
+  }
+
+  const auto all = audit_span_counts(design, {});
+  EXPECT_EQ(all.at("audit.cell"), static_cast<std::uint64_t>(kCells));
+  EXPECT_EQ(all.at("audit.graph"), 1u);
+  EXPECT_EQ(all.at("audit.classes"), 1u);
+  EXPECT_EQ(all.at("audit.conditioning"), 1u);
+  EXPECT_EQ(all.at("audit.repetition"), 1u);
+
+  for (int mask = 0; mask < 8; ++mask) {
+    AuditOptions options;
+    options.graph_rules = (mask & 1) != 0;
+    options.conditioning = (mask & 2) != 0;
+    options.repetition = (mask & 4) != 0;
+    SCOPED_TRACE(mask);
+    const auto counts = audit_span_counts(design, options);
+    EXPECT_EQ(counts.at("audit.graph"), options.graph_rules ? 1u : 0u);
+    EXPECT_EQ(counts.at("audit.conditioning"),
+              options.conditioning ? 1u : 0u);
+    EXPECT_EQ(counts.at("audit.repetition"), options.repetition ? 1u : 0u);
+    EXPECT_EQ(counts.at("audit.cell"),
+              options.conditioning ? static_cast<std::uint64_t>(kCells) : 0u);
+    EXPECT_EQ(counts.at("audit.classes"),
+              options.conditioning || options.repetition ? 1u : 0u);
+  }
+}
+
+// ---------------------------------------------------------------------
 // Eligibility precheck (tier-2 input, and the HierSession fast path).
 
 TEST(Eligibility, ClassifiesTheRefusalLadder) {

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -330,6 +331,87 @@ TEST(ReduceDesign, CacheCorruptionDrillRecovers) {
   EXPECT_EQ(cache->counters().invalidations, 1u);
   // Recomputation is deterministic: the recovered design is the same.
   expect_same_payload(first.design.analyze(), again.design.analyze());
+}
+
+/// Two copies of one 60-element RC line; the second also carries a
+/// hand-built one-port macro, so it is a different circuit with the same
+/// parasitics.  `macro_first` swaps their net order.
+Design plain_and_macro_design(bool macro_first) {
+  const auto stage = rc_line_design(41, 30);
+  Net plain = stage.design.net_at(0);
+  plain.name = "plain";
+  Net with_macro = plain;
+  with_macro.name = "with_macro";
+  with_macro.sink_node.clear();
+  with_macro.sink_node["snk2"] = plain.sink_node.at("snk");
+  timing::NetMacro macro;
+  macro.ports = {"DRV"};
+  macro.states = 0;
+  macro.g = {1e-3};
+  macro.c = {0.0};
+  with_macro.macros.push_back(macro);
+
+  Design design;
+  for (const char* name : {"drv", "drv2", "snk", "snk2"}) {
+    timing::Gate g;
+    g.name = name;
+    design.add_gate(g);
+  }
+  design.set_primary_input("drv");
+  design.set_primary_input("drv2");
+  if (macro_first) design.add_net("drv2", with_macro);
+  design.add_net("drv", plain);
+  if (!macro_first) design.add_net("drv2", with_macro);
+  return design;
+}
+
+void expect_same_net(const Net& a, const Net& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.sink_node, b.sink_node);
+  ASSERT_EQ(a.parasitics.size(), b.parasitics.size()) << a.name;
+  for (std::size_t i = 0; i < a.parasitics.size(); ++i) {
+    EXPECT_EQ(a.parasitics[i].kind, b.parasitics[i].kind);
+    EXPECT_EQ(a.parasitics[i].node_a, b.parasitics[i].node_a);
+    EXPECT_EQ(a.parasitics[i].node_b, b.parasitics[i].node_b);
+    EXPECT_EQ(std::memcmp(&a.parasitics[i].value, &b.parasitics[i].value,
+                          sizeof(double)),
+              0);
+  }
+  ASSERT_EQ(a.macros.size(), b.macros.size()) << a.name;
+  for (std::size_t m = 0; m < a.macros.size(); ++m) {
+    EXPECT_EQ(a.macros[m].ports, b.macros[m].ports);
+    EXPECT_EQ(a.macros[m].states, b.macros[m].states);
+    ASSERT_EQ(a.macros[m].g.size(), b.macros[m].g.size());
+    ASSERT_EQ(a.macros[m].c.size(), b.macros[m].c.size());
+    EXPECT_EQ(std::memcmp(a.macros[m].g.data(), b.macros[m].g.data(),
+                          a.macros[m].g.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(a.macros[m].c.data(), b.macros[m].c.data(),
+                          a.macros[m].c.size() * sizeof(double)),
+              0);
+  }
+}
+
+TEST(ReduceDesign, StoreNeverServesANetThatCarriesItsOwnMacros) {
+  for (const bool macro_first : {false, true}) {
+    SCOPED_TRACE(macro_first ? "macro net first" : "plain net first");
+    const Design design = plain_and_macro_design(macro_first);
+    EXPECT_NE(reduction_content_key(design.net_at(0), {}),
+              reduction_content_key(design.net_at(1), {}));
+    const DesignReduction cold = reduce_design(design);
+    auto cache = std::make_shared<timing::detail::StageCache>();
+    const DesignReduction stored = reduce_design(design, {}, cache.get());
+    EXPECT_EQ(cold.nets_reduced, 1u);
+    EXPECT_EQ(stored.nets_reduced, cold.nets_reduced);
+    EXPECT_EQ(stored.cache_hits, 0u);
+    ASSERT_EQ(stored.design.net_count(), cold.design.net_count());
+    for (std::size_t i = 0; i < cold.design.net_count(); ++i) {
+      expect_same_net(stored.design.net_at(i), cold.design.net_at(i));
+    }
+    // The macro net comes back as it went in.
+    const std::size_t m = macro_first ? 0 : 1;
+    expect_same_net(stored.design.net_at(m), design.net_at(m));
+  }
 }
 
 // ---------------------------------------------------------------------
