@@ -38,8 +38,8 @@ struct Stats {
 
   /// Incremental-session cache counters (see timing::Session and
   /// DESIGN.md "Incremental re-analysis").  `cache_hits`/`cache_misses`
-  /// count individual cache lookups (stage results AND shared LU
-  /// factorizations); `stages_reused`/`stages_recomputed` count whole
+  /// count stage-result lookups only (a recomputed stage is one miss);
+  /// `stages_reused`/`stages_recomputed` count whole
   /// stages served from the cache vs evaluated fresh.  All four stay 0
   /// for a plain Design::analyze (no cache attached) and are pure
   /// functions of the cache state, hence bit-identical across thread
@@ -48,12 +48,11 @@ struct Stats {
   std::uint64_t cache_misses = 0;
   std::uint64_t stages_reused = 0;
   std::uint64_t stages_recomputed = 0;
-  /// Cache entries FIFO-evicted at the capacity limits *during this
-  /// analysis* (stage records, LU factorizations, lint reports, and net
-  /// reductions combined).  Zero on an unbounded-fit workload; nonzero means the
-  /// working set outruns the StageCache caps and warm speedups are
-  /// partially lost -- previously invisible outside Session::
-  /// cache_stats(), now in every report and bench snapshot.
+  /// Cache entries FIFO-evicted at the capacity limits by this
+  /// analysis's own inserts (stage records and lint reports), so
+  /// analyses overlapping on one shared cache never count each other's.
+  /// Zero on an unbounded-fit workload; nonzero means the working set
+  /// outruns the StageCache caps and warm speedups are partially lost.
   std::uint64_t cache_evictions = 0;
 
   /// Always 0: nothing writes it.  A leftover of the deleted low-rank

@@ -422,36 +422,22 @@ Solver MnaSystem::factor(double shift) const {
   }
 }
 
+const Solver& MnaSystem::g_solver() const {
+  if (!g_solver_) g_solver_.emplace(factor(0.0));
+  return *g_solver_;
+}
+
 la::RealVector MnaSystem::solve(const la::RealVector& rhs) const {
-  if (!g_solver_) {
-    g_solver_ = std::make_shared<const Solver>(factor(0.0));
-  }
+  const Solver& solver = g_solver();
   ++solve_stats_.substitutions;
-  return g_solver_->solve(rhs);
-}
-
-std::shared_ptr<const Solver> MnaSystem::shared_g_solver() const {
-  if (!g_solver_) {
-    g_solver_ = std::make_shared<const Solver>(factor(0.0));
-  }
-  return g_solver_;
-}
-
-void MnaSystem::adopt_g_solver(
-    std::shared_ptr<const Solver> solver, bool used_gmin,
-    const core::Diagnostics& factor_diagnostics) const {
-  g_solver_ = std::move(solver);
-  used_gmin_ = used_gmin;
-  for (const auto& d : factor_diagnostics) diagnostics_.push_back(d);
+  return solver.solve(rhs);
 }
 
 std::vector<la::RealVector> MnaSystem::solve_multi(
     const std::vector<la::RealVector>& rhs) const {
-  if (!g_solver_) {
-    g_solver_ = std::make_shared<const Solver>(factor(0.0));
-  }
+  const Solver& solver = g_solver();
   solve_stats_.substitutions += rhs.size();
-  return g_solver_->solve_multi(rhs);
+  return solver.solve_multi(rhs);
 }
 
 const Solver& MnaSystem::shifted(double a) const {
@@ -463,9 +449,7 @@ const Solver& MnaSystem::shifted(double a) const {
 }
 
 bool MnaSystem::used_gmin() const {
-  if (!g_solver_) {
-    g_solver_ = std::make_shared<const Solver>(factor(0.0));
-  }
+  g_solver();
   return used_gmin_;
 }
 

@@ -194,23 +194,6 @@ class MnaSystem {
   /// sigma-limit initial-value computations (a = sigma).
   const Solver& shifted(double a) const;
 
-  /// The cached factorization of G as a shareable handle (factoring it
-  /// now if this system never solved).  The handle stays valid after the
-  /// system dies, so a stage cache can keep LU factors alive across
-  /// re-analyses of content-identical circuits.
-  std::shared_ptr<const Solver> shared_g_solver() const;
-
-  /// Adopt a factorization of G produced by a *content-identical* system
-  /// (same stamped G and C triplets -- the caller's contract, enforced in
-  /// `timing::Session` by exact content-key equality, never by hash
-  /// alone).  Replays the donor's gmin flag and factor-time diagnostics
-  /// so every observable of this system matches what a fresh
-  /// factorization would have produced; only the LU work itself is
-  /// skipped (solve_stats().factorizations stays at 0 for the adopted
-  /// factor).
-  void adopt_g_solver(std::shared_ptr<const Solver> solver, bool used_gmin,
-                      const core::Diagnostics& factor_diagnostics) const;
-
   /// y = C x (sparse multiply).
   la::RealVector apply_C(const la::RealVector& x) const;
 
@@ -221,6 +204,7 @@ class MnaSystem {
   void stamp(const circuit::Circuit& ckt);
   void build_events(const circuit::Circuit& ckt);
   Solver factor(double shift) const;  // builds (G + shift*C) solver
+  const Solver& g_solver() const;     // factors G on first use
 
   const circuit::Circuit* ckt_;
   Options options_;
@@ -236,7 +220,7 @@ class MnaSystem {
   mutable bool x0_built_ = false;
   std::vector<SourceEvent> events_;
   std::vector<std::pair<std::string, std::size_t>> branch_indices_;
-  mutable std::shared_ptr<const Solver> g_solver_;
+  mutable std::optional<Solver> g_solver_;
   mutable std::map<double, std::unique_ptr<Solver>> shifted_;
   mutable bool used_gmin_ = false;
   mutable SolveStats solve_stats_;

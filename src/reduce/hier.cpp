@@ -111,9 +111,9 @@ void HierSession::rebuild_inner() {
   for (const std::string& pi : d.primary_inputs()) {
     reduced.set_primary_input(pi);
   }
-  // The inner session shares the cache, so stage results and LU factors
-  // of nets whose reduced content did not change keep hitting across
-  // rebuilds.
+  // The inner session shares the cache, so stage results and lint
+  // reports of nets whose reduced content did not change keep hitting
+  // across rebuilds.
   inner_.emplace(std::move(reduced), options_, cache_);
   ++stats_.rebuilds;
 }

@@ -10,9 +10,8 @@
 // process-wide and a re-reduction of unchanged content is a pointer
 // lookup -- and rebuilds the inner session only when some net's
 // reduction artifact actually changed.  The inner session shares the
-// same StageCache, so stage results, LU factorizations, and lint
-// reports survive a rebuild; only stages whose reduced content changed
-// re-evaluate.
+// same StageCache, so stage results and lint reports survive a rebuild;
+// only stages whose reduced content changed re-evaluate.
 //
 // Invalidation-on-mutation: editing a parasitic inside a collapsed
 // region invalidates exactly that net's hint (content addressing does

@@ -356,8 +356,6 @@ json::Value lint_to_json(const check::LintReport& report) {
 json::Value cache_stats_to_json(const timing::Session::CacheStats& s) {
   json::Value v = json::Value::object();
   v.set("stage_entries", static_cast<unsigned long long>(s.stage_entries));
-  v.set("factorization_entries",
-        static_cast<unsigned long long>(s.factorization_entries));
   v.set("lint_entries", static_cast<unsigned long long>(s.lint_entries));
   v.set("hits", u64(s.hits));
   v.set("misses", u64(s.misses));

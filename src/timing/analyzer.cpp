@@ -48,7 +48,7 @@ void Design::set_primary_input(const std::string& gate) {
 }
 
 TimingReport Design::analyze(const AnalysisOptions& options) const {
-  return detail::analyze_design(*this, options, nullptr);
+  return detail::analyze_design(*this, options, nullptr, nullptr);
 }
 
 namespace detail {
@@ -59,10 +59,6 @@ TimingReport analyze_design(const Design& design,
                             std::vector<StageHint>* hints) {
   const auto t_start = std::chrono::steady_clock::now();
   if (options.cancel != nullptr) options.cancel->check("timing.analyze");
-  // Eviction window: StageCache counters are cumulative over the cache's
-  // lifetime; the report carries only the evictions this analysis caused.
-  const std::uint64_t evictions_before =
-      cache != nullptr ? cache->counters().evictions : 0;
   // Phase breakdown window: everything this analysis records, process-wide.
   // Concurrent analyses would fold into each other's windows; the span
   // *counts* stay a pure function of the work this call performed only
@@ -147,58 +143,35 @@ TimingReport analyze_design(const Design& design,
 
     std::vector<StageEvaluation> outcomes(jobs.size());
     std::vector<char> served(jobs.size(), 0);
-    std::vector<std::string> result_keys;
-    std::vector<std::string> content_keys;
-    std::vector<const std::string*> rkey;
-    std::vector<const std::string*> ckey;
-    std::vector<std::shared_ptr<const CachedFactorization>> adopt;
     std::vector<std::shared_ptr<const check::LintReport>> lint_pre;
     std::vector<core::Diagnostics> invalidation_diags;
 
     if (cache != nullptr) {
-      // Serial cache pre-pass, in job order: every lookup (stage result
-      // keys, then LU content keys for the misses) happens here, before
-      // any parallel work, so hit/miss counters, invalidations, and the
-      // served set are pure functions of the job sequence -- identical
-      // for every thread count.
-      result_keys.resize(jobs.size());
-      content_keys.resize(jobs.size());
-      rkey.resize(jobs.size(), nullptr);
-      ckey.resize(jobs.size(), nullptr);
-      adopt.resize(jobs.size());
+      // Serial cache pre-pass, in job order: every lookup (the stage
+      // result key, then the lint report's content key for the misses)
+      // happens here, before any parallel work, so hit/miss counters,
+      // invalidations, and the served set are pure functions of the job
+      // sequence -- identical for every thread count.
       lint_pre.resize(jobs.size());
       invalidation_diags.resize(jobs.size());
       for (std::size_t i = 0; i < jobs.size(); ++i) {
         const StageJob& job = jobs[i];
-        // Key memo: a Session hands per-net StageHint slots holding the
-        // serialized key bytes of the previous analyze.  Serializing a
-        // kilo-element net's key dominates a fully warm lookup, so an
-        // unchanged net reuses the bytes; the lookups below still run
-        // unconditionally (checksums, counters, fault probes included).
+        // Key memo: the Session's per-net StageHint holds the serialized
+        // key bytes of the previous analyze.  Serializing a kilo-element
+        // net's key dominates a fully warm lookup, so an unchanged net
+        // reuses the bytes; the lookups below still run unconditionally
+        // (checksums, counters, fault probes included).
         const Net& net = nets[job.net].net;
-        StageHint* hint = nullptr;
-        if (hints != nullptr && job.net < hints->size()) {
-          hint = &(*hints)[job.net];
+        StageHint& hint = (*hints)[job.net];
+        std::uint64_t slew_bits = 0;
+        std::memcpy(&slew_bits, &job.in_slew, sizeof slew_bits);
+        if (!hint.keys_valid || hint.in_slew_bits != slew_bits) {
+          hint.key = stage_result_key(*job.driver, net, gates, options,
+                                      job.in_slew, &hint.content_size);
+          hint.in_slew_bits = slew_bits;
+          hint.keys_valid = true;
         }
-        if (hint != nullptr) {
-          std::uint64_t slew_bits = 0;
-          std::memcpy(&slew_bits, &job.in_slew, sizeof slew_bits);
-          if (!hint->keys_valid || hint->in_slew_bits != slew_bits) {
-            hint->result_key = stage_result_key(*job.driver, net,
-                                                gates, options, job.in_slew);
-            hint->content_key =
-                stage_content_key(*job.driver, net, gates);
-            hint->in_slew_bits = slew_bits;
-            hint->keys_valid = true;
-          }
-          rkey[i] = &hint->result_key;
-          ckey[i] = &hint->content_key;
-        } else {
-          result_keys[i] = stage_result_key(*job.driver, net,
-                                            gates, options, job.in_slew);
-          rkey[i] = &result_keys[i];
-        }
-        auto hit = cache->lookup_stage(*rkey[i], net.name,
+        auto hit = cache->lookup_stage(hint.key, net.name,
                                        &invalidation_diags[i]);
         if (hit) {
           // Rehydrate the stage-relative record against this job's
@@ -217,13 +190,7 @@ TimingReport analyze_design(const Design& design,
           outcomes[i] = std::move(o);
           served[i] = 1;
         } else {
-          if (ckey[i] == nullptr) {
-            content_keys[i] = stage_content_key(*job.driver, net,
-                                                gates);
-            ckey[i] = &content_keys[i];
-          }
-          adopt[i] = cache->lookup_factorization(*ckey[i]);
-          lint_pre[i] = cache->lookup_lint(*ckey[i]);
+          lint_pre[i] = cache->lookup_lint(hint.content_key());
         }
       }
     }
@@ -262,9 +229,7 @@ TimingReport analyze_design(const Design& design,
                "injected thread-pool job fault", net.name});
         }
         outcomes[i] = detail::evaluate_stage(
-            *job.driver, net, gates, options, job.t_in,
-            job.in_slew, cache != nullptr ? adopt[i].get() : nullptr,
-            cache != nullptr,
+            *job.driver, net, gates, options, job.t_in, job.in_slew,
             cache != nullptr ? lint_pre[i] : nullptr);
       } catch (const std::exception& e) {
         outcomes[i] = detail::elmore_fallback_stage(
@@ -281,16 +246,16 @@ TimingReport analyze_design(const Design& design,
       if (cache != nullptr && !served[i]) {
         outcome.stats.stages_recomputed += 1;
         outcome.stats.cache_misses += 1;  // the stage-result lookup
-        if (adopt[i]) {
-          outcome.stats.cache_hits += 1;  // the LU content-key lookup
-        } else {
-          outcome.stats.cache_misses += 1;
-        }
+        const StageHint& hint = (*hints)[jobs[i].net];
+        // Evictions are counted from this analysis's own inserts, so
+        // analyses that overlap on one shared cache never count each
+        // other's.
         if (outcome.lint) {
           // A lint report is a pure function of the circuit content, so
           // it is cached even for stages that lint-failed: warm re-runs
           // of a broken stage skip straight to the Elmore fallback.
-          cache->insert_lint(*ckey[i], outcome.lint);
+          outcome.stats.cache_evictions +=
+              cache->insert_lint(hint.content_key(), outcome.lint);
         }
         if (!outcome.timing.failed) {
           // Store the pure evaluation result in stage-relative form
@@ -301,13 +266,8 @@ TimingReport analyze_design(const Design& design,
           StageTiming relative = outcome.timing;
           relative.input_arrival = 0.0;
           for (auto& s : relative.sinks) s.arrival = s.stage_delay;
-          cache->insert_stage(*rkey[i], std::move(relative));
-          if (!adopt[i] && outcome.solver) {
-            cache->insert_factorization(
-                *ckey[i],
-                {outcome.solver, outcome.used_gmin,
-                 outcome.factor_diags});
-          }
+          outcome.stats.cache_evictions +=
+              cache->insert_stage(hint.key, std::move(relative));
         }
         if (!invalidation_diags[i].empty()) {
           outcome.timing.diagnostics.insert(
@@ -315,7 +275,6 @@ TimingReport analyze_design(const Design& design,
               invalidation_diags[i].begin(), invalidation_diags[i].end());
         }
       }
-      outcome.solver.reset();
       outcome.lint.reset();
 
       report.awe_stats += outcome.stats;
@@ -402,10 +361,6 @@ TimingReport analyze_design(const Design& design,
     report.worst_slack_endpoint = graph.worst_endpoint();
   }
 
-  if (cache != nullptr) {
-    report.awe_stats.cache_evictions =
-        cache->counters().evictions - evictions_before;
-  }
   report.awe_stats.phases = obs::since(phases_before);
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

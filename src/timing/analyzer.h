@@ -38,6 +38,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -222,37 +223,40 @@ namespace detail {
 class StageCache;
 
 /// Per-net key memo a Session keeps between analyze() calls: the
-/// serialized cache-key bytes (serializing a kilo-element net's key
-/// dominates a fully warm lookup).  Owned by the Session, read and
-/// refreshed by analyze_design's serial pre-pass; never touched by pool
-/// threads.  Invalidated by every mutation of the net (or of anything
-/// its keys depend on) and by an options rebind; the memo only
-/// short-circuits serialization -- cache lookups still run, so
-/// corruption checks and counters are unchanged.
+/// serialized stage-result key bytes (serializing a kilo-element net's
+/// key dominates a fully warm lookup), whose first `content_size` bytes
+/// are the content key the lint store is addressed by.  Owned by the
+/// Session, read and refreshed by analyze_design's serial pre-pass;
+/// never touched by pool threads.  Invalidated by every mutation of the
+/// net (or of anything its key depends on) and by an options rebind;
+/// the memo only short-circuits serialization -- cache lookups still
+/// run, so corruption checks and counters are unchanged.
 struct StageHint {
   bool keys_valid = false;
   std::uint64_t in_slew_bits = 0;  // result keys depend on the input slew
-  std::string result_key;
-  std::string content_key;
+  std::string key;
+  std::size_t content_size = 0;
+
+  std::string_view content_key() const {
+    return std::string_view(key).substr(0, content_size);
+  }
 };
 
-/// The one analysis walk, shared by Design::analyze (cache == nullptr:
-/// every stage evaluates fresh) and timing::Session (persistent
-/// StageCache: stages whose result key hits are served from cache, in a
-/// serial pre-pass; only misses run on the pool, adopting a cached LU
-/// when the content key hits and factoring fresh otherwise).  The report
-/// is bit-identical between the two paths -- for the timing values,
-/// arrival maps, critical path, degraded/failed flags, and diagnostics;
-/// the awe_stats cost counters, phase breakdown, and wall_seconds
-/// reflect the work actually performed and naturally differ on warm
-/// runs.
-///
-/// `hints` (Session-only, may be null) is the per-net key memo, indexed
-/// like Design's net list.
+/// The one analysis walk, shared by Design::analyze (no cache, no hints:
+/// every stage evaluates fresh) and timing::Session (a persistent
+/// StageCache plus its per-net key memo `hints`, indexed like Design's
+/// net list: stages whose result key hits are served from cache in a
+/// serial pre-pass; only misses run on the pool, each factoring its G
+/// once exactly as a cold run does).  `cache` and `hints` are both null
+/// or both set.  The report is bit-identical between the two paths --
+/// for the timing values, arrival maps, critical path, degraded/failed
+/// flags, and diagnostics; the awe_stats cost counters, phase
+/// breakdown, and wall_seconds reflect the work actually performed and
+/// naturally differ on warm runs.
 TimingReport analyze_design(const Design& design,
                             const AnalysisOptions& options,
                             StageCache* cache,
-                            std::vector<StageHint>* hints = nullptr);
+                            std::vector<StageHint>* hints);
 }  // namespace detail
 
 /// A gate-level design: gates plus nets connecting them.

@@ -10,7 +10,6 @@
 #include "core/engine.h"
 #include "core/fault.h"
 #include "obs/trace.h"
-#include "timing/stage_cache.h"
 
 namespace awesim::timing {
 
@@ -162,8 +161,6 @@ StageEvaluation evaluate_stage(const Gate& driver, const Net& net,
                                const std::map<std::string, Gate>& gates,
                                const AnalysisOptions& options, double t_in,
                                double in_slew,
-                               const CachedFactorization* adopt,
-                               bool capture,
                                std::shared_ptr<const check::LintReport>
                                    lint_pre) {
   AWESIM_TRACE_SPAN("timing.stage");
@@ -193,7 +190,7 @@ StageEvaluation evaluate_stage(const Gate& driver, const Net& net,
     lint_options.classify_note = false;
     lint = std::make_shared<const check::LintReport>(
         check::lint(sc.ckt, lint_options));
-    if (capture) outcome.lint = lint;
+    outcome.lint = lint;
   }
   if (!lint->ok()) {
     const core::Diagnostic* first_error = nullptr;
@@ -217,14 +214,6 @@ StageEvaluation evaluate_stage(const Gate& driver, const Net& net,
   }
 
   core::Engine engine(sc.ckt);
-  if (adopt != nullptr) {
-    // A content-identical circuit already factored G in this session:
-    // share the LU and replay its factor-time observables (gmin flag,
-    // diagnostics) so every Result is bitwise what a fresh factorization
-    // would have produced; only the LU work is skipped.
-    engine.system().adopt_g_solver(adopt->solver, adopt->used_gmin,
-                                   adopt->diagnostics);
-  }
   core::EngineOptions eopt;
   eopt.order = options.order;
   eopt.auto_order = true;
@@ -295,13 +284,6 @@ StageEvaluation evaluate_stage(const Gate& driver, const Net& net,
   outcome.stats.stages = 1;
   outcome.stats.lint_errors += lint->errors;
   outcome.stats.lint_warnings += lint->warnings;
-  if (capture && adopt == nullptr) {
-    // Publish this circuit's G factorization (and its factor-time
-    // observables) for the post-pass to cache under the content key.
-    outcome.solver = engine.system().shared_g_solver();
-    outcome.used_gmin = engine.system().used_gmin();
-    outcome.factor_diags = engine.system().diagnostics();
-  }
   return outcome;
 }
 

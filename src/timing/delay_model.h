@@ -22,41 +22,32 @@
 #include "check/lint.h"
 #include "core/diagnostic.h"
 #include "core/stats.h"
-#include "mna/system.h"
 #include "timing/analyzer.h"
 
 namespace awesim::timing {
 
-/// What one stage evaluation hands back: the finished stage timing plus
-/// the cost counters and (under a Session) the factorization/lint
-/// artifacts the serial post-pass may cache.
+/// What one stage evaluation hands back: the finished stage timing, the
+/// cost counters, and the lint report this call computed (null when it
+/// replayed a cached one), which a Session's serial post-pass caches.
 struct StageEvaluation {
   StageTiming timing;
   core::Stats stats;
-  std::shared_ptr<const mna::Solver> solver;  // set when capturing
-  bool used_gmin = false;
-  core::Diagnostics factor_diags;
   std::shared_ptr<const check::LintReport> lint;
 };
 
 namespace detail {
 
-struct CachedFactorization;
-
 /// Evaluate every sink of one stage with AWE at options.order.  Thread-
 /// compatible: the analyzer calls it concurrently from the wavefront
-/// pool, one stage per call, no shared mutable state.  The last three
-/// parameters are the Session cache plumbing: `adopt` shares a cached
-/// LU of a content-identical circuit, `capture` publishes this stage's
-/// fresh LU and lint report in the result, and `lint_pre` replays a
-/// cached lint report.  Anything thrown (including the `timing.stage`
-/// fault probe) is the caller's to answer with elmore_fallback_stage.
+/// pool, one stage per call, no shared mutable state.  Every call
+/// factors the stage's G once; `lint_pre` (Session only) replays a
+/// cached lint report instead of linting again.  Anything thrown
+/// (including the `timing.stage` fault probe) is the caller's to answer
+/// with elmore_fallback_stage.
 StageEvaluation evaluate_stage(const Gate& driver, const Net& net,
                                const std::map<std::string, Gate>& gates,
                                const AnalysisOptions& options,
                                double input_arrival, double input_slew,
-                               const CachedFactorization* adopt,
-                               bool capture,
                                std::shared_ptr<const check::LintReport>
                                    lint_pre);
 

@@ -68,9 +68,6 @@ Gate& Session::gate_ref(const std::string& gate) {
 }
 
 void Session::invalidate_keys(std::size_t net_idx) {
-  if (stage_hints_.size() < design_.nets_.size()) {
-    stage_hints_.resize(design_.nets_.size());
-  }
   stage_hints_[net_idx].keys_valid = false;
 }
 
@@ -132,7 +129,7 @@ void Session::set_input_capacitance(const std::string& gate, double value) {
 void Session::set_intrinsic_delay(const std::string& gate, double value) {
   for (std::size_t i = 0; i < design_.nets_.size(); ++i) {
     // Intrinsic delay enters the result key but not the stage circuit:
-    // the stage's cached LU still hits, only its result misses.
+    // the stage's cached lint report still hits, only its result misses.
     if (design_.nets_[i].driver == gate) invalidate_keys(i);
   }
   gate_ref(gate).intrinsic_delay = value;
@@ -237,7 +234,6 @@ Session::CacheStats Session::cache_stats_of(const detail::StageCache& cache) {
   const detail::StageCache::Counters c = cache.counters();
   CacheStats stats;
   stats.stage_entries = cache.stage_entries();
-  stats.factorization_entries = cache.factorization_entries();
   stats.lint_entries = cache.lint_entries();
   stats.hits = c.hits;
   stats.misses = c.misses;

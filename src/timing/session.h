@@ -16,12 +16,12 @@
 // diagnostics -- a warm Session::analyze() is bit-identical to a cold
 // Design::analyze() of the mutated design after every edit, at every
 // thread count.  There is no approximate warm path: a recomputed stage
-// either adopts the cached LU of a content-identical circuit or factors
-// fresh, and both give the bits a cold run gives.  The awe_stats cost
-// counters, phase breakdown, and wall_seconds describe the work actually
-// performed, so warm runs report fewer factorizations and nonzero
-// cache_hits / stages_reused -- that asymmetry is the whole point, and it
-// is how the sweep benches measure the speedup.
+// factors its G once, exactly as a cold run does, so it gives the bits a
+// cold run gives.  The awe_stats cost counters, phase breakdown, and
+// wall_seconds describe the work actually performed, so warm runs report
+// one factorization per recomputed stage and nonzero cache_hits /
+// stages_reused -- that asymmetry is the whole point, and it is how the
+// sweep benches measure the speedup.
 //
 // Typical use:
 //   timing::Session session(design);
@@ -173,7 +173,6 @@ class Session {
   /// Cumulative cache observability, for tests and tooling.
   struct CacheStats {
     std::size_t stage_entries = 0;
-    std::size_t factorization_entries = 0;
     std::size_t lint_entries = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -206,7 +205,7 @@ class Session {
   /// Index of the (unique) net with this name in the design's net list;
   /// same validation as net_ref.
   std::size_t net_index(const std::string& net);
-  /// Drop the net's memoized keys (sized to the net list on demand).
+  /// Drop the net's memoized key.
   void invalidate_keys(std::size_t net_idx);
   /// Drop every memoized key (options rebind).
   void invalidate_all_keys();

@@ -112,18 +112,13 @@ void append_content_key(KeyBuilder& kb, const Gate& driver, const Net& net,
 
 }  // namespace
 
-std::string stage_content_key(const Gate& driver, const Net& net,
-                              const std::map<std::string, Gate>& gates) {
-  KeyBuilder kb;
-  append_content_key(kb, driver, net, gates);
-  return kb.take();
-}
-
 std::string stage_result_key(const Gate& driver, const Net& net,
                              const std::map<std::string, Gate>& gates,
-                             const AnalysisOptions& options, double in_slew) {
+                             const AnalysisOptions& options, double in_slew,
+                             std::size_t* content_size) {
   KeyBuilder kb;
   append_content_key(kb, driver, net, gates);
+  *content_size = kb.bytes().size();
   kb.tag('B')
       .text(driver.name)
       .text(net.name)
@@ -177,13 +172,13 @@ std::string reduction_key(std::string_view content) {
 }
 
 template <typename V>
-V* StageCache::FifoStore<V>::find(const std::string& key) {
+V* StageCache::FifoStore<V>::find(std::string_view key) {
   const auto it = index_.find(key);
   return it == index_.end() ? nullptr : &it->second->value;
 }
 
 template <typename V>
-void StageCache::FifoStore<V>::erase(const std::string& key) {
+void StageCache::FifoStore<V>::erase(std::string_view key) {
   const auto it = index_.find(key);
   if (it == index_.end()) return;
   queue_.erase(it->second);
@@ -191,10 +186,11 @@ void StageCache::FifoStore<V>::erase(const std::string& key) {
 }
 
 template <typename V>
-std::size_t StageCache::FifoStore<V>::insert(const std::string& key,
+std::size_t StageCache::FifoStore<V>::insert(std::string_view key,
                                              V value) {
-  const auto [it, inserted] = index_.try_emplace(key);
-  if (!inserted) return 0;
+  auto it = index_.lower_bound(key);
+  if (it != index_.end() && it->first == key) return 0;
+  it = index_.emplace_hint(it, std::string(key), queue_.end());
   it->second =
       queue_.insert(queue_.end(), Slot{&it->first, std::move(value)});
   std::size_t evicted = 0;
@@ -213,7 +209,7 @@ void StageCache::FifoStore<V>::clear() {
 }
 
 std::optional<StageTiming> StageCache::lookup_stage(
-    const std::string& key, const std::string& net_name,
+    std::string_view key, const std::string& net_name,
     core::Diagnostics* diags) {
   std::lock_guard<std::mutex> lock(mutex_);
   const StageEntry* entry = stages_.find(key);
@@ -245,34 +241,18 @@ std::optional<StageTiming> StageCache::lookup_stage(
   return entry->timing;
 }
 
-void StageCache::insert_stage(const std::string& key, StageTiming relative) {
+std::size_t StageCache::insert_stage(std::string_view key,
+                                     StageTiming relative) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t checksum = stage_checksum(relative);
-  counters_.evictions +=
+  const std::size_t evicted =
       stages_.insert(key, {std::move(relative), checksum});
-}
-
-std::shared_ptr<const CachedFactorization> StageCache::lookup_factorization(
-    const std::string& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto* factor = factors_.find(key);
-  if (factor == nullptr) {
-    ++counters_.misses;
-    return nullptr;
-  }
-  ++counters_.hits;
-  return *factor;
-}
-
-void StageCache::insert_factorization(const std::string& key,
-                                      CachedFactorization factor) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_.evictions += factors_.insert(
-      key, std::make_shared<const CachedFactorization>(std::move(factor)));
+  counters_.evictions += evicted;
+  return evicted;
 }
 
 std::shared_ptr<const check::LintReport> StageCache::lookup_lint(
-    const std::string& key) {
+    std::string_view key) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto* report = lints_.find(key);
   if (report == nullptr) {
@@ -283,11 +263,13 @@ std::shared_ptr<const check::LintReport> StageCache::lookup_lint(
   return *report;
 }
 
-void StageCache::insert_lint(const std::string& key,
-                             std::shared_ptr<const check::LintReport> report) {
-  if (report == nullptr) return;
+std::size_t StageCache::insert_lint(
+    std::string_view key, std::shared_ptr<const check::LintReport> report) {
+  if (report == nullptr) return 0;
   std::lock_guard<std::mutex> lock(mutex_);
-  counters_.evictions += lints_.insert(key, std::move(report));
+  const std::size_t evicted = lints_.insert(key, std::move(report));
+  counters_.evictions += evicted;
+  return evicted;
 }
 
 std::shared_ptr<const CachedReduction> StageCache::lookup_reduction(
@@ -342,11 +324,6 @@ std::size_t StageCache::stage_entries() const {
   return stages_.size();
 }
 
-std::size_t StageCache::factorization_entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return factors_.size();
-}
-
 std::size_t StageCache::lint_entries() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return lints_.size();
@@ -360,7 +337,6 @@ std::size_t StageCache::reduction_entries() const {
 void StageCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   stages_.clear();
-  factors_.clear();
   lints_.clear();
   reductions_.clear();
   counters_ = {};

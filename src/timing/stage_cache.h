@@ -14,24 +14,24 @@
 // Keys are compared as whole byte strings, never by hash, so collisions
 // cannot alias two different circuits.
 //
-// Two key spaces:
+// Two key spaces, serialized once per stage as one byte string:
 //   * the *content key* covers exactly what the stage's MNA matrices are
 //     built from (driver resistance, parasitic elements, sink hookups and
-//     input caps) -- it addresses shared LU factorizations of G, adopted
-//     into fresh MnaSystems via mna::MnaSystem::adopt_g_solver;
+//     input caps) -- it addresses pre-flight lint reports, a pure
+//     function of the stage circuit;
 //   * the *result key* extends the content key with everything else the
 //     stage timing depends on (gate/net names, intrinsic delay,
 //     measurement thresholds, AWE order, the bitwise input slew) -- it
 //     addresses finished StageTiming records, stored in stage-relative
 //     form (input_arrival 0, sink arrivals = stage delays) and rehydrated
 //     against the current input arrival on reuse.
+// The content key is by construction the byte prefix of the result key,
+// so a stage keeps one string and the lint store is looked up by its
+// prefix.  A third store holds net reductions (src/reduce), under its own
+// '\x01','R' key space (see reduction_key).
 //
-// Two more stores ride alongside: pre-flight lint reports, keyed by the
-// content key, and net reductions (src/reduce), under their own
-// '\x01','R' key space (see reduction_key).  A warm stage therefore has
-// exactly two ways to its LU: adopt the cached factorization of an equal
-// content key, or factor fresh -- both bitwise what a cold analysis
-// computes.
+// There is no LU store: a recomputed stage factors G once, exactly as a
+// cold analysis does (DESIGN.md §14 records why).
 //
 // `AnalysisOptions::threads` is deliberately absent from every key: the
 // report contract is bit-identical results at any thread count, so a
@@ -53,6 +53,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -65,7 +66,6 @@
 
 #include "check/lint.h"
 #include "core/diagnostic.h"
-#include "mna/system.h"
 #include "timing/analyzer.h"
 
 namespace awesim::timing::detail {
@@ -100,28 +100,15 @@ std::uint64_t fnv1a(std::string_view bytes);
 /// Checksum of everything a cached StageTiming serves back.
 std::uint64_t stage_checksum(const StageTiming& timing);
 
-/// The circuit-content key (key space one above): addresses the LU
-/// factorization shared between content-identical stage circuits.
-std::string stage_content_key(const Gate& driver, const Net& net,
-                              const std::map<std::string, Gate>& gates);
-
 /// The stage-result key (key space two): content key plus names,
 /// intrinsic delay, measurement options, order, and the bitwise input
 /// slew.  Two jobs with equal result keys produce bitwise-equal
-/// stage-relative timing.
+/// stage-relative timing.  Sets `*content_size` to the length of the
+/// content-key prefix (key space one), which addresses the lint store.
 std::string stage_result_key(const Gate& driver, const Net& net,
                              const std::map<std::string, Gate>& gates,
-                             const AnalysisOptions& options, double in_slew);
-
-/// One shareable LU factorization of a stage circuit's G, with the
-/// factor-time observables (gmin flag, diagnostics) that
-/// MnaSystem::adopt_g_solver replays so adoption is invisible in the
-/// report.
-struct CachedFactorization {
-  std::shared_ptr<const mna::Solver> solver;
-  bool used_gmin = false;
-  core::Diagnostics diagnostics;
-};
+                             const AnalysisOptions& options, double in_slew,
+                             std::size_t* content_size);
 
 /// One cached net reduction (src/reduce): the macro-replaced parasitic
 /// view of a net's interconnect, stored name-agnostic -- the key covers
@@ -159,28 +146,23 @@ std::string reduction_key(std::string_view content);
 
 class StageCache {
  public:
-  /// FIFO eviction caps: stage records are small, LU factors are the
-  /// memory hog (a dense factor is O(n^2)), hence the asymmetry.  Lint
-  /// reports are a handful of diagnostics each; a net reduction is a few
-  /// dense (ports+states)^2 blocks -- heavier than a stage record, far
-  /// lighter than an LU.
+  /// FIFO eviction caps.  Stage records and lint reports are a handful
+  /// of numbers and diagnostics each; a net reduction is a few dense
+  /// (ports+states)^2 blocks, hence its lower cap.
   static constexpr std::size_t kMaxStageEntries = 4096;
-  static constexpr std::size_t kMaxFactorizations = 16;
   static constexpr std::size_t kMaxLintEntries = 4096;
   static constexpr std::size_t kMaxReductionEntries = 1024;
 
   /// Cumulative lifetime counters (never reset by analyze calls;
-  /// cleared by clear()).  hits/misses count individual lookups in both
-  /// key spaces; invalidations count entries dropped by checksum
-  /// verification; evictions count FIFO drops at the capacity limits.
+  /// cleared by clear()).  hits/misses count stage-result lookups;
+  /// invalidations count entries dropped by checksum verification;
+  /// evictions count FIFO drops at the capacity limits of every store.
   struct Counters {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t invalidations = 0;
     std::uint64_t evictions = 0;
-    /// Pre-flight lint lookups, counted apart from hits/misses so the
-    /// existing stage/LU accounting (and the tests pinning it) stays
-    /// byte-for-byte what it was before the lint cache existed.
+    /// Pre-flight lint lookups, counted apart from hits/misses.
     std::uint64_t lint_hits = 0;
     std::uint64_t lint_misses = 0;
     /// Net-reduction lookups, likewise counted apart (the repeated-cell
@@ -193,29 +175,25 @@ class StageCache {
   /// checksum (and consults the `session.cache` fault probe keyed by
   /// `net_name`); a failed verification drops the entry, appends a
   /// CacheInvalidated warning to `diags`, and reports a miss.
-  std::optional<StageTiming> lookup_stage(const std::string& key,
+  std::optional<StageTiming> lookup_stage(std::string_view key,
                                           const std::string& net_name,
                                           core::Diagnostics* diags);
 
   /// Stores a stage-relative StageTiming (no-op if the key is already
-  /// present -- the payload would be bitwise identical).
-  void insert_stage(const std::string& key, StageTiming relative);
+  /// present -- the payload would be bitwise identical).  Returns the
+  /// number of entries evicted to make room.
+  std::size_t insert_stage(std::string_view key, StageTiming relative);
 
-  std::shared_ptr<const CachedFactorization> lookup_factorization(
-      const std::string& key);
-  void insert_factorization(const std::string& key,
-                            CachedFactorization factor);
-
-  /// Pre-flight lint reports, keyed by the circuit-content key: the
-  /// lint outcome is a pure function of the stage circuit's content, so
-  /// it shares the factorization key space.  No checksum defense here --
-  /// a lint report only gates *whether* a stage evaluates, and a stale
-  /// entry cannot exist (content addressing); the fault-injection drill
-  /// covers the stage records that actually carry timing.
-  std::shared_ptr<const check::LintReport> lookup_lint(
-      const std::string& key);
-  void insert_lint(const std::string& key,
-                   std::shared_ptr<const check::LintReport> report);
+  /// Pre-flight lint reports, keyed by the circuit-content key (the
+  /// result key's prefix): the lint outcome is a pure function of the
+  /// stage circuit's content.  No checksum defense here -- a lint report
+  /// only gates *whether* a stage evaluates, and a stale entry cannot
+  /// exist (content addressing); the fault-injection drill covers the
+  /// stage records that actually carry timing.  insert_lint returns the
+  /// number of entries evicted to make room.
+  std::shared_ptr<const check::LintReport> lookup_lint(std::string_view key);
+  std::size_t insert_lint(std::string_view key,
+                          std::shared_ptr<const check::LintReport> report);
 
   /// Net reductions, keyed by reduction_key() bytes.  Verifies the
   /// payload checksum (and consults the `reduce.cache` fault probe
@@ -229,7 +207,6 @@ class StageCache {
 
   Counters counters() const;
   std::size_t stage_entries() const;
-  std::size_t factorization_entries() const;
   std::size_t lint_entries() const;
   std::size_t reduction_entries() const;
   void clear();
@@ -238,16 +215,17 @@ class StageCache {
   /// One FIFO-evicted store: `index_` owns each key once and maps it to
   /// the value's slot in `queue_`, which keeps insertion order and points
   /// back at the key.  Inserting a present key is a no-op; an erased key
-  /// that is inserted again requeues at the back.
+  /// that is inserted again requeues at the back.  The index compares
+  /// transparently, so a key prefix is looked up without a copy.
   template <typename V>
   class FifoStore {
    public:
     explicit FifoStore(std::size_t capacity) : capacity_(capacity) {}
-    V* find(const std::string& key);
-    void erase(const std::string& key);
+    V* find(std::string_view key);
+    void erase(std::string_view key);
     /// Stores `value` under `key` unless present; returns the number of
     /// oldest entries evicted to stay within capacity.
-    std::size_t insert(const std::string& key, V value);
+    std::size_t insert(std::string_view key, V value);
     std::size_t size() const { return index_.size(); }
     void clear();
 
@@ -258,7 +236,8 @@ class StageCache {
     };
     std::size_t capacity_;
     std::list<Slot> queue_;
-    std::map<std::string, typename std::list<Slot>::iterator> index_;
+    std::map<std::string, typename std::list<Slot>::iterator, std::less<>>
+        index_;
   };
 
   struct StageEntry {
@@ -272,8 +251,6 @@ class StageCache {
 
   mutable std::mutex mutex_;
   FifoStore<StageEntry> stages_{kMaxStageEntries};
-  FifoStore<std::shared_ptr<const CachedFactorization>> factors_{
-      kMaxFactorizations};
   FifoStore<std::shared_ptr<const check::LintReport>> lints_{
       kMaxLintEntries};
   FifoStore<ReductionEntry> reductions_{kMaxReductionEntries};

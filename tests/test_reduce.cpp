@@ -531,7 +531,6 @@ TEST(HierSession, SnapshotStoreCacheStatsAgreeWithSession) {
   EXPECT_GT(a.reduction_entries, 0u);
   EXPECT_GT(a.reduction_misses, 0u);
   EXPECT_EQ(a.stage_entries, b.stage_entries);
-  EXPECT_EQ(a.factorization_entries, b.factorization_entries);
   EXPECT_EQ(a.lint_entries, b.lint_entries);
   EXPECT_EQ(a.hits, b.hits);
   EXPECT_EQ(a.misses, b.misses);

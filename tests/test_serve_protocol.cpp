@@ -11,6 +11,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/diagnostic.h"
@@ -213,6 +214,47 @@ TEST(ServeDispatch, PingAnalyzeStatsRoundTrip) {
     EXPECT_TRUE(r.ok) << line << " -> " << r.line;
     require_response_shape(r.line);
   }
+}
+
+TEST(ServeDispatch, StatsCacheObjectMirrorsCacheStatsExactly) {
+  timing::SnapshotStore store = make_store();
+  ASSERT_TRUE(
+      serve::handle_line(store, R"({"id": 1, "method": "analyze"})").ok);
+  const serve::HandleResult r =
+      serve::handle_line(store, R"({"id": 2, "method": "stats"})");
+  ASSERT_TRUE(r.ok) << r.line;
+  const json::Value doc = require_response_shape(r.line);
+  const json::Value* cache = doc.find("result")->find("cache");
+  ASSERT_NE(cache, nullptr);
+  ASSERT_TRUE(cache->is_object());
+
+  // One wire key per Session::CacheStats field, in declaration order,
+  // carrying that field's value.  A field added to CacheStats without a
+  // wire key (or the reverse) fails here: the size check counts fields.
+  const timing::Session::CacheStats s = store.cache_stats();
+  static_assert(sizeof(timing::Session::CacheStats) ==
+                    11 * sizeof(std::uint64_t),
+                "CacheStats gained or lost a field: update the wire "
+                "object and this list");
+  const std::vector<std::pair<std::string, double>> expected = {
+      {"stage_entries", static_cast<double>(s.stage_entries)},
+      {"lint_entries", static_cast<double>(s.lint_entries)},
+      {"hits", static_cast<double>(s.hits)},
+      {"misses", static_cast<double>(s.misses)},
+      {"invalidations", static_cast<double>(s.invalidations)},
+      {"evictions", static_cast<double>(s.evictions)},
+      {"lint_hits", static_cast<double>(s.lint_hits)},
+      {"lint_misses", static_cast<double>(s.lint_misses)},
+      {"reduction_entries", static_cast<double>(s.reduction_entries)},
+      {"reduction_hits", static_cast<double>(s.reduction_hits)},
+      {"reduction_misses", static_cast<double>(s.reduction_misses)}};
+  std::vector<std::pair<std::string, double>> wire;
+  for (const auto& [key, value] : cache->items()) {
+    ASSERT_TRUE(value.is_number()) << key;
+    wire.emplace_back(key, value.as_number());
+  }
+  EXPECT_EQ(wire, expected);
+  EXPECT_GT(s.stage_entries, 0u);  // the analyze above filled the cache
 }
 
 TEST(ServeDispatch, AuditReturnsSchemaVersionedReport) {

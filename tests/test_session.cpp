@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <latch>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/fault.h"
@@ -26,6 +29,24 @@ using testutil::c;
 using testutil::chain_design;
 using testutil::expect_same_payload;
 using testutil::fanout_design;
+using testutil::r;
+
+// One source gate driving `stages` single-RC nets in one wave, each to
+// its own design output.  `tag` prefixes every net and output name, so
+// two tags never share a cache key.
+Design wide_design(const std::string& tag, std::size_t stages) {
+  Design d;
+  d.add_gate({"src", 1.0e3, 4e-15, 0.0});
+  for (std::size_t i = 0; i < stages; ++i) {
+    Net net;
+    net.name = tag + std::to_string(i);
+    net.parasitics = {r("DRV", "w", 100.0 + static_cast<double>(i)),
+                      c("w", 10e-15)};
+    net.sink_node["out_" + net.name] = "w";
+    d.add_net("src", net);
+  }
+  return d;
+}
 
 TEST(Session, ColdRunMatchesDesignAnalyze) {
   AnalysisOptions opt;
@@ -82,7 +103,7 @@ TEST(Session, TopologyEditInvalidatesDownstreamOnly) {
   expect_same_payload(back, first, /*compare_diagnostics=*/true);
 }
 
-TEST(Session, IntrinsicDelayEditReusesLuAndDownstreamStages) {
+TEST(Session, IntrinsicDelayEditRefactorsOneStageAndReusesDownstream) {
   AnalysisOptions opt;
   opt.threads = 1;
   Session session(chain_design(4), opt);
@@ -90,22 +111,25 @@ TEST(Session, IntrinsicDelayEditReusesLuAndDownstreamStages) {
   const Session::CacheStats before = session.cache_stats();
 
   // Intrinsic delay shifts n2's delay (result key changes) but not the
-  // stage circuit (content key unchanged: the LU is adopted) and not the
-  // slew n2 feeds g3 (n3's result key unchanged: served with shifted
-  // arrivals).  n1 is untouched.
+  // stage circuit (content key unchanged: its lint report is replayed)
+  // and not the slew n2 feeds g3 (n3's result key unchanged: served
+  // with shifted arrivals).  n1 is untouched.
   session.set_intrinsic_delay("g2", 9e-12);
   const TimingReport warm = session.analyze();
   EXPECT_EQ(warm.awe_stats.stages_reused, 2u);
   EXPECT_EQ(warm.awe_stats.stages_recomputed, 1u);
   // Every stage is ramp-driven, so no stage walks the sigma-limit: the
   // cold run factors G once per stage, and the one recomputed stage
-  // adopted the cached factorization of G and factors nothing.
+  // factors its G once, exactly as a cold run does.
   EXPECT_EQ(cold.awe_stats.factorizations, 3u);
-  EXPECT_EQ(warm.awe_stats.factorizations, 0u);
+  EXPECT_EQ(warm.awe_stats.factorizations, 1u);
 
   const Session::CacheStats after = session.cache_stats();
-  // Three lookups hit: stage n1, stage n3, and n2's LU content key.
-  EXPECT_EQ(after.hits - before.hits, 3u);
+  // Two stage-result lookups hit (n1, n3) and one missed (n2), whose
+  // content-keyed lint report hit.
+  EXPECT_EQ(after.hits - before.hits, 2u);
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.lint_hits - before.lint_hits, 1u);
 
   expect_same_payload(warm, session.design().analyze(opt));
 }
@@ -201,29 +225,45 @@ TEST(Session, CacheCountersAreIdenticalAcrossThreadCounts) {
   EXPECT_EQ(stats1.invalidations, stats8.invalidations);
   EXPECT_EQ(stats1.evictions, stats8.evictions);
   EXPECT_EQ(stats1.stage_entries, stats8.stage_entries);
-  EXPECT_EQ(stats1.factorization_entries, stats8.factorization_entries);
+  EXPECT_EQ(stats1.lint_entries, stats8.lint_entries);
   EXPECT_EQ(report1.awe_stats.cache_hits, report8.awe_stats.cache_hits);
   EXPECT_EQ(report1.awe_stats.cache_misses,
             report8.awe_stats.cache_misses);
   expect_same_payload(report1, report8);
 }
 
-TEST(Session, FactorizationCacheEvictsFifoBeyondCapacity) {
-  // 19 stages with 19 distinct circuits: more than the 16-entry LU cap.
+TEST(Session, OverlappingAnalysesCountOnlyTheirOwnEvictions) {
+  // Two analyses of distinct designs over one shared cache, released
+  // together, each inserting more stages than the cache holds.  Each
+  // report counts the evictions its own inserts caused, so together they
+  // account for the cache counter's delta exactly; a window over the
+  // cache's lifetime counter would count the other analysis's evictions
+  // too whenever the two overlap.
+  auto cache = std::make_shared<detail::StageCache>();
+  const std::size_t stages = detail::StageCache::kMaxStageEntries + 64;
   AnalysisOptions opt;
   opt.threads = 1;
-  Session session(chain_design(20), opt);
-  (void)session.analyze();
-  const Session::CacheStats stats = session.cache_stats();
-  EXPECT_EQ(stats.stage_entries, 19u);
-  EXPECT_EQ(stats.factorization_entries, 16u);
-  EXPECT_EQ(stats.evictions, 3u);
-
-  // Stage-result entries survived the LU evictions: a second run still
-  // replays every stage.
-  const TimingReport warm = session.analyze();
-  EXPECT_EQ(warm.awe_stats.stages_reused, 19u);
-  EXPECT_EQ(warm.awe_stats.stages_recomputed, 0u);
+  Session a(wide_design("a", stages), opt, cache);
+  Session b(wide_design("b", stages), opt, cache);
+  const std::uint64_t before = cache->counters().evictions;
+  std::latch start(2);
+  TimingReport report_a;
+  TimingReport report_b;
+  std::thread thread_a([&] {
+    start.arrive_and_wait();
+    report_a = a.analyze();
+  });
+  std::thread thread_b([&] {
+    start.arrive_and_wait();
+    report_b = b.analyze();
+  });
+  thread_a.join();
+  thread_b.join();
+  const std::uint64_t delta = cache->counters().evictions - before;
+  EXPECT_GT(delta, 0u);
+  EXPECT_EQ(report_a.awe_stats.cache_evictions +
+                report_b.awe_stats.cache_evictions,
+            delta);
 }
 
 TEST(Session, StageCacheEvictsOldestLiveEntryAndRequeuesReinsertedKeys) {
