@@ -23,6 +23,17 @@ using circuit::Element;
 using circuit::ElementKind;
 using circuit::NodeId;
 
+/// Unit-scale plausibility windows (inclusive).  Values outside emit
+/// SuspiciousValue warnings -- wide enough that any physical on-chip,
+/// package, or board value passes; a femto-ohm resistor or a
+/// kilofarad capacitor is almost always a forgotten suffix.
+constexpr double kResistorMinOhms = 1e-6;
+constexpr double kResistorMaxOhms = 1e12;
+constexpr double kCapacitorMinFarads = 1e-21;
+constexpr double kCapacitorMaxFarads = 1e-2;
+constexpr double kInductorMinHenries = 1e-15;
+constexpr double kInductorMaxHenries = 1e2;
+
 // Branch taxonomy the loop/cutset rules reason over.  A voltage-defined
 // branch contributes a KVL row to the MNA system (its current is an
 // unknown); a loop of only such branches makes those rows linearly
@@ -93,7 +104,6 @@ void unite_macro_ports(const Circuit& ckt, UnionFind& uf,
 
 struct Linter {
   const Circuit& ckt;
-  const LintOptions& opt;
   LintReport report;
 
   void emit(core::DiagCode code, core::Severity severity,
@@ -142,16 +152,15 @@ struct Linter {
       }
       switch (e.kind) {
         case ElementKind::Resistor:
-          check_passive_value(e, "ohm", opt.resistor_min_ohms,
-                              opt.resistor_max_ohms);
+          check_passive_value(e, "ohm", kResistorMinOhms, kResistorMaxOhms);
           break;
         case ElementKind::Capacitor:
-          check_passive_value(e, "farad", opt.capacitor_min_farads,
-                              opt.capacitor_max_farads);
+          check_passive_value(e, "farad", kCapacitorMinFarads,
+                              kCapacitorMaxFarads);
           break;
         case ElementKind::Inductor:
-          check_passive_value(e, "henry", opt.inductor_min_henries,
-                              opt.inductor_max_henries);
+          check_passive_value(e, "henry", kInductorMinHenries,
+                              kInductorMaxHenries);
           break;
         case ElementKind::Vcvs:
         case ElementKind::Vccs:
@@ -628,7 +637,7 @@ struct Linter {
 
 LintReport lint(const circuit::Circuit& ckt, const LintOptions& options) {
   AWESIM_TRACE_SPAN("check.lint");
-  Linter linter{ckt, options, {}};
+  Linter linter{ckt, {}};
   linter.check_values();
   linter.check_dependencies();
   std::vector<char> island(ckt.node_count(), 0);
@@ -695,10 +704,11 @@ bool index_one_structure(const circuit::Circuit& ckt) {
   return true;
 }
 
-LintReport lint_text(std::string_view text, const std::string& filename,
-                     const LintOptions& options) {
-  netlist::ParseResult parsed =
-      netlist::parse_collect(text, filename, /*validate=*/false);
+namespace {
+
+// Parse diagnostics first, then the rule pipeline over the built circuit.
+LintReport lint_parsed(netlist::ParseResult parsed,
+                       const LintOptions& options) {
   LintReport report;
   report.diagnostics = std::move(parsed.diagnostics);
   for (const auto& d : report.diagnostics) {
@@ -720,28 +730,17 @@ LintReport lint_text(std::string_view text, const std::string& filename,
   return report;
 }
 
+}  // namespace
+
+LintReport lint_text(std::string_view text, const std::string& filename,
+                     const LintOptions& options) {
+  return lint_parsed(
+      netlist::parse_collect(text, filename, /*validate=*/false), options);
+}
+
 LintReport lint_file(const std::string& path, const LintOptions& options) {
-  netlist::ParseResult parsed =
-      netlist::parse_file_collect(path, /*validate=*/false);
-  LintReport report;
-  report.diagnostics = std::move(parsed.diagnostics);
-  for (const auto& d : report.diagnostics) {
-    if (d.severity >= core::Severity::Error) {
-      ++report.errors;
-    } else if (d.severity == core::Severity::Warning) {
-      ++report.warnings;
-    }
-  }
-  if (parsed.circuit) {
-    LintReport rules = lint(*parsed.circuit, options);
-    report.topology = rules.topology;
-    report.errors += rules.errors;
-    report.warnings += rules.warnings;
-    report.diagnostics.insert(report.diagnostics.end(),
-                              rules.diagnostics.begin(),
-                              rules.diagnostics.end());
-  }
-  return report;
+  return lint_parsed(netlist::parse_file_collect(path, /*validate=*/false),
+                     options);
 }
 
 }  // namespace awesim::check

@@ -13,7 +13,9 @@
 //
 // The rule pipeline, in deterministic emit order:
 //   1. values       negative/zero/NaN/Inf R, C, L (Error); gains that are
-//                   non-finite (Error); unit-scale outliers (Warning);
+//                   non-finite (Error); unit-scale outliers outside the
+//                   fixed inclusive windows R [1e-6, 1e12] ohm,
+//                   C [1e-21, 1e-2] F, L [1e-15, 1e2] H (Warning);
 //                   duplicate element names and self-shorts (Error).
 //   2. dependency   CCCS/CCVS referencing a missing or non-V/L control
 //                   element (Error); VCVS/VCCS sensing a node no element
@@ -52,17 +54,6 @@
 namespace awesim::check {
 
 struct LintOptions {
-  /// Unit-scale plausibility windows (inclusive).  Values outside emit
-  /// SuspiciousValue warnings -- wide enough that any physical on-chip,
-  /// package, or board value passes; a femto-ohm resistor or a
-  /// kilofarad capacitor is almost always a forgotten suffix.
-  double resistor_min_ohms = 1e-6;
-  double resistor_max_ohms = 1e12;
-  double capacitor_min_farads = 1e-21;
-  double capacitor_max_farads = 1e-2;
-  double inductor_min_henries = 1e-15;
-  double inductor_max_henries = 1e2;
-
   /// Emit the Info-severity TopologyNote record describing the
   /// structure classification (the classification itself always runs).
   bool classify_note = true;

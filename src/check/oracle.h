@@ -12,10 +12,10 @@
 // RC tree, the second from the mere presence of nonzero initial
 // conditions.  This oracle computes those signals in O(elements) and
 // recommends a safe order window [min_safe_order, max_safe_order] --
-// the audit layer turns a violated window into a ConditioningHazard
-// diagnostic, and reduce::HierSession consults the same estimate when
-// deciding whether a collapsed net's macromodel can be trusted at high
-// order.
+// the audit layer (per net, and audit_circuit for a flat circuit) turns
+// a violated window into a ConditioningHazard diagnostic.  The engine
+// itself never runs the oracle: a direct Engine user who wants the
+// prediction calls assess_circuit.
 //
 // The conditioning model: for an RC tree driven at one node, the
 // moment sequence seen at any sink is m_k ~ sum_i a_i tau_i^k, so the

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "check/lint.h"
-#include "check/oracle.h"
 #include "core/error.h"
 #include "core/fault.h"
 #include "obs/trace.h"
@@ -456,25 +455,6 @@ std::vector<Engine::AtomProblem>& Engine::atom_problems() {
 // Errors abort before any matrix work with the structured lint record;
 // warnings only feed the Stats tallies.
 void Engine::preflight(const EngineOptions& options) {
-  // Advisory conditioning oracle (opt-in, memoized like the lint): one
-  // assessment per engine, never blocks, only annotates Results.
-  if (options.preflight_audit && !audit_done_) {
-    audit_done_ = true;
-    check::OracleOptions oracle_options;
-    oracle_options.target_order = options.order;
-    const check::ConditioningEstimate estimate =
-        check::assess_circuit(mna_.circuit(), oracle_options);
-    if (estimate.hazard) {
-      ++stats_.conditioning_hazards;
-      Diagnostic diag;
-      diag.code = DiagCode::ConditioningHazard;
-      diag.severity = Severity::Warning;
-      diag.message = estimate.detail;
-      diag.condition_estimate =
-          check::hankel_condition(estimate.spread, options.order);
-      audit_diag_ = std::move(diag);
-    }
-  }
   if (!options.preflight_lint || lint_done_) return;
   lint_done_ = true;
   check::LintOptions lint_options;
@@ -500,7 +480,6 @@ Result Engine::approximate(circuit::NodeId output,
   preflight(options);
   const std::size_t out = mna_.node_index(output);
   Result result = approximate_at(out, options);
-  if (audit_diag_) result.diagnostics.push_back(*audit_diag_);
   sync_mna_stats();
   return result;
 }
@@ -545,7 +524,6 @@ BatchResult Engine::approximate_all(
   batch.results.reserve(indices.size());
   for (const std::size_t out : indices) {
     batch.results.push_back(approximate_at(out, options));
-    if (audit_diag_) batch.results.back().diagnostics.push_back(*audit_diag_);
   }
   sync_mna_stats();
   batch.stats = stats_ - before;
@@ -563,9 +541,8 @@ MatchResult Engine::attempt_order(const std::vector<double>& mu, int j0,
                                   int qq, const EngineOptions& options,
                                   core::Diagnostics* diags) {
   ScopedTimer timer(stats_.seconds_match);
-  MatchOptions local = options.match;
+  MatchOptions local;
   local.frequency_scaling = options.frequency_scaling;
-  local.pole_shift = 0;
   std::vector<double> window(mu.begin(), mu.begin() + 2 * qq);
   ++stats_.matches;
   MatchResult m = match_moments(window, j0, qq, local);
@@ -590,7 +567,7 @@ MatchResult Engine::attempt_order(const std::vector<double>& mu, int j0,
     }
   }
   if (!finite_terms(m.terms)) m.stable = false;
-  if (!m.stable && options.allow_window_shift) {
+  if (!m.stable) {
     // Section 3.3 fallback: retry with the pole window shifted to pure
     // moments before giving up on this order.
     local.pole_shift = 1;

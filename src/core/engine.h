@@ -11,7 +11,11 @@
 //     LU factorization, and a q-pole model is matched to them;
 //   * the accuracy of order q is estimated against order q+1 (eq. 39),
 //     and in auto-order mode q is escalated until the estimate passes the
-//     tolerance or poles stop being stable (Sections 3.3/3.4).
+//     tolerance or poles stop being stable (Sections 3.3/3.4);
+//   * when the eq. 24 window yields an unstable model (positive pole,
+//     Section 3.3), the match is always retried with the pole window
+//     shifted to pure moments (MatchOptions::pole_shift) before order
+//     escalation or the degradation ladder.
 #pragma once
 
 #include <optional>
@@ -57,11 +61,6 @@ struct EngineOptions {
   /// closed-form eq. 39 evaluation.
   bool cauchy_error_bound = false;
 
-  /// When the eq. 24 window yields an unstable model (positive pole,
-  /// Section 3.3), retry with the pole window shifted to pure moments
-  /// before resorting to order escalation.  See MatchOptions::pole_shift.
-  bool allow_window_shift = true;
-
   /// Compute the q-vs-(q+1) error estimate.  Disable to measure the bare
   /// approximation cost (the Fig. 19 / speedup benches); implies
   /// Result::error_estimate is NaN and auto_order is unavailable.
@@ -85,20 +84,6 @@ struct EngineOptions {
   /// instability benches).
   bool preflight_lint = true;
 
-  /// Opt-in advisory companion to preflight_lint: run the src/check
-  /// conditioning oracle (Elmore tau spread, moment-growth ratio,
-  /// nonequilibrium-IC rule) over the circuit before the first
-  /// approximation and, when the requested order falls outside the
-  /// predicted safe window, append a Warning-severity
-  /// ConditioningHazard record to every Result's diagnostics and bump
-  /// Stats::conditioning_hazards.  Never blocks and never changes the
-  /// numbers -- the degradation ladder still decides what to answer;
-  /// this only explains *in advance* why the ladder is about to fire
-  /// (the Fig. 20/21 raw-instability pattern).  Off by default because
-  /// the whole-design audit (src/audit) and the timing analyzer already
-  /// assess per-net conditioning; enable for direct Engine use.
-  bool preflight_audit = false;
-
   /// Walk the degradation ladder instead of returning an unstable model:
   /// when the eq. 24 window and the Section 3.3 shifted window both fail
   /// (and auto-order escalation, if enabled, is exhausted), step the
@@ -107,8 +92,6 @@ struct EngineOptions {
   /// came from.  Disable to study raw instability (the Fig. 20/21
   /// benches).
   bool degrade = true;
-
-  MatchOptions match;
 };
 
 /// How far down the degradation ladder a Result had to go.  Ordered by
@@ -304,8 +287,6 @@ class Engine {
   std::vector<AtomProblem> atoms_;
   bool atoms_built_ = false;
   bool lint_done_ = false;
-  bool audit_done_ = false;
-  std::optional<Diagnostic> audit_diag_;
   std::optional<la::RealVector> x_eq_;
   Stats stats_;
 };

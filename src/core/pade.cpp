@@ -14,6 +14,10 @@ namespace awesim::core {
 
 namespace {
 
+/// Relative pole distance under which roots are clustered into one
+/// repeated pole (confluent residue solve).
+constexpr double kRepeatedPoleTolerance = 1e-7;
+
 // Generalized binomial coefficient C(n, m) for integer n (possibly
 // negative), m >= 0: product form n(n-1)...(n-m+1)/m!.
 double gbinom(int n, int m) {
@@ -39,14 +43,13 @@ struct PoleCluster {
   int multiplicity = 1;
 };
 
-std::vector<PoleCluster> cluster_poles(const la::ComplexVector& poles,
-                                       double rel_tol) {
+std::vector<PoleCluster> cluster_poles(const la::ComplexVector& poles) {
   std::vector<PoleCluster> clusters;
   for (const la::Complex& p : poles) {
     bool merged = false;
     for (auto& c : clusters) {
       const double scale = std::max(std::abs(c.pole), std::abs(p));
-      if (std::abs(c.pole - p) <= rel_tol * scale) {
+      if (std::abs(c.pole - p) <= kRepeatedPoleTolerance * scale) {
         // Running mean keeps the representative centered.
         c.pole = (c.pole * static_cast<double>(c.multiplicity) + p) /
                  static_cast<double>(c.multiplicity + 1);
@@ -132,8 +135,7 @@ bool try_match(const std::vector<double>& mu, int j0, int q,
 
   // Residues: (confluent) Vandermonde solve on the same scaled window
   // (eq. 20 for distinct poles, the eq. 26-29 pattern when repeated).
-  const auto clusters =
-      cluster_poles(scaled_poles, options.repeated_pole_tolerance);
+  const auto clusters = cluster_poles(scaled_poles);
   la::ComplexVector residues;
   {
     AWESIM_TRACE_SPAN("engine.residues");
@@ -272,12 +274,7 @@ MatchResult match_moments(const std::vector<double>& mu, int j0, int q,
   for (std::size_t i = 0; i < needed; ++i) {
     max_mu = std::max(max_mu, std::abs(mu[i]));
   }
-  if (max_mu == 0.0 ||
-      std::all_of(mu.begin(),
-                  mu.begin() + static_cast<std::ptrdiff_t>(needed),
-                  [&](double v) {
-                    return std::abs(v) <= options.zero_tolerance * max_mu;
-                  })) {
+  if (max_mu == 0.0) {
     result.order_used = 0;
     return result;
   }

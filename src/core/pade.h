@@ -10,7 +10,8 @@
 //  3. root  a_0 + a_1 y + ... + y^q  (eq. 25, y = 1/p) for the reciprocal
 //     poles;
 //  4. solve the (confluent, if poles repeat) Vandermonde system (eq. 20 /
-//     eq. 29) for the residues.
+//     eq. 29) for the residues; roots within a fixed relative distance
+//     (1e-7) of each other are clustered into one repeated pole.
 //
 // If the Hankel matrix is numerically singular the sequence carries fewer
 // than q independent modes; the order is reduced and the solve retried, so
@@ -51,14 +52,6 @@ struct MatchOptions {
   /// positive pole (Section 3.3); the engine uses it as a fallback.
   /// Requires one extra moment (2q + pole_shift entries).
   int pole_shift = 0;
-
-  /// Relative pole distance under which roots are clustered into one
-  /// repeated pole (confluent residue solve).
-  double repeated_pole_tolerance = 1e-7;
-
-  /// Moments smaller than this times the largest matched moment are
-  /// treated as zero when deciding the response is identically zero.
-  double zero_tolerance = 1e-14;
 };
 
 struct MatchResult {

@@ -17,7 +17,6 @@ Stats& Stats::operator+=(const Stats& other) {
   cache_evictions += other.cache_evictions;
   lint_errors += other.lint_errors;
   lint_warnings += other.lint_warnings;
-  conditioning_hazards += other.conditioning_hazards;
   window_shifts += other.window_shifts;
   order_stepdowns += other.order_stepdowns;
   elmore_fallbacks += other.elmore_fallbacks;
@@ -43,7 +42,6 @@ Stats& Stats::operator-=(const Stats& other) {
   cache_evictions -= other.cache_evictions;
   lint_errors -= other.lint_errors;
   lint_warnings -= other.lint_warnings;
-  conditioning_hazards -= other.conditioning_hazards;
   window_shifts -= other.window_shifts;
   order_stepdowns -= other.order_stepdowns;
   elmore_fallbacks -= other.elmore_fallbacks;

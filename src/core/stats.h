@@ -70,12 +70,6 @@ struct Stats {
   std::uint64_t lint_errors = 0;
   std::uint64_t lint_warnings = 0;
 
-  /// Circuits whose pre-flight conditioning-oracle pass predicted the
-  /// requested order lies outside the safe window (see
-  /// EngineOptions::preflight_audit).  At most 1 per Engine; design-level
-  /// runs sum over stages.
-  std::uint64_t conditioning_hazards = 0;
-
   /// Degradation-ladder counters (see EngineOptions::degrade and
   /// DESIGN.md "Failure taxonomy").  Rung counters are per atom-match;
   /// degradations/failures are per output (worst rung of the Result).

@@ -7,22 +7,6 @@
 
 namespace awesim::reduce {
 
-namespace {
-
-timing::detail::CachedReduction to_cached(const NetReduction& r) {
-  timing::detail::CachedReduction cached;
-  cached.reduced = r.reduced;
-  cached.interior_eliminated = r.interior_eliminated;
-  cached.diagnostics = r.diagnostics;
-  if (r.reduced) {
-    cached.parasitics = r.net.parasitics;
-    cached.macros = r.net.macros;
-  }
-  return cached;
-}
-
-}  // namespace
-
 HierSession::HierSession(timing::Design design, timing::AnalysisOptions options,
                          ReduceOptions reduce_options,
                          std::shared_ptr<timing::detail::StageCache> cache)
@@ -70,20 +54,14 @@ bool HierSession::refresh_hints() {
       hint.valid = true;
       continue;
     }
-    const std::string key =
-        timing::detail::reduction_key(reduction_content_key(net,
-                                                            reduce_options_));
+    bool hit = false;
     std::shared_ptr<const timing::detail::CachedReduction> cached =
-        cache_->lookup_reduction(key, net.name, &pending_diags_);
-    if (cached != nullptr) {
+        lookup_or_reduce(net, reduce_options_, cache_.get(), &pending_diags_,
+                         &hit);
+    if (hit) {
       ++stats_.reduction_cache_hits;
     } else {
-      const NetReduction r = reduce_net(net, reduce_options_);
       ++stats_.reductions_performed;
-      auto fresh =
-          std::make_shared<timing::detail::CachedReduction>(to_cached(r));
-      cache_->insert_reduction(key, *fresh);
-      cached = std::move(fresh);
     }
     // Same artifact pointer => same stitched net; a hint invalidated by
     // a mutation that left the content bytes identical re-hits the same
@@ -96,25 +74,14 @@ bool HierSession::refresh_hints() {
 }
 
 void HierSession::rebuild_inner() {
-  const timing::Design& d = flat_.design();
-  timing::Design reduced;
-  for (const auto& [name, gate] : d.gates()) reduced.add_gate(gate);
-  for (std::size_t i = 0; i < d.net_count(); ++i) {
-    timing::Net stitched = d.net_at(i);
-    const NetHint& hint = hints_[i];
-    if (hint.cached != nullptr && hint.cached->reduced) {
-      stitched.parasitics = hint.cached->parasitics;
-      stitched.macros = hint.cached->macros;
-    }
-    reduced.add_net(d.net_driver(i), std::move(stitched));
-  }
-  for (const std::string& pi : d.primary_inputs()) {
-    reduced.set_primary_input(pi);
-  }
+  std::vector<std::shared_ptr<const timing::detail::CachedReduction>>
+      reductions;
+  reductions.reserve(hints_.size());
+  for (const NetHint& hint : hints_) reductions.push_back(hint.cached);
   // The inner session shares the cache, so stage results and lint
   // reports of nets whose reduced content did not change keep hitting
   // across rebuilds.
-  inner_.emplace(std::move(reduced), options_, cache_);
+  inner_.emplace(stitch_design(flat_.design(), reductions), options_, cache_);
   ++stats_.rebuilds;
 }
 

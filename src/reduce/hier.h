@@ -37,10 +37,6 @@
 #include "reduce/reduce.h"
 #include "timing/session.h"
 
-namespace awesim::timing::detail {
-struct CachedReduction;
-}
-
 namespace awesim::reduce {
 
 class HierSession {

@@ -215,8 +215,7 @@ std::string reduction_content_key(const timing::Net& net,
       .integer(options.min_interior)
       .integer(options.max_ports)
       .integer(static_cast<std::uint64_t>(options.moments))
-      .number(options.tolerance)
-      .tag(options.verify ? 'v' : '-');
+      .number(options.tolerance);
   return kb.take();
 }
 
@@ -422,75 +421,73 @@ NetReduction reduce_net(const timing::Net& net, const ReduceOptions& options) {
 
   // --- Verification gate: the reduced block must reproduce the exact
   // zeroth and first boundary admittance moments within tolerance.
-  if (options.verify) {
-    la::Matrix<double> y0(m, m), y1(m, m), cw(m, m);
-    for (std::size_t r = 0; r < m; ++r)
-      for (std::size_t c = 0; c < m; ++c) {
-        y0(r, c) = gbb(r, c);
-        y1(r, c) = cbb(r, c);
-      }
-    for (std::size_t b = 0; b < m; ++b) {
-      for (const la::Triplet& t : gib) y0(t.col, b) -= t.value * w[b][t.row];
-      for (const la::Triplet& t : cib) cw(t.col, b) += t.value * w[b][t.row];
+  la::Matrix<double> y0(m, m), y1(m, m), cw(m, m);
+  for (std::size_t r = 0; r < m; ++r)
+    for (std::size_t c = 0; c < m; ++c) {
+      y0(r, c) = gbb(r, c);
+      y1(r, c) = cbb(r, c);
     }
-    for (std::size_t r = 0; r < m; ++r) {
-      for (std::size_t c = 0; c < m; ++c) y1(r, c) -= cw(r, c) + cw(c, r);
-    }
-    for (std::size_t b = 0; b < m; ++b) {
-      const la::RealVector cu = cii_mat.apply(w[b]);
-      for (std::size_t a = 0; a < m; ++a) y1(a, b) += dot(w[a], cu);
-    }
+  for (std::size_t b = 0; b < m; ++b) {
+    for (const la::Triplet& t : gib) y0(t.col, b) -= t.value * w[b][t.row];
+    for (const la::Triplet& t : cib) cw(t.col, b) += t.value * w[b][t.row];
+  }
+  for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t c = 0; c < m; ++c) y1(r, c) -= cw(r, c) + cw(c, r);
+  }
+  for (std::size_t b = 0; b < m; ++b) {
+    const la::RealVector cu = cii_mat.apply(w[b]);
+    for (std::size_t a = 0; a < m; ++a) y1(a, b) += dot(w[a], cu);
+  }
 
-    la::Matrix<double> y0r(m, m), y1r(m, m);
-    std::vector<la::RealVector> what(m, la::RealVector(k, 0.0));
-    if (k > 0) {
-      la::Matrix<double> gss(k, k);
-      for (std::size_t r = 0; r < k; ++r)
-        for (std::size_t c = 0; c < k; ++c) gss(r, c) = ghat(m + r, m + c);
-      std::vector<la::RealVector> gsb(m, la::RealVector(k, 0.0));
-      for (std::size_t b = 0; b < m; ++b)
-        for (std::size_t s = 0; s < k; ++s) gsb[b][s] = ghat(m + s, b);
-      try {
-        what = la::Lu<double>(std::move(gss)).solve_multi(gsb);
-      } catch (const la::SingularMatrixError&) {
-        out.diagnostics.push_back(make_diag(
-            core::DiagCode::ReductionToleranceExceeded, net,
-            "reduced conductance block is singular; net analyzed flat"));
-        return out;
-      }
-    }
-    for (std::size_t a = 0; a < m; ++a) {
-      for (std::size_t b = 0; b < m; ++b) {
-        double g0 = ghat(a, b), c1 = chat(a, b);
-        for (std::size_t s = 0; s < k; ++s) {
-          g0 -= ghat(a, m + s) * what[b][s];
-          c1 -= chat(a, m + s) * what[b][s] + what[a][s] * chat(m + s, b);
-          for (std::size_t t = 0; t < k; ++t) {
-            c1 += what[a][s] * chat(m + s, m + t) * what[b][t];
-          }
-        }
-        y0r(a, b) = g0;
-        y1r(a, b) = c1;
-      }
-    }
-    la::Matrix<double> d0(m, m), d1(m, m);
-    for (std::size_t r = 0; r < m; ++r)
-      for (std::size_t c = 0; c < m; ++c) {
-        d0(r, c) = y0(r, c) - y0r(r, c);
-        d1(r, c) = y1(r, c) - y1r(r, c);
-      }
-    const double tiny = 1e-30;
-    const double rel0 = max_abs(d0) / std::max(max_abs(y0), tiny);
-    const double rel1 = max_abs(d1) / std::max(max_abs(y1), tiny);
-    const double rel = std::max(rel0, rel1);
-    if (!(rel <= options.tolerance)) {
+  la::Matrix<double> y0r(m, m), y1r(m, m);
+  std::vector<la::RealVector> what(m, la::RealVector(k, 0.0));
+  if (k > 0) {
+    la::Matrix<double> gss(k, k);
+    for (std::size_t r = 0; r < k; ++r)
+      for (std::size_t c = 0; c < k; ++c) gss(r, c) = ghat(m + r, m + c);
+    std::vector<la::RealVector> gsb(m, la::RealVector(k, 0.0));
+    for (std::size_t b = 0; b < m; ++b)
+      for (std::size_t s = 0; s < k; ++s) gsb[b][s] = ghat(m + s, b);
+    try {
+      what = la::Lu<double>(std::move(gss)).solve_multi(gsb);
+    } catch (const la::SingularMatrixError&) {
       out.diagnostics.push_back(make_diag(
           core::DiagCode::ReductionToleranceExceeded, net,
-          "boundary moment mismatch " + std::to_string(rel) +
-              " exceeds tolerance " + std::to_string(options.tolerance) +
-              "; net analyzed flat"));
+          "reduced conductance block is singular; net analyzed flat"));
       return out;
     }
+  }
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t b = 0; b < m; ++b) {
+      double g0 = ghat(a, b), c1 = chat(a, b);
+      for (std::size_t s = 0; s < k; ++s) {
+        g0 -= ghat(a, m + s) * what[b][s];
+        c1 -= chat(a, m + s) * what[b][s] + what[a][s] * chat(m + s, b);
+        for (std::size_t t = 0; t < k; ++t) {
+          c1 += what[a][s] * chat(m + s, m + t) * what[b][t];
+        }
+      }
+      y0r(a, b) = g0;
+      y1r(a, b) = c1;
+    }
+  }
+  la::Matrix<double> d0(m, m), d1(m, m);
+  for (std::size_t r = 0; r < m; ++r)
+    for (std::size_t c = 0; c < m; ++c) {
+      d0(r, c) = y0(r, c) - y0r(r, c);
+      d1(r, c) = y1(r, c) - y1r(r, c);
+    }
+  const double tiny = 1e-30;
+  const double rel0 = max_abs(d0) / std::max(max_abs(y0), tiny);
+  const double rel1 = max_abs(d1) / std::max(max_abs(y1), tiny);
+  const double rel = std::max(rel0, rel1);
+  if (!(rel <= options.tolerance)) {
+    out.diagnostics.push_back(make_diag(
+        core::DiagCode::ReductionToleranceExceeded, net,
+        "boundary moment mismatch " + std::to_string(rel) +
+            " exceeds tolerance " + std::to_string(options.tolerance) +
+            "; net analyzed flat"));
+    return out;
   }
 
   // --- Stitch: kept elements plus the macro replace the parasitics.
@@ -532,42 +529,65 @@ timing::detail::CachedReduction to_cached(const NetReduction& r) {
 
 }  // namespace
 
-DesignReduction reduce_design(const timing::Design& design,
-                              const ReduceOptions& options,
-                              timing::detail::StageCache* cache) {
-  DesignReduction out;
-  out.nets_total = design.net_count();
-  for (const auto& [name, gate] : design.gates()) out.design.add_gate(gate);
+std::shared_ptr<const timing::detail::CachedReduction> lookup_or_reduce(
+    const timing::Net& net, const ReduceOptions& options,
+    timing::detail::StageCache* cache, core::Diagnostics* diagnostics,
+    bool* cache_hit) {
+  *cache_hit = false;
+  std::string key;
+  if (cache != nullptr) {
+    key = timing::detail::reduction_key(reduction_content_key(net, options));
+    if (auto cached = cache->lookup_reduction(key, net.name, diagnostics)) {
+      *cache_hit = true;
+      return cached;
+    }
+  }
+  auto fresh = std::make_shared<timing::detail::CachedReduction>(
+      to_cached(reduce_net(net, options)));
+  if (cache != nullptr) cache->insert_reduction(key, *fresh);
+  return fresh;
+}
 
+timing::Design stitch_design(
+    const timing::Design& design,
+    std::span<const std::shared_ptr<const timing::detail::CachedReduction>>
+        reductions) {
+  timing::Design out;
+  for (const auto& [name, gate] : design.gates()) out.add_gate(gate);
   for (std::size_t i = 0; i < design.net_count(); ++i) {
     const timing::Net& net = design.net_at(i);
-    std::shared_ptr<const timing::detail::CachedReduction> cached;
-    std::string key;
-    if (cache != nullptr) {
-      key = timing::detail::reduction_key(
-          reduction_content_key(net, options));
-      cached = cache->lookup_reduction(key, net.name, &out.diagnostics);
-      if (cached != nullptr) ++out.cache_hits;
-    }
-    if (cached == nullptr) {
-      const NetReduction r = reduce_net(net, options);
-      auto fresh =
-          std::make_shared<timing::detail::CachedReduction>(to_cached(r));
-      if (cache != nullptr) cache->insert_reduction(key, *fresh);
-      cached = std::move(fresh);
-    }
-
+    const timing::detail::CachedReduction* r = reductions[i].get();
+    const bool reduced = r != nullptr && r->reduced;
     // A served reduction replaces the parasitics wholesale: build the
     // stitched net from its parts rather than copy what it replaces.
     timing::Net stitched;
     stitched.name = net.name;
     stitched.sink_node = net.sink_node;
-    if (!cached->reduced) {
-      stitched.parasitics = net.parasitics;
-      stitched.macros = net.macros;
-    } else {
-      stitched.parasitics = cached->parasitics;
-      stitched.macros = cached->macros;
+    stitched.parasitics = reduced ? r->parasitics : net.parasitics;
+    stitched.macros = reduced ? r->macros : net.macros;
+    out.add_net(design.net_driver(i), std::move(stitched));
+  }
+  for (const std::string& pi : design.primary_inputs()) {
+    out.set_primary_input(pi);
+  }
+  return out;
+}
+
+DesignReduction reduce_design(const timing::Design& design,
+                              const ReduceOptions& options,
+                              timing::detail::StageCache* cache) {
+  DesignReduction out;
+  out.nets_total = design.net_count();
+  std::vector<std::shared_ptr<const timing::detail::CachedReduction>>
+      reductions;
+  reductions.reserve(design.net_count());
+  for (std::size_t i = 0; i < design.net_count(); ++i) {
+    const timing::Net& net = design.net_at(i);
+    bool hit = false;
+    auto cached =
+        lookup_or_reduce(net, options, cache, &out.diagnostics, &hit);
+    if (hit) ++out.cache_hits;
+    if (cached->reduced) {
       ++out.nets_reduced;
       out.interior_eliminated += cached->interior_eliminated;
       for (const timing::NetMacro& mm : cached->macros) out.states += mm.states;
@@ -578,11 +598,9 @@ DesignReduction reduce_design(const timing::Design& design,
       d.element = net.name;
       out.diagnostics.push_back(std::move(d));
     }
-    out.design.add_net(design.net_driver(i), std::move(stitched));
+    reductions.push_back(std::move(cached));
   }
-  for (const std::string& pi : design.primary_inputs()) {
-    out.design.set_primary_input(pi);
-  }
+  out.design = stitch_design(design, reductions);
   return out;
 }
 

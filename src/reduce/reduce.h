@@ -35,8 +35,8 @@
 // tolerance, never by construction bit-for-bit ("tolerance-equal, not
 // bit-equal").
 //
-// Every reduction is *verified before it is trusted*: the exact
-// first-order boundary admittances
+// Every reduction is *verified before it is trusted* (the gate always
+// runs; no option skips it): the exact first-order boundary admittances
 //
 //     Y0 = G_bb - G_bi G_ii^-1 G_ib          (DC / zeroth moment)
 //     Y1 = C_bb - C_bi W - W^T C_ib + W^T C_ii W   (first moment)
@@ -58,6 +58,8 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,6 +69,7 @@
 
 namespace awesim::timing::detail {
 class StageCache;
+struct CachedReduction;
 }
 
 namespace awesim::reduce {
@@ -86,9 +89,6 @@ struct ReduceOptions {
   /// Negative forces refusal deterministically (the test drill for the
   /// tolerance-exceeded path).
   double tolerance = 1e-6;
-  /// Run the Y0/Y1 verification gate.  Off skips the exact Schur
-  /// complements (cheaper, trusts the projection) -- benches only.
-  bool verify = true;
 };
 
 /// Outcome of reducing one net.  `net` is the reduced net when
@@ -168,6 +168,25 @@ std::string reduction_content_key(const timing::Net& net,
 /// refuses into the flat fallback (see the gate list above).
 NetReduction reduce_net(const timing::Net& net,
                         const ReduceOptions& options = {});
+
+/// One net's reduction through the content-addressed store: look it up
+/// under its reduction key and, on a miss, reduce_net it and insert the
+/// result (refusals included).  A null `cache` always reduces.  Lookup
+/// recovery records go to `diagnostics`; `*cache_hit` tells whether the
+/// store served the answer.
+std::shared_ptr<const timing::detail::CachedReduction> lookup_or_reduce(
+    const timing::Net& net, const ReduceOptions& options,
+    timing::detail::StageCache* cache, core::Diagnostics* diagnostics,
+    bool* cache_hit);
+
+/// `design` with net i's parasitics and macros replaced by
+/// `reductions[i]`'s wherever that reduction collapsed the net (a null
+/// or refused entry keeps the net flat); gates, drivers, sinks and
+/// primary inputs are unchanged.  `reductions` covers every net.
+timing::Design stitch_design(
+    const timing::Design& design,
+    std::span<const std::shared_ptr<const timing::detail::CachedReduction>>
+        reductions);
 
 /// A whole-design reduction: every net reduced (or refused) into a new
 /// Design with identical gates, drivers, sinks, and primary inputs.

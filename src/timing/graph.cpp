@@ -7,40 +7,41 @@
 
 namespace awesim::timing {
 
-std::size_t TimingGraph::intern_node(const std::string& name,
-                                     const std::string& owner,
-                                     PinKind kind) {
-  const auto it = index_.find(name);
-  if (it != index_.end()) return it->second;
+std::size_t TimingGraph::add_node(std::string name, const std::string& owner,
+                                  PinKind kind,
+                                  std::map<std::string, std::size_t>& index) {
+  const std::size_t id = nodes_.size();
+  index.emplace(name, id);
   TimingNode node;
-  node.name = name;
+  node.name = std::move(name);
   node.owner = owner;
   node.kind = kind;
-  const std::size_t id = nodes_.size();
   nodes_.push_back(std::move(node));
-  index_.emplace(name, id);
   return id;
 }
 
 std::size_t TimingGraph::find(const std::string& pin_name) const {
-  const auto it = index_.find(pin_name);
-  return it == index_.end() ? npos : it->second;
+  if (const auto it = index_.find(pin_name); it != index_.end()) {
+    return it->second;
+  }
+  const auto it = port_index_.find(pin_name);
+  return it == port_index_.end() ? npos : it->second;
+}
+
+const TimingNode& TimingGraph::gate_input(const std::string& gate) const {
+  const auto it = index_.find(gate + ":in");
+  if (it == index_.end()) {
+    throw std::invalid_argument("TimingGraph: unknown gate '" + gate + "'");
+  }
+  return nodes_[it->second];
 }
 
 double TimingGraph::arrival_at(const std::string& gate) const {
-  const std::size_t id = find(gate + ":in");
-  if (id == npos) {
-    throw std::invalid_argument("TimingGraph: unknown gate '" + gate + "'");
-  }
-  return nodes_[id].arrival;
+  return gate_input(gate).arrival;
 }
 
 double TimingGraph::slack_at(const std::string& gate) const {
-  const std::size_t id = find(gate + ":in");
-  if (id == npos) {
-    throw std::invalid_argument("TimingGraph: unknown gate '" + gate + "'");
-  }
-  return nodes_[id].slack;
+  return gate_input(gate).slack;
 }
 
 TimingGraph TimingGraph::build(const TimingReport& report,
@@ -54,10 +55,10 @@ TimingGraph TimingGraph::build(const TimingReport& report,
   // arithmetic exactly -- arrival(g:out) = arrival(g:in) + 0.0 is
   // bitwise arrival(g:in) for the non-negative times involved.
   for (const auto& [gate, t] : report.gate_arrival) {
-    const std::size_t in = g.intern_node(gate + ":in", gate,
-                                         PinKind::GateInput);
-    const std::size_t out = g.intern_node(gate + ":out", gate,
-                                          PinKind::GateOutput);
+    const std::size_t in =
+        g.add_node(gate + ":in", gate, PinKind::GateInput, g.index_);
+    const std::size_t out =
+        g.add_node(gate + ":out", gate, PinKind::GateOutput, g.index_);
     TimingArc arc;
     arc.from = in;
     arc.to = out;
@@ -69,6 +70,7 @@ TimingGraph TimingGraph::build(const TimingReport& report,
   }
 
   // Port nodes for design-output sinks, name-sorted for determinism.
+  // Their own index: a port named like a gate pin stays its own node.
   {
     std::set<std::string> ports;
     for (const auto& st : report.stages) {
@@ -76,21 +78,23 @@ TimingGraph TimingGraph::build(const TimingReport& report,
         if (report.gate_arrival.count(s.gate) == 0) ports.insert(s.gate);
       }
     }
-    for (const auto& p : ports) g.intern_node(p, p, PinKind::Port);
+    for (const auto& p : ports) g.add_node(p, p, PinKind::Port, g.port_index_);
   }
 
   // Net arcs in report-stage order (the deterministic reduction order of
   // the wavefront), one per stage sink.
   for (const auto& st : report.stages) {
-    const std::size_t from = g.find(st.driver_gate + ":out");
-    if (from == npos) {
+    const auto driver = g.index_.find(st.driver_gate + ":out");
+    if (driver == g.index_.end()) {
       throw std::invalid_argument(
           "TimingGraph: stage driver '" + st.driver_gate +
           "' is not in the report's gate_arrival map");
     }
+    const std::size_t from = driver->second;
     for (const auto& s : st.sinks) {
       const bool is_gate = report.gate_arrival.count(s.gate) > 0;
-      const std::size_t to = g.find(is_gate ? s.gate + ":in" : s.gate);
+      const std::size_t to = is_gate ? g.index_.at(s.gate + ":in")
+                                     : g.port_index_.at(s.gate);
       TimingArc arc;
       arc.from = from;
       arc.to = to;
@@ -111,8 +115,8 @@ TimingGraph TimingGraph::build(const TimingReport& report,
   // pinned to t = 0 even if something feeds them), plus any pin with no
   // fanin at all.
   for (const auto& gate : report.source_gates) {
-    const std::size_t id = g.find(gate + ":in");
-    if (id != npos) g.nodes_[id].is_source = true;
+    const auto it = g.index_.find(gate + ":in");
+    if (it != g.index_.end()) g.nodes_[it->second].is_source = true;
   }
   for (auto& node : g.nodes_) {
     if (node.fanin.empty()) node.is_source = true;
@@ -145,11 +149,9 @@ void TimingGraph::propagate_arrivals() {
   }
   topo_.clear();
   topo_.reserve(nodes_.size());
-  std::size_t level = 0;
   while (!frontier.empty()) {
     std::vector<std::size_t> next;
     for (const std::size_t id : frontier) {
-      nodes_[id].level = level;
       topo_.push_back(id);
       for (const std::size_t arc_id : nodes_[id].fanout) {
         const std::size_t to = arcs_[arc_id].to;
@@ -159,7 +161,6 @@ void TimingGraph::propagate_arrivals() {
     }
     std::sort(next.begin(), next.end());
     frontier = std::move(next);
-    ++level;
   }
   if (topo_.size() != nodes_.size()) {
     throw std::invalid_argument("TimingGraph: cycle in the pin DAG");

@@ -8,7 +8,8 @@
 // those queries run on:
 //
 //   nodes: one GateInput and one GateOutput pin per gate, plus one Port
-//          node per design-output sink name;
+//          node per design-output sink name (its own node even when
+//          the name is also a gate pin's);
 //   arcs:  a Gate arc  <g>:in -> <g>:out   (delay 0 -- the stage model
 //          folds the driver's intrinsic delay into its net delays, and
 //          the graph preserves that arithmetic exactly), and
@@ -60,9 +61,6 @@ struct TimingNode {
   double required = std::numeric_limits<double>::infinity();
   double slack = std::numeric_limits<double>::infinity();
 
-  /// Longest-path depth from a source (levelization of the pin DAG).
-  std::size_t level = 0;
-
   /// Arc indices into TimingGraph::arcs().
   std::vector<std::size_t> fanin;
   std::vector<std::size_t> fanout;
@@ -104,13 +102,16 @@ class TimingGraph {
   const std::vector<TimingNode>& nodes() const { return nodes_; }
   const std::vector<TimingArc>& arcs() const { return arcs_; }
 
-  /// Node index by pin name; npos when absent.
+  /// Node index by pin name; npos when absent.  Gate pins and ports are
+  /// separate nodes, so a design output may carry a gate pin's name
+  /// ("<gate>:in"); the gate pin then shadows that port here -- reach
+  /// the port through endpoints().
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t find(const std::string& pin_name) const;
 
   /// Arrival / slack at a gate's input pin (the values the wavefront
   /// reports per gate).  Throws std::invalid_argument for an
-  /// unknown gate.
+  /// unknown gate, whatever ports exist.
   double arrival_at(const std::string& gate) const;
   double slack_at(const std::string& gate) const;
 
@@ -134,14 +135,16 @@ class TimingGraph {
   }
 
  private:
-  std::size_t intern_node(const std::string& name, const std::string& owner,
-                          PinKind kind);
+  std::size_t add_node(std::string name, const std::string& owner,
+                       PinKind kind, std::map<std::string, std::size_t>& index);
+  const TimingNode& gate_input(const std::string& gate) const;
   void propagate_arrivals();
   void propagate_required(const GraphOptions& options);
 
   std::vector<TimingNode> nodes_;
   std::vector<TimingArc> arcs_;
-  std::map<std::string, std::size_t> index_;
+  std::map<std::string, std::size_t> index_;       // gate pins
+  std::map<std::string, std::size_t> port_index_;  // design-output ports
   std::vector<std::size_t> sources_;
   std::vector<std::size_t> endpoints_;
   std::vector<std::size_t> topo_;

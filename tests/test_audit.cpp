@@ -4,9 +4,9 @@
 // Errors (the false-positive sweep); the conditioning oracle must flag
 // the paper's Fig. 20/21 raw-instability setup (nonequilibrium ICs on
 // the stiff fig16 tree) and recommend the order window the paper
-// found; the graph tier, repetition tier, eligibility precheck, engine
-// pre-flight, and the awesim_audit CLI all round-trip.  Registered
-// under the ctest label "audit".
+// found; the graph tier, repetition tier, eligibility precheck, and
+// the awesim_audit CLI all round-trip.  Registered under the ctest
+// label "audit".
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,7 +26,6 @@
 #include "audit/report_json.h"
 #include "check/oracle.h"
 #include "circuits/paper_circuits.h"
-#include "core/engine.h"
 #include "netlist/parser.h"
 #include "obs/json.h"
 #include "obs/trace.h"
@@ -419,54 +418,6 @@ TEST(DesignGraph, DrivenPrimaryInputStartsItsOwnPathCount) {
   EXPECT_EQ(counts.at("x"), (Count{1, 1}));
   options.reconvergence_paths = 2;
   EXPECT_TRUE(timing::audit_graph(d, options).reconvergences.empty());
-}
-
-// ---------------------------------------------------------------------
-// The engine pre-flight oracle (EngineOptions::preflight_audit):
-// advisory, memoized, off by default.
-
-constexpr const char* kStiffLadder =
-    "V1 in 0 5\n"
-    "R1 in a 1\n"
-    "C1 a 0 1p\n"
-    "R2 a b 100k\n"
-    "C2 b 0 10n\n";
-
-const core::Diagnostic* find_hazard(const core::Diagnostics& diags) {
-  for (const auto& d : diags) {
-    if (d.code == core::DiagCode::ConditioningHazard) return &d;
-  }
-  return nullptr;
-}
-
-TEST(EnginePreflight, AuditAnnotatesResultsWithoutChangingThem) {
-  const netlist::ParseResult parse = netlist::parse_collect(kStiffLadder);
-  ASSERT_TRUE(parse.ok());
-  const circuit::NodeId out = parse.circuit->find_node("b");
-
-  core::Engine plain(*parse.circuit);
-  core::EngineOptions defaults;
-  const core::Result base = plain.approximate(out, defaults);
-  EXPECT_EQ(find_hazard(base.diagnostics), nullptr);  // off by default
-  EXPECT_EQ(plain.stats().conditioning_hazards, 0u);
-
-  core::Engine audited(*parse.circuit);
-  core::EngineOptions with_audit;
-  with_audit.preflight_audit = true;
-  const core::Result r = audited.approximate(out, with_audit);
-  const auto* hazard = find_hazard(r.diagnostics);
-  ASSERT_NE(hazard, nullptr);
-  EXPECT_EQ(hazard->severity, core::Severity::Warning);
-  EXPECT_GT(hazard->condition_estimate, 1e14);
-  EXPECT_EQ(audited.stats().conditioning_hazards, 1u);
-  // Advisory only: the numbers are identical with and without.
-  EXPECT_EQ(r.order_used, base.order_used);
-  EXPECT_DOUBLE_EQ(r.approximation.value(1e-3),
-                   base.approximation.value(1e-3));
-  // Memoized: a second approximation re-annotates but re-counts nothing.
-  const core::Result again = audited.approximate(out, with_audit);
-  EXPECT_NE(find_hazard(again.diagnostics), nullptr);
-  EXPECT_EQ(audited.stats().conditioning_hazards, 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -6,8 +6,10 @@
 // bare singular-matrix errors.  Registered under the ctest label "lint".
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -191,6 +193,79 @@ TEST(LintRules, SuspiciousValueIsAWarningNotAnError) {
   EXPECT_EQ(d->element, "R1");
   EXPECT_EQ(d->line, 0u);  // programmatic circuits carry no locations
 }
+
+// The six fixed plausibility bounds are inclusive: a value exactly at a
+// bound is silent, the next representable value outside it warns.
+struct PlausibilityCase {
+  const char* name;
+  circuit::ElementKind kind;
+  double bound;
+  bool upper;
+};
+
+void PrintTo(const PlausibilityCase& tc, std::ostream* os) { *os << tc.name; }
+
+class PlausibilityBound : public ::testing::TestWithParam<PlausibilityCase> {
+ protected:
+  // V1 -> X1 -> out, closed to ground by a plausible partner element; X1
+  // is the element under test.
+  static LintReport lint_with(circuit::ElementKind kind, double value) {
+    circuit::Circuit ckt;
+    const auto in = ckt.node("in");
+    const auto out = ckt.node("out");
+    ckt.add_vsource("V1", in, circuit::kGround,
+                    circuit::Stimulus::step(0, 5));
+    switch (kind) {
+      case circuit::ElementKind::Resistor:
+        ckt.add_resistor("X1", in, out, value);
+        ckt.add_capacitor("C1", out, circuit::kGround, 1e-12);
+        break;
+      case circuit::ElementKind::Capacitor:
+        ckt.add_resistor("R1", in, out, 1e3);
+        ckt.add_capacitor("X1", out, circuit::kGround, value);
+        break;
+      default:
+        ckt.add_inductor("X1", in, out, value);
+        ckt.add_resistor("R1", out, circuit::kGround, 1e3);
+        break;
+    }
+    return lint(ckt);
+  }
+};
+
+TEST_P(PlausibilityBound, AtBoundIsSilentJustOutsideWarns) {
+  const PlausibilityCase& tc = GetParam();
+  const LintReport at = lint_with(tc.kind, tc.bound);
+  EXPECT_TRUE(at.ok());
+  EXPECT_EQ(at.warnings, 0u);
+  EXPECT_EQ(find_code(at, core::DiagCode::SuspiciousValue), nullptr);
+
+  const double outside = std::nextafter(
+      tc.bound, tc.upper ? std::numeric_limits<double>::infinity() : 0.0);
+  const LintReport past = lint_with(tc.kind, outside);
+  EXPECT_TRUE(past.ok());
+  EXPECT_EQ(past.warnings, 1u);
+  const auto* d = find_code(past, core::DiagCode::SuspiciousValue);
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->severity, core::Severity::Warning);
+  EXPECT_EQ(d->element, "X1");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LintRules, PlausibilityBound,
+    ::testing::Values(
+        PlausibilityCase{"ResistorMin", circuit::ElementKind::Resistor, 1e-6,
+                         false},
+        PlausibilityCase{"ResistorMax", circuit::ElementKind::Resistor, 1e12,
+                         true},
+        PlausibilityCase{"CapacitorMin", circuit::ElementKind::Capacitor,
+                         1e-21, false},
+        PlausibilityCase{"CapacitorMax", circuit::ElementKind::Capacitor,
+                         1e-2, true},
+        PlausibilityCase{"InductorMin", circuit::ElementKind::Inductor,
+                         1e-15, false},
+        PlausibilityCase{"InductorMax", circuit::ElementKind::Inductor, 1e2,
+                         true}));
 
 TEST(LintRules, DuplicateNamesAndSelfShortsAreErrors) {
   circuit::Circuit ckt;

@@ -12,17 +12,22 @@ EXPERIMENTS.md (an item passes if it appears in at least one of them):
      from a built `awesim_bench --list` (pass --bench-bin; the CI leg
      builds the runner first).
 
+A third check runs the other way: every `<Name>Options::<field>` the
+docs mention must be declared in `struct <Name>Options` under src/, so
+an option that is deleted from the code cannot live on in the docs.
+
 Rationale: the repo's docs are contracts, not prose -- EXPERIMENTS.md
 promises one protocol entry per bench family and README promises a
 troubleshooting row per diagnostic surface.  A new flag or bench case
-that lands without a docs mention is exactly the drift this gate turns
-into a red CI leg.
+that lands without a docs mention, or an option the docs still name
+after the code dropped it, is exactly the drift this gate turns into a
+red CI leg.
 
 Usage:
     docs_check.py --source-dir . --bench-bin build/bench/awesim_bench
 
-Exit codes: 0 all surfaces documented, 1 something missing, 2 usage or
-environment error.  Stdlib only.
+Exit codes: 0 all surfaces documented and every named option declared,
+1 something missing or stale, 2 usage or environment error.  Stdlib only.
 """
 
 import argparse
@@ -67,6 +72,49 @@ def harvest_flags(main_path):
     with open(main_path, encoding="utf-8") as fh:
         text = fh.read()
     return sorted(set(FLAG_RE.findall(text)))
+
+
+# A docs mention of an option field: `ReduceOptions::tolerance`.
+OPTION_MENTION_RE = re.compile(
+    r"\b([A-Z][A-Za-z0-9]*Options)::([a-z_][a-z0-9_]*)\b")
+
+# `struct <Name>Options {` -- the declaration whose body is searched.
+STRUCT_RE = re.compile(
+    r"\bstruct\s+([A-Z][A-Za-z0-9]*Options)\s*(?:final\s*)?\{")
+COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
+
+
+def option_structs(source_dir):
+    """Map struct name -> concatenated bodies of every `struct <Name>Options`
+    declared in a header or source under src/, comments stripped."""
+    bodies = {}
+    for root, dirs, files in os.walk(os.path.join(source_dir, "src")):
+        for name in files:
+            if not name.endswith((".h", ".cpp")):
+                continue
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
+                text = COMMENT_RE.sub("", fh.read())
+            for m in STRUCT_RE.finditer(text):
+                depth, i = 1, m.end()
+                while i < len(text) and depth:
+                    depth += {"{": 1, "}": -1}.get(text[i], 0)
+                    i += 1
+                bodies[m.group(1)] = bodies.get(m.group(1), "") + \
+                    text[m.end():i]
+    return bodies
+
+
+def stale_option_mentions(docs, source_dir):
+    """`<Name>Options::<field>` mentions with no such declared member."""
+    structs = option_structs(source_dir)
+    stale = []
+    for doc, text in docs.items():
+        for struct, field in sorted(set(OPTION_MENTION_RE.findall(text))):
+            body = structs.get(struct, "")
+            if not re.search(rf"\b{field}\b\s*[=;{{(\[]", body):
+                stale.append(f"{doc} names {struct}::{field}, which no "
+                             f"struct {struct} under src/ declares")
+    return stale
 
 
 def bench_names(bench_bin):
@@ -129,6 +177,8 @@ def main():
     else:
         print("docs_check: note -- no --bench-bin, bench names unchecked")
 
+    stale = stale_option_mentions(docs, args.source_dir)
+
     print(f"docs_check: {checked} surfaces checked against "
           f"{'/'.join(DOC_FILES)} "
           f"({len(clis)} CLIs: {', '.join(sorted(clis))})")
@@ -138,8 +188,15 @@ def main():
         print(f"docs_check: FAIL -- {len(missing)} undocumented "
               "surface(s); mention each in README.md, DESIGN.md, or "
               "EXPERIMENTS.md", file=sys.stderr)
+    for item in stale:
+        print(f"docs_check: STALE -- {item}", file=sys.stderr)
+    if stale:
+        print(f"docs_check: FAIL -- {len(stale)} stale option mention(s)",
+              file=sys.stderr)
+    if missing or stale:
         return 1
-    print("docs_check: OK -- every surface documented")
+    print("docs_check: OK -- every surface documented, every named "
+          "option declared")
     return 0
 
 
