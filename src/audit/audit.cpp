@@ -309,18 +309,32 @@ void run_repetition_tier(const timing::Design& design,
   // Near-misses: same shape, value vectors differing in exactly one
   // entry, and not already exact duplicates.  Each shape group compares
   // against its first member only (O(n) in nets, deterministic).
+  // Counts the entries where `other`'s values compare unequal to `rep`'s
+  // (up to two), and the index of the last one counted.
+  const auto value_diffs = [](const timing::Net& rep,
+                              const timing::Net& other) {
+    std::pair<std::size_t, std::size_t> diffs{0, 0};
+    for (std::size_t e = 0; e < rep.parasitics.size() && diffs.first < 2;
+         ++e) {
+      if (rep.parasitics[e].value != other.parasitics[e].value) {
+        ++diffs.first;
+        diffs.second = e;
+      }
+    }
+    return diffs;
+  };
   for (const std::vector<std::size_t>& members : shapes) {
     if (members.size() < 2) continue;
     const timing::Net& rep = design.net_at(members.front());
+    // A member of rep's content class has rep's value bits, so it
+    // compares unequal exactly at rep's NaNs: count those once.
+    const std::size_t rep_class = classes.of_net[members.front()];
+    const auto class_diffs = value_diffs(rep, rep);
     for (std::size_t k = 1; k < members.size(); ++k) {
       const timing::Net& other = design.net_at(members[k]);
-      std::size_t diffs = 0, diff_index = 0;
-      for (std::size_t e = 0; e < rep.parasitics.size() && diffs < 2; ++e) {
-        if (rep.parasitics[e].value != other.parasitics[e].value) {
-          ++diffs;
-          diff_index = e;
-        }
-      }
+      const auto [diffs, diff_index] =
+          classes.of_net[members[k]] == rep_class ? class_diffs
+                                                  : value_diffs(rep, other);
       if (diffs != 1) continue;
       NearMiss miss;
       miss.net_a = rep.name;

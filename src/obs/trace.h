@@ -37,6 +37,9 @@
 //   audit.conditioning  the conditioning tier (audit.cell included)
 //   audit.cell       one content class's eligibility and oracle topology
 //   audit.repetition the repetition tier
+//   reduce.key       one net's reduction key serialized and looked up in
+//                    the reduction store (reduce::lookup_or_reduce)
+//   reduce.collapse  one net reduction attempt (reduce::reduce_net)
 //   session.reuse    one stage served from the Session stage cache
 //                    (verified hit in the serial pre-pass)
 //   session.invalidate  one cache entry dropped (failed verification

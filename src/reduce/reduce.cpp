@@ -16,6 +16,7 @@
 #include "la/lu.h"
 #include "la/matrix.h"
 #include "la/sparse.h"
+#include "obs/trace.h"
 #include "timing/stage_cache.h"
 
 namespace awesim::reduce {
@@ -157,17 +158,20 @@ void InternedNet::add(timing::NetElement::Kind kind, int a, int b) {
   edges.push_back(edge);
 }
 
-Eligibility net_eligibility(const timing::Net& net,
-                            const ReduceOptions& options) {
-  const std::set<std::string> boundary = boundary_names(net);
-  const Eligibility early = boundary_gates(net, boundary.size(), options);
-  if (early != Eligibility::Eligible) return early;
-  NodeTable table;
+namespace {
+
+/// Fills `table` with the boundary names (ids 1..m) and then every
+/// parasitic's endpoints in element order -- one hash per endpoint --
+/// and returns the net by those ids.
+InternedNet intern_net(const timing::Net& net,
+                       const std::set<std::string>& boundary,
+                       NodeTable& table) {
   table.ids.reserve(boundary.size() + net.parasitics.size());
   for (const std::string& name : boundary) table.intern(name);
+  table.boundary = table.ids.size();
   InternedNet interned;
   interned.ports = boundary.size();
-  interned.boundary_nodes = table.ids.size();
+  interned.boundary_nodes = table.boundary;
   interned.edges.reserve(net.parasitics.size());
   for (const timing::NetElement& e : net.parasitics) {
     const int a = table.intern(e.node_a);
@@ -175,7 +179,19 @@ Eligibility net_eligibility(const timing::Net& net,
     interned.add(e.kind, a, b);
   }
   interned.nodes = table.ids.size();
-  return table_gates(interned, options);
+  table.interior = interned.nodes - table.boundary;
+  return interned;
+}
+
+}  // namespace
+
+Eligibility net_eligibility(const timing::Net& net,
+                            const ReduceOptions& options) {
+  const std::set<std::string> boundary = boundary_names(net);
+  const Eligibility early = boundary_gates(net, boundary.size(), options);
+  if (early != Eligibility::Eligible) return early;
+  NodeTable table;
+  return table_gates(intern_net(net, boundary, table), options);
 }
 
 Eligibility net_eligibility(const timing::Net& net,
@@ -189,7 +205,7 @@ Eligibility net_eligibility(const timing::Net& net,
 std::string reduction_content_key(const timing::Net& net,
                                   const ReduceOptions& options) {
   timing::detail::KeyBuilder kb;
-  kb.reserve(64 + net.parasitics.size() * 32);
+  kb.reserve(64 + net.parasitics.size() * 24);
   kb.tag('P').integer(net.parasitics.size());
   for (const timing::NetElement& e : net.parasitics) {
     kb.integer(static_cast<std::uint64_t>(e.kind))
@@ -220,25 +236,23 @@ std::string reduction_content_key(const timing::Net& net,
 }
 
 NetReduction reduce_net(const timing::Net& net, const ReduceOptions& options) {
+  AWESIM_TRACE_SPAN("reduce.collapse");
   NetReduction out;
   out.net = net;
 
   // --- Cheap structural gates (silent refusals: flat is simply right),
-  // shared with HierSession's precheck and the design audit.
-  if (net_eligibility(net, options) != Eligibility::Eligible) return out;
-
+  // shared with HierSession's precheck and the design audit.  Their node
+  // table is the one every walk below reads, through `edges`.
   const std::set<std::string> boundary = boundary_names(net);
-  NodeTable table;
-  table.ids.reserve(boundary.size() + net.parasitics.size());
-  for (const std::string& name : boundary) table.intern(name);
-  table.boundary = table.ids.size();
-  for (const timing::NetElement& e : net.parasitics) {
-    table.intern(e.node_a);
-    table.intern(e.node_b);
+  if (boundary_gates(net, boundary.size(), options) != Eligibility::Eligible) {
+    return out;
   }
+  NodeTable table;
+  const InternedNet interned = intern_net(net, boundary, table);
+  if (table_gates(interned, options) != Eligibility::Eligible) return out;
+  const std::vector<check::Edge>& edges = interned.edges;
   const std::size_t m = table.boundary;
-  const std::size_t ni = table.ids.size() - m;
-  table.interior = ni;
+  const std::size_t ni = table.interior;
 
   // --- The fault-injection drill: a typed, visible refusal.
   if (core::fault_at("reduce.collapse", net.name)) {
@@ -254,9 +268,8 @@ NetReduction reduce_net(const timing::Net& net, const ReduceOptions& options) {
   // we just refuse the collapse).
   {
     check::UnionFind uf(table.ids.size() + 1);
-    for (const timing::NetElement& e : net.parasitics) {
-      if (e.kind != timing::NetElement::Kind::Resistor) continue;
-      uf.unite(table.intern(e.node_a), table.intern(e.node_b));
+    for (const check::Edge& edge : edges) {
+      if (edge.kind == check::Edge::Kind::Resistive) uf.unite(edge.a, edge.b);
     }
     std::set<int> anchored;
     anchored.insert(uf.find(0));
@@ -296,9 +309,10 @@ NetReduction reduce_net(const timing::Net& net, const ReduceOptions& options) {
     // Boundary-row/interior-col entries are dropped: the stamps are
     // symmetric, so G_bi is recovered as G_ib^T where needed.
   };
-  for (const timing::NetElement& e : net.parasitics) {
-    const int a = table.intern(e.node_a);
-    const int b = table.intern(e.node_b);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const timing::NetElement& e = net.parasitics[i];
+    const int a = edges[i].a;
+    const int b = edges[i].b;
     const bool touches_interior = (a > static_cast<int>(m) && a != 0) ||
                                   (b > static_cast<int>(m) && b != 0);
     if (!touches_interior) {
@@ -536,6 +550,7 @@ std::shared_ptr<const timing::detail::CachedReduction> lookup_or_reduce(
   *cache_hit = false;
   std::string key;
   if (cache != nullptr) {
+    AWESIM_TRACE_SPAN("reduce.key");
     key = timing::detail::reduction_key(reduction_content_key(net, options));
     if (auto cached = cache->lookup_reduction(key, net.name, diagnostics)) {
       *cache_hit = true;

@@ -1,38 +1,11 @@
 #include "timing/stage_cache.h"
 
-#include <cstring>
 #include <utility>
 
 #include "core/fault.h"
 #include "obs/trace.h"
 
 namespace awesim::timing::detail {
-
-KeyBuilder& KeyBuilder::integer(std::uint64_t v) {
-  // One bulk append instead of 8 push_backs: key serialization is the
-  // dominant cost of a warm cache lookup on kilo-element nets.  The
-  // byte order stays explicitly little-endian so keys are identical to
-  // what the per-byte loop produced.
-  char buf[8];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-  bytes_.append(buf, sizeof buf);
-  return *this;
-}
-
-KeyBuilder& KeyBuilder::number(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  return integer(bits);
-}
-
-KeyBuilder& KeyBuilder::text(std::string_view s) {
-  integer(s.size());
-  bytes_.append(s.data(), s.size());
-  return *this;
-}
 
 std::uint64_t fnv1a(std::string_view bytes) {
   std::uint64_t h = 1469598103934665603ull;
@@ -71,10 +44,10 @@ namespace {
 
 void append_content_key(KeyBuilder& kb, const Gate& driver, const Net& net,
                         const std::map<std::string, Gate>& gates) {
-  // ~40 bytes per parasitic (tag + two length-prefixed node names +
+  // ~20 bytes per parasitic (tag + two length-prefixed node names +
   // value) plus sink records and the fixed sections.
-  kb.reserve(kb.bytes().size() + 48 * net.parasitics.size() +
-             64 * net.sink_node.size() + 128);
+  kb.reserve(kb.bytes().size() + 24 * net.parasitics.size() +
+             48 * net.sink_node.size() + 128);
   kb.tag('A').number(driver.drive_resistance);
   kb.tag('P').integer(net.parasitics.size());
   for (const auto& e : net.parasitics) {
@@ -163,12 +136,9 @@ std::uint64_t reduction_checksum(const CachedReduction& reduction) {
   return fnv1a(kb.bytes());
 }
 
-std::string reduction_key(std::string_view content) {
-  KeyBuilder kb;
-  kb.reserve(content.size() + 16);
-  kb.tag('\x01').tag('R');
-  kb.text(content);
-  return kb.take();
+std::string reduction_key(std::string content) {
+  content.insert(0, "\x01R", 2);
+  return content;
 }
 
 template <typename V>

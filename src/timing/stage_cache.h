@@ -53,6 +53,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <list>
 #include <map>
@@ -70,18 +71,37 @@
 
 namespace awesim::timing::detail {
 
-/// Serializes key material into exact bytes (doubles by bit pattern,
-/// strings length-prefixed, single-byte tags separating sections) so two
-/// keys are equal iff every contributing field is bitwise equal.
+/// Serializes key material into exact bytes so two keys are equal iff
+/// every contributing field is bitwise equal: single-byte tags separate
+/// sections, integers and string lengths are LEB128 varints (7 bits a
+/// byte, low group first, the high bit set on all but the last byte),
+/// doubles are their 8 raw bytes.  Every field of a key's fixed schema
+/// is self-delimiting, so equal bytes mean equal fields.
 class KeyBuilder {
  public:
   KeyBuilder& tag(char t) {
     bytes_.push_back(t);
     return *this;
   }
-  KeyBuilder& integer(std::uint64_t v);
-  KeyBuilder& number(double v);
-  KeyBuilder& text(std::string_view s);
+  KeyBuilder& integer(std::uint64_t v) {
+    char buf[10];
+    std::size_t n = 0;
+    for (; v >= 0x80; v >>= 7) buf[n++] = static_cast<char>(v | 0x80);
+    buf[n++] = static_cast<char>(v);
+    bytes_.append(buf, n);
+    return *this;
+  }
+  KeyBuilder& number(double v) {
+    char buf[sizeof v];
+    std::memcpy(buf, &v, sizeof v);
+    bytes_.append(buf, sizeof v);
+    return *this;
+  }
+  KeyBuilder& text(std::string_view s) {
+    integer(s.size());
+    bytes_.append(s.data(), s.size());
+    return *this;
+  }
 
   /// Pre-size the byte buffer (keys for kilo-element nets reach tens of
   /// kilobytes; growing a std::string through that is measurable).
@@ -136,13 +156,13 @@ struct CachedReduction {
 /// discipline of stage_checksum, applied to the reduction store).
 std::uint64_t reduction_checksum(const CachedReduction& reduction);
 
-/// The reduction key space: opens with '\x01','R' so it is disjoint
-/// from the content and result keys, which open with the content
-/// section's 'A'.
-/// `content` is the caller-serialized byte string covering the net's
-/// parasitics, boundary set, and reduction settings (see
-/// reduce::reduction_content_key).
-std::string reduction_key(std::string_view content);
+/// The reduction key space: '\x01','R' ahead of `content`, so it is
+/// disjoint from the content and result keys, which open with the
+/// content section's 'A'.  `content` is the caller-serialized byte
+/// string covering the net's parasitics, boundary set, and reduction
+/// settings (see reduce::reduction_content_key); it is the rest of the
+/// key, so it needs no length, and it is prefixed in place.
+std::string reduction_key(std::string content);
 
 class StageCache {
  public:

@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -464,6 +466,55 @@ TEST(AuditClasses, NetCarryingMacrosIsItsOwnClass) {
   EXPECT_EQ(report.nets[1].eligibility, reduce::Eligibility::HasMacros);
   EXPECT_TRUE(report.repeated.empty());
   EXPECT_EQ(find_code(report, core::DiagCode::RepeatedStructure), nullptr);
+}
+
+TEST(AuditClasses, NearMissNanSemanticsAreKept) {
+  // Two instances of one cell are one content class (equal value bits),
+  // yet their values compare unequal wherever the cell holds a NaN: one
+  // NaN reads as a one-value near-miss at that element, two as none.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto audit_pair = [&](double c1, double c2) {
+    timing::Net cell;
+    cell.parasitics = {
+        timing::testutil::r("DRV", "a", 100.0),
+        timing::testutil::c("a", c1),
+        timing::testutil::r("a", "S", 50.0),
+        timing::testutil::c("S", c2),
+    };
+    timing::Net first = cell;
+    first.name = "n_first";
+    first.sink_node = {{"s1", "S"}};
+    timing::Net second = cell;
+    second.name = "n_second";
+    second.sink_node = {{"s2", "S"}};
+    timing::Design design = gate_design({"d1", "d2", "s1", "s2"});
+    design.set_primary_input("d1");
+    design.set_primary_input("d2");
+    design.add_net("d1", first);
+    design.add_net("d2", second);
+    AuditOptions options;
+    options.conditioning = false;
+    return audit_design(design, options);
+  };
+
+  const AuditReport one = audit_pair(2e-15, nan);
+  ASSERT_EQ(one.repeated.size(), 1u);
+  ASSERT_EQ(one.near_misses.size(), 1u);
+  EXPECT_EQ(one.near_misses[0].net_a, "n_first");
+  EXPECT_EQ(one.near_misses[0].net_b, "n_second");
+  EXPECT_EQ(one.near_misses[0].element_index, 3u);
+  EXPECT_TRUE(std::isnan(one.near_misses[0].value_a));
+  EXPECT_TRUE(std::isnan(one.near_misses[0].value_b));
+  EXPECT_NE(find_code(one, core::DiagCode::NearDuplicate), nullptr);
+
+  const AuditReport two = audit_pair(nan, nan);
+  ASSERT_EQ(two.repeated.size(), 1u);
+  EXPECT_TRUE(two.near_misses.empty());
+  EXPECT_EQ(find_code(two, core::DiagCode::NearDuplicate), nullptr);
+
+  const AuditReport none = audit_pair(2e-15, 3e-15);
+  ASSERT_EQ(none.repeated.size(), 1u);
+  EXPECT_TRUE(none.near_misses.empty());
 }
 
 TEST(AuditClasses, PermutedSinkPinsGetTheirOwnEstimate) {

@@ -16,6 +16,11 @@ A third check runs the other way: every `<Name>Options::<field>` the
 docs mention must be declared in `struct <Name>Options` under src/, so
 an option that is deleted from the code cannot live on in the docs.
 
+A fourth holds the span taxonomy to the code both ways: every
+`AWESIM_TRACE_SPAN("...")` literal under src/ must be listed in the
+taxonomy comment of src/obs/trace.h and named (in backticks) in
+DESIGN.md, and every taxonomy entry must be a span some source opens.
+
 Rationale: the repo's docs are contracts, not prose -- EXPERIMENTS.md
 promises one protocol entry per bench family and README promises a
 troubleshooting row per diagnostic surface.  A new flag or bench case
@@ -26,8 +31,9 @@ red CI leg.
 Usage:
     docs_check.py --source-dir . --bench-bin build/bench/awesim_bench
 
-Exit codes: 0 all surfaces documented and every named option declared,
-1 something missing or stale, 2 usage or environment error.  Stdlib only.
+Exit codes: 0 all surfaces documented, every named option declared and
+the span taxonomy in step with the code, 1 something missing, stale or
+out of step, 2 usage or environment error.  Stdlib only.
 """
 
 import argparse
@@ -117,6 +123,64 @@ def stale_option_mentions(docs, source_dir):
     return stale
 
 
+SPAN_RE = re.compile(r'AWESIM_TRACE_SPAN\(\s*"([^"]+)"\s*\)')
+TAXONOMY_HEAD = "// The canonical span taxonomy"
+# A taxonomy entry: `//   <phase.name>  <what it times>`; continuation
+# lines are indented further and never match.
+TAXONOMY_ENTRY_RE = re.compile(r"^//   ([a-z][a-z0-9_]*\.[a-z0-9_.]+)(?:\s|$)")
+
+
+def code_spans(source_dir):
+    """Every span name a source under src/ opens, comments stripped."""
+    spans = set()
+    for root, dirs, files in os.walk(os.path.join(source_dir, "src")):
+        for name in files:
+            if not name.endswith((".h", ".cpp")):
+                continue
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
+                spans.update(SPAN_RE.findall(COMMENT_RE.sub("", fh.read())))
+    return spans
+
+
+def taxonomy_spans(source_dir):
+    """The span names listed in src/obs/trace.h's taxonomy comment: the
+    entry lines of the comment block that opens at TAXONOMY_HEAD."""
+    path = os.path.join(source_dir, "src", "obs", "trace.h")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = next((i for i, line in enumerate(lines)
+                  if line.startswith(TAXONOMY_HEAD)), None)
+    if start is None:
+        return None
+    spans = set()
+    for line in lines[start + 1:]:
+        if not line.startswith("//") or line.strip() == "//":
+            break
+        m = TAXONOMY_ENTRY_RE.match(line)
+        if m:
+            spans.add(m.group(1))
+    return spans
+
+
+def span_drift(design_text, source_dir):
+    """Spans missing from the taxonomy or DESIGN.md, and taxonomy
+    entries no source opens."""
+    code = code_spans(source_dir)
+    taxonomy = taxonomy_spans(source_dir)
+    if taxonomy is None:
+        return [f"src/obs/trace.h has no '{TAXONOMY_HEAD}' comment"], 0
+    drift = []
+    for span in sorted(code - taxonomy):
+        drift.append(f"span {span} is not in the src/obs/trace.h taxonomy")
+    for span in sorted(code):
+        if f"`{span}`" not in design_text:
+            drift.append(f"span {span} is not named in DESIGN.md")
+    for span in sorted(taxonomy - code):
+        drift.append(f"taxonomy entry {span} is opened by no source "
+                     "under src/")
+    return drift, len(code)
+
+
 def bench_names(bench_bin):
     """First token of each `awesim_bench --list` line."""
     proc = subprocess.run([bench_bin, "--list"], stdout=subprocess.PIPE,
@@ -178,6 +242,8 @@ def main():
         print("docs_check: note -- no --bench-bin, bench names unchecked")
 
     stale = stale_option_mentions(docs, args.source_dir)
+    drift, span_count = span_drift(docs["DESIGN.md"], args.source_dir)
+    checked += span_count
 
     print(f"docs_check: {checked} surfaces checked against "
           f"{'/'.join(DOC_FILES)} "
@@ -193,10 +259,15 @@ def main():
     if stale:
         print(f"docs_check: FAIL -- {len(stale)} stale option mention(s)",
               file=sys.stderr)
-    if missing or stale:
+    for item in drift:
+        print(f"docs_check: SPAN -- {item}", file=sys.stderr)
+    if drift:
+        print(f"docs_check: FAIL -- {len(drift)} span taxonomy "
+              "mismatch(es)", file=sys.stderr)
+    if missing or stale or drift:
         return 1
     print("docs_check: OK -- every surface documented, every named "
-          "option declared")
+          f"option declared, {span_count} spans in the taxonomy")
     return 0
 
 
