@@ -231,11 +231,8 @@ int main(int argc, char** argv) {
 
   timing::PathsResult paths;
   if (k_paths > 0) {
-    timing::GraphOptions gopt;
-    gopt.required_time = opt.required_time;
-    const timing::TimingGraph graph = timing::TimingGraph::build(report, gopt);
     query.k = k_paths;
-    paths = timing::k_worst_paths(graph, query);
+    paths = timing::k_worst_paths(*report.graph, query);
   }
 
   if (emit_json) {

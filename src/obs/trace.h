@@ -29,6 +29,9 @@
 //   stage.crossings  delay/slew threshold extraction for one stage sink
 //                    (one grid scan for all levels)
 //   parallel.job     one thread-pool job (wraps timing.stage)
+//   graph.build      one pin-DAG build with both propagation passes
+//                    (one per analysis, kept in its report)
+//   paths.search     one K-worst path query (k_worst_paths)
 //   check.lint       one static lint pass over a circuit
 //   audit.parse      one design-netlist parse (audit::parse_design)
 //   audit.graph      the audit's graph tier

@@ -688,8 +688,15 @@ json::Value dispatch(timing::SnapshotStore& store, const Request& req,
         query.through.push_back(through->at(i).as_string());
       }
     }
-    query.max_expansions = static_cast<std::size_t>(
-        index_or(req.params, "max_expansions", query.max_expansions));
+    // The search heaps every candidate it expands, so the cap bounds a
+    // query's memory: a client may lower it but not raise it.
+    const std::uint64_t max_expansions =
+        index_or(req.params, "max_expansions", query.max_expansions);
+    if (max_expansions > query.max_expansions) {
+      throw bad_request("'max_expansions' must be at most " +
+                        std::to_string(query.max_expansions));
+    }
+    query.max_expansions = static_cast<std::size_t>(max_expansions);
     const std::shared_ptr<const timing::Snapshot> snap = store.current();
     set_generation(snap->generation());
     return paths_to_json(snap->worst_paths(query, cancel));

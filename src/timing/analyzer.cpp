@@ -346,22 +346,27 @@ TimingReport analyze_design(const Design& design,
       trace_path(worst);
     }
   }
-  // Backward pass: build the pin-level graph from the finished report
-  // and fold its slack view into the report.  The graph re-propagates
-  // arrivals from arc delays (it does not copy the map above), so this
-  // doubles as a built-in self-check; tests make it a bitwise one.
+  // awe_stats covers the stage work; graph.build falls outside it.
+  report.awe_stats.phases = obs::since(phases_before);
+
+  // Backward pass: build the pin-level graph from the finished report,
+  // fold its slack view into the report and keep it there for path
+  // queries.  The graph re-propagates arrivals from arc delays (it does
+  // not copy the map above), so this doubles as a built-in self-check;
+  // tests make it a bitwise one.
   {
     GraphOptions gopt;
     gopt.required_time = options.required_time;
-    const TimingGraph graph = TimingGraph::build(report, gopt);
+    auto pins =
+        std::make_shared<const TimingGraph>(TimingGraph::build(report, gopt));
     for (const auto& [gate, t] : report.gate_arrival) {
-      report.gate_slack[gate] = graph.slack_at(gate);
+      report.gate_slack[gate] = pins->slack_at(gate);
     }
-    report.worst_slack = graph.worst_slack();
-    report.worst_slack_endpoint = graph.worst_endpoint();
+    report.worst_slack = pins->worst_slack();
+    report.worst_slack_endpoint = pins->worst_endpoint();
+    report.graph = std::move(pins);
   }
 
-  report.awe_stats.phases = obs::since(phases_before);
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     t_start)

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -51,6 +52,8 @@ class CancelToken;
 }
 
 namespace awesim::timing {
+
+class TimingGraph;
 
 /// Linearized switching gate (the Section II MOSFET approximation).
 struct Gate {
@@ -181,6 +184,11 @@ struct TimingReport {
   /// plus zero-fan-in gates) -- the wave-0 sources, name-sorted.  The
   /// timing graph pins these to arrival 0 when it re-propagates.
   std::vector<std::string> source_gates;
+
+  /// The pin-level timing graph (timing/graph.h) the analysis built
+  /// from this report, with AnalysisOptions::required_time.  Slack
+  /// fields below and every path query read this one graph.
+  std::shared_ptr<const TimingGraph> graph;
 
   /// Slack at each gate input pin, from the backward required-arrival
   /// pass over the timing graph (required per AnalysisOptions::

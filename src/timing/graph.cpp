@@ -5,6 +5,8 @@
 #include <set>
 #include <stdexcept>
 
+#include "obs/trace.h"
+
 namespace awesim::timing {
 
 std::size_t TimingGraph::add_node(std::string name, const std::string& owner,
@@ -28,6 +30,10 @@ std::size_t TimingGraph::find(const std::string& pin_name) const {
   return it == port_index_.end() ? npos : it->second;
 }
 
+bool TimingGraph::has_owner(const std::string& name) const {
+  return index_.count(name + ":in") > 0 || port_index_.count(name) > 0;
+}
+
 const TimingNode& TimingGraph::gate_input(const std::string& gate) const {
   const auto it = index_.find(gate + ":in");
   if (it == index_.end()) {
@@ -46,6 +52,7 @@ double TimingGraph::slack_at(const std::string& gate) const {
 
 TimingGraph TimingGraph::build(const TimingReport& report,
                                const GraphOptions& options) {
+  AWESIM_TRACE_SPAN("graph.build");
   TimingGraph g;
 
   // Gate pins first, in the (sorted) gate_arrival order; the gate arc

@@ -109,6 +109,10 @@ class TimingGraph {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t find(const std::string& pin_name) const;
 
+  /// True when a gate (its "<name>:in" pin) or a design-output port is
+  /// named `name` -- the owners path filters accept.
+  bool has_owner(const std::string& name) const;
+
   /// Arrival / slack at a gate's input pin (the values the wavefront
   /// reports per gate).  Throws std::invalid_argument for an
   /// unknown gate, whatever ports exist.

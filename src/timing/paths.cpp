@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <limits>
 #include <queue>
-#include <set>
 #include <stdexcept>
 
 #include "core/cancel.h"
+#include "obs/trace.h"
 
 namespace awesim::timing {
 
@@ -37,6 +37,7 @@ struct CandidateLess {
 }  // namespace
 
 PathsResult k_worst_paths(const TimingGraph& graph, const PathQuery& query) {
+  AWESIM_TRACE_SPAN("paths.search");
   if (query.through.size() > 64) {
     throw std::invalid_argument(
         "k_worst_paths: at most 64 through-points are supported");
@@ -45,19 +46,15 @@ PathsResult k_worst_paths(const TimingGraph& graph, const PathQuery& query) {
   const auto& arcs = graph.arcs();
 
   // Validate filter names against the owners actually present.
-  {
-    std::set<std::string> owners;
-    for (const auto& n : nodes) owners.insert(n.owner);
-    auto check = [&owners](const std::string& name, const char* what) {
-      if (!name.empty() && owners.count(name) == 0) {
-        throw std::invalid_argument(std::string("k_worst_paths: unknown ") +
-                                    what + " '" + name + "'");
-      }
-    };
-    check(query.from, "from-point");
-    check(query.to, "to-point");
-    for (const auto& t : query.through) check(t, "through-point");
-  }
+  auto check = [&graph](const std::string& name, const char* what) {
+    if (!name.empty() && !graph.has_owner(name)) {
+      throw std::invalid_argument(std::string("k_worst_paths: unknown ") +
+                                  what + " '" + name + "'");
+    }
+  };
+  check(query.from, "from-point");
+  check(query.to, "to-point");
+  for (const auto& t : query.through) check(t, "through-point");
 
   PathsResult result;
   if (query.k == 0 || nodes.empty()) return result;

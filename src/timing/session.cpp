@@ -208,20 +208,8 @@ SweepResult Session::sweep(const SweepParam& param,
   return result;
 }
 
-TimingGraph Session::graph() {
-  GraphOptions gopt;
-  gopt.required_time = options_.required_time;
-  return TimingGraph::build(analyze(), gopt);
-}
-
-TimingGraph Session::graph(double required_time) {
-  GraphOptions gopt;
-  gopt.required_time = required_time;
-  return TimingGraph::build(analyze(), gopt);
-}
-
 PathsResult Session::worst_paths(const PathQuery& query) {
-  return k_worst_paths(graph(), query);
+  return k_worst_paths(*analyze().graph, query);
 }
 
 double Session::worst_slack() { return analyze().worst_slack; }

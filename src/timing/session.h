@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "timing/analyzer.h"
-#include "timing/graph.h"
 #include "timing/paths.h"
 
 namespace awesim::timing {
@@ -152,16 +151,9 @@ class Session {
   SweepResult sweep(const SweepParam& param,
                     const std::vector<double>& values);
 
-  /// Analyze the current design state (warm, through the stage cache)
-  /// and build the pin-level timing graph on the result.  The graph
-  /// honors options().required_time; the overload pins a different
-  /// endpoint requirement for this query only.
-  TimingGraph graph();
-  TimingGraph graph(double required_time);
-
   /// Analyze (warm) and enumerate the K worst paths of the current
-  /// design state.  See timing/paths.h for query semantics; throws what
-  /// k_worst_paths() throws on bad filter names.
+  /// design state over TimingReport::graph.  See timing/paths.h for
+  /// query semantics; throws what k_worst_paths() throws on bad names.
   PathsResult worst_paths(const PathQuery& query = {});
 
   /// Analyze (warm) and return the worst endpoint slack.

@@ -1,7 +1,5 @@
 #include "timing/snapshot.h"
 
-#include <cmath>
-#include <limits>
 #include <utility>
 
 #include "core/cancel.h"
@@ -39,22 +37,11 @@ double Snapshot::worst_slack(core::CancelToken* cancel) const {
   return report(cancel)->worst_slack;
 }
 
-TimingGraph Snapshot::graph(double required_time,
-                            core::CancelToken* cancel) const {
-  const std::shared_ptr<const TimingReport> rep = report(cancel);
-  GraphOptions gopt;
-  gopt.required_time =
-      std::isnan(required_time) ? options_.required_time : required_time;
-  return TimingGraph::build(*rep, gopt);
-}
-
 PathsResult Snapshot::worst_paths(const PathQuery& query,
                                   core::CancelToken* cancel) const {
-  const TimingGraph g =
-      graph(std::numeric_limits<double>::quiet_NaN(), cancel);
   PathQuery q = query;
   if (q.cancel == nullptr) q.cancel = cancel;
-  return k_worst_paths(g, q);
+  return k_worst_paths(*report(cancel)->graph, q);
 }
 
 SweepResult Snapshot::sweep(const SweepParam& param,

@@ -28,7 +28,9 @@
 //     that safe (see Session's shared-cache constructor) and makes
 //     every query warm: generation N+1 re-evaluates only the stages the
 //     edit actually changed, and K readers of one snapshot pay for one
-//     analysis (memoized) plus zero-lock reuse afterwards.
+//     analysis (memoized) plus zero-lock reuse afterwards.  The pin
+//     graph is part of that analysis (TimingReport::graph): K path
+//     queries of one snapshot search one graph and build none.
 //
 // Cancellation composes per request: a CancelToken passed to a snapshot
 // query bounds *that* analysis only.  A cancelled analysis publishes
@@ -73,12 +75,8 @@ class Snapshot {
   /// Worst endpoint slack (from report()).
   double worst_slack(core::CancelToken* cancel = nullptr) const;
 
-  /// Pin-level timing graph built from report().  NaN required_time
-  /// falls back to the snapshot options' required_time.
-  TimingGraph graph(double required_time,
-                    core::CancelToken* cancel = nullptr) const;
-
-  /// K-worst paths over graph(); query.cancel also bounds the
+  /// K-worst paths over report()'s graph (TimingReport::graph, built
+  /// once by the memoized analysis); query.cancel also bounds the
   /// enumeration itself (expansion granularity).
   PathsResult worst_paths(const PathQuery& query,
                           core::CancelToken* cancel = nullptr) const;

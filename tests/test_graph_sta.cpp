@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <set>
 #include <string>
@@ -16,10 +17,12 @@
 
 #include "core/diagnostic.h"
 #include "core/fault.h"
+#include "obs/trace.h"
 #include "timing/design_graph.h"
 #include "timing/graph.h"
 #include "timing/paths.h"
 #include "timing/session.h"
+#include "timing/snapshot.h"
 #include "util/random_circuits.h"
 
 namespace awesim::timing {
@@ -187,8 +190,8 @@ TEST(GraphSta, WarmSessionGraphIsBitwiseColdGraph) {
   Session session(d, opt);
   const TimingReport cold_report = session.analyze();
   const TimingGraph cold = TimingGraph::build(cold_report);
-  (void)cold_report;
-  const TimingGraph warm = session.graph();
+  const TimingReport warm_report = session.analyze();
+  const TimingGraph& warm = *warm_report.graph;
   ASSERT_EQ(cold.nodes().size(), warm.nodes().size());
   for (std::size_t n = 0; n < cold.nodes().size(); ++n) {
     EXPECT_EQ(cold.nodes()[n].arrival, warm.nodes()[n].arrival);
@@ -199,7 +202,8 @@ TEST(GraphSta, WarmSessionGraphIsBitwiseColdGraph) {
   PathQuery q;
   q.k = 4;
   const PathsResult warm_paths = session.worst_paths(q);
-  const PathsResult cold_paths = k_worst_paths(session.graph(), q);
+  const PathsResult cold_paths =
+      k_worst_paths(*session.analyze().graph, q);
   ASSERT_EQ(warm_paths.paths.size(), cold_paths.paths.size());
   for (std::size_t i = 0; i < warm_paths.paths.size(); ++i) {
     EXPECT_EQ(warm_paths.paths[i].arrival, cold_paths.paths[i].arrival);
@@ -482,6 +486,159 @@ TEST(GraphSta, AuditCyclesAgreeWithAnalyzerOnRandomDesigns) {
   // The generator must exercise both outcomes.
   EXPECT_GT(cyclic, 10u);
   EXPECT_GT(acyclic, 10u);
+}
+
+// ---------------------------------------------------------------------
+// One pin DAG per analysis: the graph a report carries is, bit for bit,
+// the graph a fresh TimingGraph::build of that report gives, and every
+// path reader (Snapshot, Session) answers from it exactly as a search
+// over a fresh build does.
+
+namespace {
+
+void expect_same_graph(const TimingGraph& kept, const TimingGraph& fresh) {
+  ASSERT_EQ(kept.nodes().size(), fresh.nodes().size());
+  ASSERT_EQ(kept.arcs().size(), fresh.arcs().size());
+  for (std::size_t n = 0; n < kept.nodes().size(); ++n) {
+    const TimingNode& k = kept.nodes()[n];
+    const TimingNode& f = fresh.nodes()[n];
+    EXPECT_EQ(k.name, f.name);
+    EXPECT_EQ(bits(k.arrival), bits(f.arrival)) << k.name;
+    EXPECT_EQ(bits(k.required), bits(f.required)) << k.name;
+    EXPECT_EQ(bits(k.slack), bits(f.slack)) << k.name;
+  }
+  for (std::size_t a = 0; a < kept.arcs().size(); ++a) {
+    EXPECT_EQ(kept.arcs()[a].from, fresh.arcs()[a].from);
+    EXPECT_EQ(kept.arcs()[a].to, fresh.arcs()[a].to);
+    EXPECT_EQ(bits(kept.arcs()[a].slack), bits(fresh.arcs()[a].slack));
+  }
+  EXPECT_EQ(bits(kept.worst_slack()), bits(fresh.worst_slack()));
+  EXPECT_EQ(kept.worst_endpoint(), fresh.worst_endpoint());
+}
+
+void expect_same_paths(const PathsResult& got, const PathsResult& want) {
+  EXPECT_EQ(got.truncated, want.truncated);
+  EXPECT_EQ(got.expansions, want.expansions);
+  ASSERT_EQ(got.paths.size(), want.paths.size());
+  for (std::size_t i = 0; i < got.paths.size(); ++i) {
+    const Path& g = got.paths[i];
+    const Path& w = want.paths[i];
+    EXPECT_EQ(g.arcs, w.arcs) << "path " << i;
+    EXPECT_EQ(bits(g.arrival), bits(w.arrival)) << "path " << i;
+    EXPECT_EQ(bits(g.slack), bits(w.slack)) << "path " << i;
+    EXPECT_EQ(g.source, w.source);
+    EXPECT_EQ(g.endpoint, w.endpoint);
+    ASSERT_EQ(g.points.size(), w.points.size());
+    for (std::size_t p = 0; p < g.points.size(); ++p) {
+      EXPECT_EQ(g.points[p].pin, w.points[p].pin);
+      EXPECT_EQ(bits(g.points[p].arrival), bits(w.points[p].arrival));
+    }
+  }
+}
+
+constexpr double kFloating = std::numeric_limits<double>::quiet_NaN();
+
+}  // namespace
+
+TEST(GraphSta, KeptGraphIsBitwiseAFreshBuild) {
+  std::vector<Design> designs = {reconvergent_design(),
+                                 driven_primary_input(),
+                                 primary_input_feedback(true)};
+  for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+    designs.push_back(random_gate_design(seed));
+  }
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < designs.size(); ++i) {
+    for (const int threads : {1, 4}) {
+      for (const double required : {kFloating, 1.5e-9}) {
+        SCOPED_TRACE("design " + std::to_string(i) + ", threads " +
+                     std::to_string(threads) + ", required " +
+                     std::to_string(required));
+        AnalysisOptions opt;
+        opt.threads = threads;
+        opt.required_time = required;
+        TimingReport report;
+        try {
+          report = designs[i].analyze(opt);
+        } catch (const core::DiagnosticError&) {
+          continue;  // a cyclic random design: no report, no graph
+        }
+        ASSERT_NE(report.graph, nullptr);
+        GraphOptions gopt;
+        gopt.required_time = required;
+        expect_same_graph(*report.graph, TimingGraph::build(report, gopt));
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 40u);
+}
+
+TEST(GraphSta, PathReadersMatchSearchOverAFreshBuild) {
+  const Design d = reconvergent_design();
+  std::vector<PathQuery> queries(7);
+  queries[0].k = 8;
+  queries[1].from = "src";
+  queries[2].to = "OUT";
+  queries[3].k = 3;
+  queries[3].through = {"slow0", "slow1"};
+  queries[4].k = 4;
+  queries[4].through = {"slow1"};
+  queries[5].through = {"fast0", "join"};
+  queries[6].from = "src";
+  queries[6].to = "OUT";
+  queries[6].through = {"fast1"};
+  for (const double required : {kFloating, 1.5e-9}) {
+    AnalysisOptions opt;
+    opt.threads = 1;
+    opt.required_time = required;
+    const TimingReport report = d.analyze(opt);
+    GraphOptions gopt;
+    gopt.required_time = required;
+    const TimingGraph fresh = TimingGraph::build(report, gopt);
+    SnapshotStore store(d, opt);
+    const std::shared_ptr<const Snapshot> snap = store.current();
+    Session session(d, opt);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE("query " + std::to_string(i) + ", required " +
+                   std::to_string(required));
+      const PathsResult want = k_worst_paths(fresh, queries[i]);
+      ASSERT_FALSE(want.paths.empty());
+      expect_same_paths(snap->worst_paths(queries[i]), want);
+      expect_same_paths(session.worst_paths(queries[i]), want);
+    }
+  }
+}
+
+TEST(GraphSta, SnapshotPathQueriesSearchTheAnalysisGraph) {
+  if (!obs::tracing_compiled_in()) GTEST_SKIP() << "tracing compiled out";
+  struct TracingOn {
+    bool was = obs::tracing_enabled();
+    TracingOn() { obs::set_tracing(true); }
+    ~TracingOn() { obs::set_tracing(was); }
+  } tracing_on;
+  AnalysisOptions opt;
+  opt.threads = 1;
+  SnapshotStore store(reconvergent_design(), opt);
+  const std::shared_ptr<const Snapshot> snap = store.current();
+  const obs::PhaseBreakdown before = obs::snapshot();
+  constexpr std::uint64_t kQueries = 5;
+  PathQuery q;
+  q.k = 2;
+  for (std::uint64_t i = 0; i < kQueries; ++i) {
+    EXPECT_FALSE(snap->worst_paths(q).paths.empty());
+  }
+  const obs::PhaseBreakdown delta = obs::since(before);
+  auto count = [&delta](const std::string& name) {
+    for (const auto& p : delta) {
+      if (p.name == name) return p.stats.count;
+    }
+    return std::uint64_t{0};
+  };
+  // The memoized analysis builds the one graph; each query only
+  // searches it.
+  EXPECT_EQ(count("graph.build"), 1u);
+  EXPECT_EQ(count("paths.search"), kQueries);
 }
 
 }  // namespace awesim::timing

@@ -281,6 +281,53 @@ TEST(Paths, QueryValidation) {
   PathQuery zero;
   zero.k = 0;
   EXPECT_TRUE(k_worst_paths(graph, zero).paths.empty());
+
+  // A design output named like a gate pin ("b:in") is a port owner of
+  // its own: filters resolve "b:in" to the port and "b" to the gate,
+  // and pin names that own nothing stay unknown.
+  TimingReport pin_named;
+  pin_named.gate_arrival = {{"a", 0.0}, {"b", 1e-12}};
+  pin_named.source_gates = {"a"};
+  StageTiming st;
+  st.driver_gate = "a";
+  st.net = "n";
+  st.sinks = {{"b", 1e-12, 1e-12, 1e-12}, {"b:in", 2e-12, 1e-12, 2e-12}};
+  pin_named.stages = {st};
+  const TimingGraph pins = TimingGraph::build(pin_named);
+  PathQuery to_port;
+  to_port.k = 4;
+  to_port.to = "b:in";
+  const PathsResult port_paths = k_worst_paths(pins, to_port);
+  ASSERT_EQ(port_paths.paths.size(), 1u);
+  EXPECT_EQ(port_paths.paths[0].endpoint, "b:in");
+  EXPECT_EQ(port_paths.paths[0].points.back().pin, "b:in");
+  PathQuery to_gate;
+  to_gate.k = 4;
+  to_gate.to = "b";
+  const PathsResult gate_paths = k_worst_paths(pins, to_gate);
+  ASSERT_EQ(gate_paths.paths.size(), 1u);
+  EXPECT_EQ(gate_paths.paths[0].endpoint, "b");
+  EXPECT_EQ(gate_paths.paths[0].points.back().pin, "b:out");
+  PathQuery through_port;
+  through_port.k = 4;
+  through_port.from = "a";
+  through_port.through = {"b:in"};
+  EXPECT_EQ(k_worst_paths(pins, through_port).paths.size(), 1u);
+  PathQuery through_both;
+  through_both.through = {"b", "b:in"};  // no path visits both
+  EXPECT_TRUE(k_worst_paths(pins, through_both).paths.empty());
+  for (const char* ghost : {"b:out", "a:in", "a:out", "n"}) {
+    SCOPED_TRACE(ghost);
+    PathQuery from;
+    from.from = ghost;
+    EXPECT_THROW(k_worst_paths(pins, from), std::invalid_argument);
+    PathQuery to;
+    to.to = ghost;
+    EXPECT_THROW(k_worst_paths(pins, to), std::invalid_argument);
+    PathQuery through;
+    through.through = {ghost};
+    EXPECT_THROW(k_worst_paths(pins, through), std::invalid_argument);
+  }
 }
 
 }  // namespace awesim::timing

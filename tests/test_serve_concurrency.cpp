@@ -43,7 +43,8 @@ timing::AnalysisOptions serial_options() {
 /// those reflect work actually performed (cache hits, factorizations)
 /// and legitimately differ warm vs. cold.  Everything else -- arrivals,
 /// slacks, paths, per-stage delays, diagnostics -- is the bit-identity
-/// contract.
+/// contract.  The paths come from a search over the snapshot's one
+/// shared graph, which every reader thread walks concurrently.
 std::string report_fingerprint(const timing::Snapshot& snap) {
   const obs::json::Value full =
       serve::report_to_json(*snap.report(), /*include_stages=*/true);
@@ -51,6 +52,9 @@ std::string report_fingerprint(const timing::Snapshot& snap) {
   for (const auto& [key, value] : full.items()) {
     if (key != "stats") stripped.set(key, value);
   }
+  timing::PathQuery query;
+  query.k = 4;
+  stripped.set("worst_paths", serve::paths_to_json(snap.worst_paths(query)));
   return stripped.dump();
 }
 

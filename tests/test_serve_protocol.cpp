@@ -216,6 +216,31 @@ TEST(ServeDispatch, PingAnalyzeStatsRoundTrip) {
   }
 }
 
+// The path search keeps every expanded candidate on its heap, so the
+// expansion cap bounds a query's memory: a client may lower it but not
+// raise it past PathQuery's default.
+TEST(ServeDispatch, WorstPathsRejectsMaxExpansionsAboveTheDefault) {
+  timing::SnapshotStore store = make_store();
+  const std::uint64_t cap = timing::PathQuery{}.max_expansions;
+  auto request = [](std::uint64_t max_expansions) {
+    return R"({"id": 1, "method": "worst_paths", "params": {"k": 2, )"
+           R"("max_expansions": )" +
+           std::to_string(max_expansions) + "}}";
+  };
+  for (const std::uint64_t ok : {std::uint64_t{1}, cap}) {
+    const serve::HandleResult r = serve::handle_line(store, request(ok));
+    EXPECT_TRUE(r.ok) << r.line;
+    require_response_shape(r.line);
+  }
+  for (const std::uint64_t over : {cap + 1, std::uint64_t{1} << 40}) {
+    const serve::HandleResult r = serve::handle_line(store, request(over));
+    EXPECT_FALSE(r.ok) << r.line;
+    const json::Value doc = require_response_shape(r.line);
+    EXPECT_EQ(error_code_of(doc), "invalid-request") << r.line;
+    EXPECT_NE(r.line.find("max_expansions"), std::string::npos) << r.line;
+  }
+}
+
 TEST(ServeDispatch, StatsCacheObjectMirrorsCacheStatsExactly) {
   timing::SnapshotStore store = make_store();
   ASSERT_TRUE(

@@ -13,8 +13,11 @@ EXPERIMENTS.md (an item passes if it appears in at least one of them):
      builds the runner first).
 
 A third check runs the other way: every `<Name>Options::<field>` the
-docs mention must be declared in `struct <Name>Options` under src/, so
-an option that is deleted from the code cannot live on in the docs.
+docs mention must be declared in `struct <Name>Options` under src/, and
+every `Session::`, `Snapshot::`, `SnapshotStore::` or `TimingGraph::`
+member they mention must be declared in that class's body in its
+header, so an option or accessor that is deleted from the code cannot
+live on in the docs.
 
 A fourth holds the span taxonomy to the code both ways: every
 `AWESIM_TRACE_SPAN("...")` literal under src/ must be listed in the
@@ -31,9 +34,10 @@ red CI leg.
 Usage:
     docs_check.py --source-dir . --bench-bin build/bench/awesim_bench
 
-Exit codes: 0 all surfaces documented, every named option declared and
-the span taxonomy in step with the code, 1 something missing, stale or
-out of step, 2 usage or environment error.  Stdlib only.
+Exit codes: 0 all surfaces documented, every named option and member
+declared and the span taxonomy in step with the code, 1 something
+missing, stale or out of step, 2 usage or environment error.  Stdlib
+only.
 """
 
 import argparse
@@ -90,17 +94,27 @@ STRUCT_RE = re.compile(
 COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
 
 
-def option_structs(source_dir):
-    """Map struct name -> concatenated bodies of every `struct <Name>Options`
-    declared in a header or source under src/, comments stripped."""
+# The classes whose members the docs name as API: `Session::worst_paths`.
+MEMBER_CLASSES = ("Session", "Snapshot", "SnapshotStore", "TimingGraph")
+MEMBER_MENTION_RE = re.compile(
+    r"\b(" + "|".join(MEMBER_CLASSES) + r")::([A-Za-z_][A-Za-z0-9_]*)\b")
+CLASS_RE = re.compile(
+    r"\bclass\s+(" + "|".join(MEMBER_CLASSES) + r")\s*(?:final\s*)?"
+    r"(?::[^{;]*)?\{")
+
+
+def declaration_bodies(source_dir, decl_re, suffixes):
+    """Map name -> concatenated bodies of every declaration `decl_re`
+    matches (group 1 the name, ending at the opening brace) in a file
+    under src/ with one of `suffixes`, comments stripped."""
     bodies = {}
     for root, dirs, files in os.walk(os.path.join(source_dir, "src")):
         for name in files:
-            if not name.endswith((".h", ".cpp")):
+            if not name.endswith(suffixes):
                 continue
             with open(os.path.join(root, name), encoding="utf-8") as fh:
                 text = COMMENT_RE.sub("", fh.read())
-            for m in STRUCT_RE.finditer(text):
+            for m in decl_re.finditer(text):
                 depth, i = 1, m.end()
                 while i < len(text) and depth:
                     depth += {"{": 1, "}": -1}.get(text[i], 0)
@@ -110,16 +124,24 @@ def option_structs(source_dir):
     return bodies
 
 
-def stale_option_mentions(docs, source_dir):
-    """`<Name>Options::<field>` mentions with no such declared member."""
-    structs = option_structs(source_dir)
+def stale_mentions(docs, source_dir):
+    """`<Name>Options::<field>` mentions with no such declared member, and
+    `<Class>::<member>` mentions (MEMBER_CLASSES) whose class body in a
+    header declares no such member."""
+    kinds = [(OPTION_MENTION_RE,
+              declaration_bodies(source_dir, STRUCT_RE, (".h", ".cpp")),
+              "struct", "under src/"),
+             (MEMBER_MENTION_RE,
+              declaration_bodies(source_dir, CLASS_RE, (".h",)),
+              "class", "in a header under src/")]
     stale = []
     for doc, text in docs.items():
-        for struct, field in sorted(set(OPTION_MENTION_RE.findall(text))):
-            body = structs.get(struct, "")
-            if not re.search(rf"\b{field}\b\s*[=;{{(\[]", body):
-                stale.append(f"{doc} names {struct}::{field}, which no "
-                             f"struct {struct} under src/ declares")
+        for mention_re, bodies, keyword, where in kinds:
+            for owner, member in sorted(set(mention_re.findall(text))):
+                body = bodies.get(owner, "")
+                if not re.search(rf"\b{member}\b\s*[=;{{(\[]", body):
+                    stale.append(f"{doc} names {owner}::{member}, which no "
+                                 f"{keyword} {owner} {where} declares")
     return stale
 
 
@@ -241,7 +263,7 @@ def main():
     else:
         print("docs_check: note -- no --bench-bin, bench names unchecked")
 
-    stale = stale_option_mentions(docs, args.source_dir)
+    stale = stale_mentions(docs, args.source_dir)
     drift, span_count = span_drift(docs["DESIGN.md"], args.source_dir)
     checked += span_count
 
@@ -257,7 +279,7 @@ def main():
     for item in stale:
         print(f"docs_check: STALE -- {item}", file=sys.stderr)
     if stale:
-        print(f"docs_check: FAIL -- {len(stale)} stale option mention(s)",
+        print(f"docs_check: FAIL -- {len(stale)} stale member mention(s)",
               file=sys.stderr)
     for item in drift:
         print(f"docs_check: SPAN -- {item}", file=sys.stderr)
@@ -267,7 +289,8 @@ def main():
     if missing or stale or drift:
         return 1
     print("docs_check: OK -- every surface documented, every named "
-          f"option declared, {span_count} spans in the taxonomy")
+          f"option and member declared, {span_count} spans in the "
+          "taxonomy")
     return 0
 
 
