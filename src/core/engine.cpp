@@ -330,8 +330,18 @@ waveform::Waveform Approximation::sample(double t0, double t1,
                                     t0, t1, count);
 }
 
+namespace {
+
+// The MNA stamp of an Engine's circuit, timed as its own phase.
+mna::MnaSystem assemble(const circuit::Circuit& ckt, mna::Options mna) {
+  AWESIM_TRACE_SPAN("mna.assemble");
+  return mna::MnaSystem(ckt, mna);
+}
+
+}  // namespace
+
 Engine::Engine(const circuit::Circuit& ckt, mna::Options mna)
-    : mna_(ckt, mna) {}
+    : mna_(assemble(ckt, mna)) {}
 
 const la::RealVector& Engine::equilibrium() {
   // Equilibrium at the initial source values: the operating point the

@@ -20,12 +20,15 @@
 // wall-clock measurements and are not.
 //
 // The canonical span taxonomy (DESIGN.md section 9):
+//   mna.assemble     one MNA stamp of an Engine's circuit (G, C, b)
 //   mna.factor       one (G + aC) LU factorization
 //   engine.moments   moment-vector advancement / gathering
 //   pade.hankel      eq. 24 Hankel assembly + LU solve
 //   pade.roots       eq. 25 characteristic-polynomial rooting
 //   engine.residues  eq. 20/29 (confluent) Vandermonde residue solve
 //   timing.stage     one stage evaluation in the timing analyzer
+//   stage.build      one stage circuit built from its gate and net
+//                    (driver ramp, parasitics, sink input caps)
 //   stage.crossings  delay/slew threshold extraction for one stage sink
 //                    (one grid scan for all levels)
 //   parallel.job     one thread-pool job (wraps timing.stage)
@@ -43,6 +46,8 @@
 //   reduce.key       one net's reduction key serialized and looked up in
 //                    the reduction store (reduce::lookup_or_reduce)
 //   reduce.collapse  one net reduction attempt (reduce::reduce_net)
+//   session.lookup   one wave's serial cache pre-pass (keys, stage and
+//                    lint lookups) in a Session analysis
 //   session.reuse    one stage served from the Session stage cache
 //                    (verified hit in the serial pre-pass)
 //   session.invalidate  one cache entry dropped (failed verification

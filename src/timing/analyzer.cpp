@@ -127,8 +127,10 @@ TimingReport analyze_design(const Design& design,
   };
   std::optional<Endpoint> best_endpoint;
 
-  core::ThreadPool pool(
-      static_cast<std::size_t>(std::max(0, options.threads)));
+  // Started the first time a wave has two misses to evaluate: a warm
+  // edit that recomputes one stage per wave, and a deep one-stage-per-
+  // wave design, never pay for its threads.
+  std::optional<core::ThreadPool> pool;
 
   for (const auto& wave : waves) {
     if (options.cancel != nullptr) options.cancel->check("timing.wave");
@@ -152,14 +154,17 @@ TimingReport analyze_design(const Design& design,
       // happens here, before any parallel work, so hit/miss counters,
       // invalidations, and the served set are pure functions of the job
       // sequence -- identical for every thread count.
+      AWESIM_TRACE_SPAN("session.lookup");
       lint_pre.resize(jobs.size());
       invalidation_diags.resize(jobs.size());
       for (std::size_t i = 0; i < jobs.size(); ++i) {
         const StageJob& job = jobs[i];
         // Key memo: the Session's per-net StageHint holds the serialized
-        // key bytes of the previous analyze.  Serializing a kilo-element
-        // net's key dominates a fully warm lookup, so an unchanged net
-        // reuses the bytes; the lookups below still run unconditionally
+        // key bytes of the previous analyze and the store entry they last
+        // reached.  Serializing a kilo-element net's key, then comparing
+        // it against the store's index, dominates a fully warm lookup, so
+        // an unchanged net reuses both; a rebuilt key starts without an
+        // entry.  The lookup itself still runs unconditionally
         // (checksums, counters, fault probes included).
         const Net& net = nets[job.net].net;
         StageHint& hint = (*hints)[job.net];
@@ -170,8 +175,9 @@ TimingReport analyze_design(const Design& design,
                                       job.in_slew, &hint.content_size);
           hint.in_slew_bits = slew_bits;
           hint.keys_valid = true;
+          hint.entry.reset();
         }
-        auto hit = cache->lookup_stage(hint.key, net.name,
+        auto hit = cache->lookup_stage(hint, net.name,
                                        &invalidation_diags[i]);
         if (hit) {
           // Rehydrate the stage-relative record against this job's
@@ -195,16 +201,18 @@ TimingReport analyze_design(const Design& design,
       }
     }
 
+    // The stages this wave evaluates, in job order.
+    std::vector<std::size_t> misses;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (!served[i]) misses.push_back(i);
+    }
+
     // Budget accounting happens serially, before any parallel work:
     // one unit per stage this wave will actually evaluate (cache-served
     // stages are free), so a BudgetExceeded trip is a deterministic
     // function of the work sequence and fires before the wave starts.
-    if (options.cancel != nullptr) {
-      std::uint64_t evals = 0;
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (!served[i]) ++evals;
-      }
-      if (evals > 0) options.cancel->charge("timing.stage", evals);
+    if (options.cancel != nullptr && !misses.empty()) {
+      options.cancel->charge("timing.stage", misses.size());
     }
 
     // Evaluate the misses concurrently into per-stage slots.  Each job
@@ -216,10 +224,10 @@ TimingReport analyze_design(const Design& design,
     // deadline check sits *outside* the fault domain: a cancelled stage
     // must abort the analysis with its DeadlineExceeded record, not
     // degrade to an Elmore bound that looks like an answer.
-    pool.parallel_for(jobs.size(), [&](std::size_t i) {
-      if (served[i]) return;
+    const auto evaluate = [&](std::size_t m) {
       if (options.cancel != nullptr) options.cancel->check("timing.stage");
       AWESIM_TRACE_SPAN("parallel.job");
+      const std::size_t i = misses[m];
       const StageJob& job = jobs[i];
       const Net& net = nets[job.net].net;
       try {
@@ -236,7 +244,15 @@ TimingReport analyze_design(const Design& design,
             *job.driver, net, gates, job.t_in, job.in_slew,
             e.what());
       }
-    });
+    };
+    if (misses.size() > 1 && !pool) {
+      pool.emplace(static_cast<std::size_t>(std::max(0, options.threads)));
+    }
+    if (pool) {
+      pool->parallel_for(misses.size(), evaluate);
+    } else if (!misses.empty()) {
+      evaluate(0);  // one miss runs inline, as parallel_for(1) would
+    }
 
     // ... then reduce serially in job order, so arrivals, predecessor
     // choices, stats sums, and cache insertions are identical for every
@@ -246,7 +262,7 @@ TimingReport analyze_design(const Design& design,
       if (cache != nullptr && !served[i]) {
         outcome.stats.stages_recomputed += 1;
         outcome.stats.cache_misses += 1;  // the stage-result lookup
-        const StageHint& hint = (*hints)[jobs[i].net];
+        StageHint& hint = (*hints)[jobs[i].net];
         // Evictions are counted from this analysis's own inserts, so
         // analyses that overlap on one shared cache never count each
         // other's.
@@ -267,7 +283,7 @@ TimingReport analyze_design(const Design& design,
           relative.input_arrival = 0.0;
           for (auto& s : relative.sinks) s.arrival = s.stage_delay;
           outcome.stats.cache_evictions +=
-              cache->insert_stage(hint.key, std::move(relative));
+              cache->insert_stage(hint, std::move(relative));
         }
         if (!invalidation_diags[i].empty()) {
           outcome.timing.diagnostics.insert(

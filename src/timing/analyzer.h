@@ -229,21 +229,28 @@ class Session;
 
 namespace detail {
 class StageCache;
+struct StageEntry;
 
-/// Per-net key memo a Session keeps between analyze() calls: the
-/// serialized stage-result key bytes (serializing a kilo-element net's
-/// key dominates a fully warm lookup), whose first `content_size` bytes
-/// are the content key the lint store is addressed by.  Owned by the
-/// Session, read and refreshed by analyze_design's serial pre-pass;
-/// never touched by pool threads.  Invalidated by every mutation of the
-/// net (or of anything its key depends on) and by an options rebind;
-/// the memo only short-circuits serialization -- cache lookups still
-/// run, so corruption checks and counters are unchanged.
+/// Per-net memo a Session keeps between analyze() calls: the serialized
+/// stage-result key bytes (serializing a kilo-element net's key
+/// dominates a fully warm lookup), whose first `content_size` bytes are
+/// the content key the lint store is addressed by, plus the stage-store
+/// entry that key last hit or inserted (comparing a multi-kilobyte key
+/// against the store's index dominates what is left).  Owned by the
+/// Session, read and refreshed by analyze_design's serial passes; never
+/// touched by pool threads.  Invalidated by every mutation of the net
+/// (or of anything its key depends on) and by an options rebind;
+/// rebuilding the key clears `entry`.  The store owns every entry, so
+/// an evicted, dropped or cleared one expires its memo and the lookup
+/// falls back to the key.  The memo only short-circuits serialization
+/// and the key search -- checksum verification, the fault probe and
+/// every counter still run on each lookup.
 struct StageHint {
   bool keys_valid = false;
   std::uint64_t in_slew_bits = 0;  // result keys depend on the input slew
   std::string key;
   std::size_t content_size = 0;
+  std::weak_ptr<const StageEntry> entry;
 
   std::string_view content_key() const {
     return std::string_view(key).substr(0, content_size);

@@ -100,6 +100,7 @@ struct StageCircuit {
 StageCircuit build_stage(const Gate& driver, const Net& net,
                          const std::map<std::string, Gate>& gates,
                          double swing, double slew) {
+  AWESIM_TRACE_SPAN("stage.build");
   StageCircuit sc;
   auto& ckt = sc.ckt;
   const auto vin = ckt.node("__in");

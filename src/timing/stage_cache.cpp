@@ -156,20 +156,25 @@ void StageCache::FifoStore<V>::erase(std::string_view key) {
 }
 
 template <typename V>
-std::size_t StageCache::FifoStore<V>::insert(std::string_view key,
-                                             V value) {
+std::pair<V*, std::size_t> StageCache::FifoStore<V>::insert(
+    std::string_view key, V value) {
   auto it = index_.lower_bound(key);
-  if (it != index_.end() && it->first == key) return 0;
+  if (it != index_.end() && it->first == key) {
+    return {&it->second->value, 0};
+  }
   it = index_.emplace_hint(it, std::string(key), queue_.end());
   it->second =
       queue_.insert(queue_.end(), Slot{&it->first, std::move(value)});
+  // The new slot is the back of the queue, so eviction (from the front,
+  // capacity >= 1) never reaches it.
+  V* stored = &it->second->value;
   std::size_t evicted = 0;
   for (; index_.size() > capacity_; ++evicted) {
     AWESIM_TRACE_SPAN("session.invalidate");
     index_.erase(index_.find(*queue_.front().key));
     queue_.pop_front();
   }
-  return evicted;
+  return {stored, evicted};
 }
 
 template <typename V>
@@ -179,10 +184,15 @@ void StageCache::FifoStore<V>::clear() {
 }
 
 std::optional<StageTiming> StageCache::lookup_stage(
-    std::string_view key, const std::string& net_name,
+    StageHint& hint, const std::string& net_name,
     core::Diagnostics* diags) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const StageEntry* entry = stages_.find(key);
+  // The store is the memo's only owner and every store operation holds
+  // mutex_, so a memo that locks here names the entry under hint.key.
+  std::shared_ptr<const StageEntry> entry = hint.entry.lock();
+  if (entry == nullptr) {
+    if (const auto* stored = stages_.find(hint.key)) entry = *stored;
+  }
   if (entry == nullptr) {
     ++counters_.misses;
     return std::nullopt;
@@ -191,7 +201,7 @@ std::optional<StageTiming> StageCache::lookup_stage(
                        stage_checksum(entry->timing) != entry->checksum;
   if (corrupt) {
     AWESIM_TRACE_SPAN("session.invalidate");
-    stages_.erase(key);
+    stages_.erase(hint.key);
     ++counters_.invalidations;
     ++counters_.misses;
     if (diags != nullptr) {
@@ -208,15 +218,19 @@ std::optional<StageTiming> StageCache::lookup_stage(
   }
   AWESIM_TRACE_SPAN("session.reuse");
   ++counters_.hits;
+  hint.entry = entry;
   return entry->timing;
 }
 
-std::size_t StageCache::insert_stage(std::string_view key,
+std::size_t StageCache::insert_stage(StageHint& hint,
                                      StageTiming relative) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t checksum = stage_checksum(relative);
-  const std::size_t evicted =
-      stages_.insert(key, {std::move(relative), checksum});
+  const auto [stored, evicted] = stages_.insert(
+      hint.key,
+      std::make_shared<const StageEntry>(
+          StageEntry{std::move(relative), checksum}));
+  hint.entry = *stored;
   counters_.evictions += evicted;
   return evicted;
 }
@@ -237,7 +251,7 @@ std::size_t StageCache::insert_lint(
     std::string_view key, std::shared_ptr<const check::LintReport> report) {
   if (report == nullptr) return 0;
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t evicted = lints_.insert(key, std::move(report));
+  const std::size_t evicted = lints_.insert(key, std::move(report)).second;
   counters_.evictions += evicted;
   return evicted;
 }
@@ -279,9 +293,10 @@ void StageCache::insert_reduction(const std::string& key,
                                   CachedReduction reduction) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t checksum = reduction_checksum(reduction);
-  counters_.evictions += reductions_.insert(
-      key, {std::make_shared<const CachedReduction>(std::move(reduction)),
-            checksum});
+  ReductionEntry entry{
+      std::make_shared<const CachedReduction>(std::move(reduction)),
+      checksum};
+  counters_.evictions += reductions_.insert(key, std::move(entry)).second;
 }
 
 StageCache::Counters StageCache::counters() const {

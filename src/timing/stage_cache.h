@@ -44,6 +44,16 @@
 // the ordinary guarded evaluation path, so a corrupted cache degrades
 // through the ladder instead of ever serving stale data.
 //
+// Entry memo: the store holds each stage entry as the only owner of a
+// shared_ptr, and a Session's per-net StageHint keeps a weak_ptr to the
+// entry its key last hit or inserted.  A lookup first locks that memo
+// and searches the index by key only when it has expired, so an
+// unchanged stage is served by a handle instead of a multi-kilobyte key
+// comparison.  An evicted, dropped or cleared entry dies with the
+// store's pointer and expires every memo of it; rebuilding a hint's key
+// clears its memo.  So a live memo always names the entry stored under
+// the hint's key, and the memo changes no answer and no counter.
+//
 // Determinism: the analyzer performs all lookups in a serial pre-pass
 // (job order) and all insertions in a serial post-pass, so hit/miss
 // counters and FIFO eviction order are pure functions of the work
@@ -164,6 +174,14 @@ std::uint64_t reduction_checksum(const CachedReduction& reduction);
 /// key, so it needs no length, and it is prefixed in place.
 std::string reduction_key(std::string content);
 
+/// One cached stage result: the stage-relative timing and the checksum
+/// taken at insert.  Immutable once stored; the StageCache is its only
+/// owner, and StageHint memos observe it through weak_ptrs.
+struct StageEntry {
+  StageTiming timing;
+  std::uint64_t checksum = 0;
+};
+
 class StageCache {
  public:
   /// FIFO eviction caps.  Stage records and lint reports are a handful
@@ -191,18 +209,21 @@ class StageCache {
     std::uint64_t reduction_misses = 0;
   };
 
-  /// Looks up a stage-relative StageTiming.  Verifies the payload
-  /// checksum (and consults the `session.cache` fault probe keyed by
-  /// `net_name`); a failed verification drops the entry, appends a
-  /// CacheInvalidated warning to `diags`, and reports a miss.
-  std::optional<StageTiming> lookup_stage(std::string_view key,
+  /// Looks up the stage-relative StageTiming stored under `hint.key`:
+  /// through the hint's entry memo while it lives, else by key.  Verifies
+  /// the payload checksum (and consults the `session.cache` fault probe
+  /// keyed by `net_name`); a failed verification drops the entry,
+  /// appends a CacheInvalidated warning to `diags`, and reports a miss.
+  /// A hit sets the memo.
+  std::optional<StageTiming> lookup_stage(StageHint& hint,
                                           const std::string& net_name,
                                           core::Diagnostics* diags);
 
-  /// Stores a stage-relative StageTiming (no-op if the key is already
-  /// present -- the payload would be bitwise identical).  Returns the
-  /// number of entries evicted to make room.
-  std::size_t insert_stage(std::string_view key, StageTiming relative);
+  /// Stores a stage-relative StageTiming under `hint.key` (no-op if the
+  /// key is already present -- the payload would be bitwise identical)
+  /// and points the hint's memo at the stored entry.  Returns the number
+  /// of entries evicted to make room.
+  std::size_t insert_stage(StageHint& hint, StageTiming relative);
 
   /// Pre-flight lint reports, keyed by the circuit-content key (the
   /// result key's prefix): the lint outcome is a pure function of the
@@ -243,9 +264,10 @@ class StageCache {
     explicit FifoStore(std::size_t capacity) : capacity_(capacity) {}
     V* find(std::string_view key);
     void erase(std::string_view key);
-    /// Stores `value` under `key` unless present; returns the number of
+    /// Stores `value` under `key` unless present; returns the value
+    /// stored under `key` (the present one, if any) and the number of
     /// oldest entries evicted to stay within capacity.
-    std::size_t insert(std::string_view key, V value);
+    std::pair<V*, std::size_t> insert(std::string_view key, V value);
     std::size_t size() const { return index_.size(); }
     void clear();
 
@@ -260,17 +282,13 @@ class StageCache {
         index_;
   };
 
-  struct StageEntry {
-    StageTiming timing;
-    std::uint64_t checksum = 0;
-  };
   struct ReductionEntry {
     std::shared_ptr<const CachedReduction> reduction;
     std::uint64_t checksum = 0;
   };
 
   mutable std::mutex mutex_;
-  FifoStore<StageEntry> stages_{kMaxStageEntries};
+  FifoStore<std::shared_ptr<const StageEntry>> stages_{kMaxStageEntries};
   FifoStore<std::shared_ptr<const check::LintReport>> lints_{
       kMaxLintEntries};
   FifoStore<ReductionEntry> reductions_{kMaxReductionEntries};

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/fault.h"
+#include "obs/trace.h"
 #include "timing/session.h"
 #include "timing/stage_cache.h"
 #include "util/random_circuits.h"
@@ -27,7 +28,9 @@ namespace awesim::timing {
 // warm-vs-cold tier in test_warm_session.cpp.
 using testutil::c;
 using testutil::chain_design;
+using testutil::expect_same_cache_stats;
 using testutil::expect_same_payload;
+using testutil::expect_same_work_counters;
 using testutil::fanout_design;
 using testutil::r;
 
@@ -142,31 +145,135 @@ TEST(Session, CorruptedCacheEntryRecomputesNeverServesStale) {
 
   {
     core::ScopedFaultInjection arm({{"session.cache", "n2", -1}});
-    const TimingReport warm = session.analyze();
-    // The corrupt entry was dropped and n2 recomputed through the
-    // ordinary guarded path -- the timing payload matches a fresh
-    // analysis exactly (never stale) ...
-    expect_same_payload(warm, fresh, /*compare_diagnostics=*/false);
-    EXPECT_EQ(warm.awe_stats.stages_recomputed, 1u);
-    EXPECT_EQ(warm.awe_stats.stages_reused, 2u);
-    // ... and the event is visible: a CacheInvalidated warning naming
-    // the net, plus the invalidation counter.
-    bool saw_invalidation = false;
-    for (const auto& d : warm.diagnostics) {
-      if (d.code == core::DiagCode::CacheInvalidated &&
-          d.element == "n2") {
-        saw_invalidation = true;
+    // n2's key is unchanged, so every armed lookup reaches its entry
+    // through the net's memo: first the entry the fresh run inserted,
+    // then the one the previous armed run re-inserted.
+    for (std::uint64_t armed = 1; armed <= 2; ++armed) {
+      SCOPED_TRACE("armed analyze " + std::to_string(armed));
+      const TimingReport warm = session.analyze();
+      // The corrupt entry was dropped and n2 recomputed through the
+      // ordinary guarded path -- the timing payload matches a fresh
+      // analysis exactly (never stale) ...
+      expect_same_payload(warm, fresh, /*compare_diagnostics=*/false);
+      EXPECT_EQ(warm.awe_stats.stages_recomputed, 1u);
+      EXPECT_EQ(warm.awe_stats.stages_reused, 2u);
+      // ... and the event is visible: exactly one CacheInvalidated
+      // warning naming the net, plus the invalidation counter.
+      std::size_t invalidation_records = 0;
+      for (const auto& d : warm.diagnostics) {
+        if (d.code == core::DiagCode::CacheInvalidated) {
+          EXPECT_EQ(d.element, "n2");
+          ++invalidation_records;
+        }
       }
+      EXPECT_EQ(invalidation_records, 1u);
+      EXPECT_EQ(session.cache_stats().invalidations, armed);
     }
-    EXPECT_TRUE(saw_invalidation);
-    EXPECT_EQ(session.cache_stats().invalidations, 1u);
   }
 
-  // Disarmed: the recomputed entry serves again, no stale residue.
+  // Disarmed: the re-inserted entry serves again, no stale residue.
   const TimingReport after = session.analyze();
   expect_same_payload(after, fresh);
   EXPECT_EQ(after.awe_stats.stages_reused, 3u);
-  EXPECT_EQ(session.cache_stats().invalidations, 1u);
+  EXPECT_EQ(session.cache_stats().invalidations, 2u);
+}
+
+TEST(Session, EvictedMemoEntryMissesLikeTheKeyPath) {
+  // "keep" drives net k, whose key never changes, so its memo keeps
+  // serving the entry the first analysis inserted (job 0: "keep" sorts
+  // before "src" in wave 0).  Every edit re-keys the 64 nets of "src",
+  // pushing 64 inserts through the FIFO store until k's entry, the
+  // oldest, is evicted under its live memo.
+  constexpr std::size_t kWide = 64;
+  Design design = wide_design("w", kWide);
+  design.add_gate({"keep", 800.0, 4e-15, 0.0});
+  Net k;
+  k.name = "k";
+  k.parasitics = {r("DRV", "w", 150.0), c("w", 12e-15)};
+  k.sink_node["out_k"] = "w";
+  design.add_net("keep", k);
+
+  AnalysisOptions opt;
+  opt.threads = 1;
+  Session memo(design, opt);
+  // analyze(options()) rebinds the options, which rebuilds every key
+  // and so clears every memo: the key path, lookup for lookup.
+  Session keyed(design, opt);
+  auto step = [&](const std::string& what) {
+    SCOPED_TRACE(what);
+    const TimingReport a = memo.analyze();
+    const TimingReport b = keyed.analyze(keyed.options());
+    expect_same_payload(a, b);
+    expect_same_work_counters(a.awe_stats, b.awe_stats);
+    expect_same_cache_stats(memo, keyed);
+    return a;
+  };
+  (void)step("cold");
+
+  int edit = 0;
+  while (memo.cache_stats().evictions == 0) {
+    ASSERT_LT(++edit, 100) << "the store never filled";
+    memo.set_drive_resistance("src", 1.0e3 + edit);
+    keyed.set_drive_resistance("src", 1.0e3 + edit);
+    const TimingReport report = step("edit " + std::to_string(edit));
+    // k is still served: it was looked up before this edit's inserts.
+    EXPECT_EQ(report.awe_stats.stages_recomputed, kWide);
+    EXPECT_EQ(report.awe_stats.stages_reused, 1u);
+  }
+
+  // k's entry went first; its memo expired with it, so k misses and
+  // recomputes, bitwise a cold analysis.
+  memo.set_drive_resistance("src", 2.0e3);
+  keyed.set_drive_resistance("src", 2.0e3);
+  const TimingReport report = step("after the eviction");
+  EXPECT_EQ(report.awe_stats.stages_recomputed, kWide + 1);
+  EXPECT_EQ(report.awe_stats.stages_reused, 0u);
+  expect_same_payload(report, memo.design().analyze(opt));
+
+  // The re-inserted entry serves again through the memo.
+  const TimingReport again = step("unchanged");
+  EXPECT_EQ(again.awe_stats.stages_reused, kWide + 1);
+}
+
+TEST(Session, WarmEditSpansCountTheLookupPassAndOnlyTheMisses) {
+  if (!obs::tracing_compiled_in()) GTEST_SKIP() << "tracing compiled out";
+  struct TracingOn {
+    bool was = obs::tracing_enabled();
+    TracingOn() { obs::set_tracing(true); }
+    ~TracingOn() { obs::set_tracing(was); }
+  } tracing_on;
+  const std::vector<std::string> spans = {"session.lookup", "stage.build",
+                                          "mna.assemble", "parallel.job"};
+  std::vector<std::vector<std::uint64_t>> counts;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    AnalysisOptions opt;
+    opt.threads = threads;
+    Session session(fanout_design(), opt);
+    (void)session.analyze();
+    // g4's input cap re-keys n2 and n3 (both in wave 1), and the new
+    // arrival at g4 re-keys n4; n1 is served.
+    session.set_input_capacitance("g4", 9e-15);
+    const TimingReport warm = session.analyze();
+    const std::uint64_t recomputed = warm.awe_stats.stages_recomputed;
+    EXPECT_EQ(recomputed, 3u);
+    EXPECT_EQ(warm.awe_stats.stages_reused, 1u);
+    auto count = [&warm](const std::string& name) {
+      for (const auto& p : warm.awe_stats.phases) {
+        if (p.name == name) return p.stats.count;
+      }
+      return std::uint64_t{0};
+    };
+    // One pre-pass per wave with jobs; every wave of this design has
+    // one.  Only the misses are built, stamped and handed to the pool.
+    EXPECT_EQ(count("session.lookup"), warm.levels);
+    EXPECT_EQ(count("stage.build"), recomputed);
+    EXPECT_EQ(count("mna.assemble"), recomputed);
+    EXPECT_EQ(count("parallel.job"), recomputed);
+    counts.emplace_back();
+    for (const std::string& span : spans) counts.back().push_back(count(span));
+  }
+  EXPECT_EQ(counts[0], counts[1]);
 }
 
 TEST(Session, SweepRestoresParameterAndSecondSweepFullyReuses) {

@@ -11,6 +11,10 @@
 //     factors G exactly once per recomputed stage;
 //   * every Session::sweep point equals a cold analysis of the design
 //     at that value;
+//   * a Session serving unchanged stages through its per-net entry memo
+//     matches one that rebuilds every key (and so clears every memo)
+//     before each analysis, report for report and counter for counter,
+//     through a seeded stream of every kind of edit;
 //   * the blocked multi-RHS substitutions (dense and sparse) that every
 //     moment solve goes through are bitwise identical to their
 //     one-vector forms.
@@ -18,6 +22,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -116,6 +121,8 @@ TEST(BlockedSubstitution, SparseSolveMultiBitwiseEqualsSolve) {
 namespace {
 
 using timing::AnalysisOptions;
+using timing::Design;
+using timing::Net;
 using timing::Session;
 using timing::SweepParam;
 using timing::TimingReport;
@@ -260,6 +267,178 @@ TEST(WarmSession, SweepPointsAreBitIdenticalToCold) {
     // baseline, bit for bit.
     expect_bitwise(session.analyze(), stage.design.analyze(opt),
                    "after sweeps");
+  }
+}
+
+// ---------------------------------------------------------------------
+// Entry memo vs key path, bit for bit and counter for counter.
+
+namespace {
+
+constexpr int kLayers = 3;
+constexpr int kWidth = 3;
+constexpr int kGates = kLayers * kWidth;
+
+// kLayers layers of kWidth gates.  Gate i drives one RC ladder of 4-6
+// sections to gate i + kWidth and, half the time, to a second gate of
+// the next layer; the last layer drives design outputs.  Every wave has
+// kWidth stages, so an edit upstream re-keys several stages of a later
+// wave and the pool runs more than one miss.
+Design layered_design(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> jitter(0.8, 1.2);
+  std::uniform_int_distribution<int> sections(4, 6);
+  std::uniform_int_distribution<int> column(0, kWidth - 1);
+  std::bernoulli_distribution coin(0.5);
+  Design d;
+  for (int i = 0; i < kGates; ++i) {
+    d.add_gate({timing::testutil::gate_name(i), 600.0 + 50.0 * i, 4e-15,
+                2e-12});
+  }
+  for (int i = 0; i < kGates; ++i) {
+    Net net;
+    net.name = "n" + std::to_string(i);
+    const int n = sections(rng);
+    std::string prev = "DRV";
+    for (int k = 1; k <= n; ++k) {
+      std::string node = "x";
+      node += std::to_string(k);
+      net.parasitics.push_back(
+          timing::testutil::r(prev, node, 80.0 * jitter(rng)));
+      net.parasitics.push_back(timing::testutil::c(node, 6e-15 * jitter(rng)));
+      prev = node;
+    }
+    if (i + kWidth < kGates) {
+      net.sink_node[timing::testutil::gate_name(i + kWidth)] = prev;
+      const int other = (i / kWidth + 1) * kWidth + column(rng);
+      if (coin(rng)) net.sink_node[timing::testutil::gate_name(other)] = "x2";
+    } else {
+      net.sink_node["OUT" + std::to_string(i)] = prev;
+    }
+    d.add_net(timing::testutil::gate_name(i), net);
+  }
+  return d;
+}
+
+// Applies one seeded edit to both sessions; returns which kind it was.
+// Values come from small ladders so the stream revisits stage content
+// (hits through a rebuilt key), an undo restores the previous
+// set_value, and remove_element only removes capacitors add_element
+// appended, so every net stays a connected RC ladder.
+struct EditStream {
+  const Design& original;
+  std::mt19937 rng;
+  std::vector<std::size_t> added;  // capacitors appended, per net
+  struct Undo {
+    std::string net;
+    std::size_t element = 0;
+    double value = 0.0;
+  };
+  std::optional<Undo> undo;
+
+  EditStream(std::uint32_t seed, const Design& design)
+      : original(design), rng(seed), added(design.net_count(), 0) {}
+
+  int apply(Session& a, Session& b) {
+    std::uniform_int_distribution<int> kind(0, 6);
+    std::uniform_int_distribution<std::size_t> net_pick(
+        0, original.net_count() - 1);
+    std::uniform_int_distribution<int> gate_pick(0, kGates - 1);
+    std::uniform_int_distribution<int> level(1, 5);
+    const int k = kind(rng);
+    const std::size_t net = net_pick(rng);
+    const std::string net_name = a.design().net_at(net).name;
+    const std::string gate = timing::testutil::gate_name(gate_pick(rng));
+    switch (k) {
+      case 0:
+      case 1: {
+        if (k == 1 && undo) {
+          a.set_value(undo->net, undo->element, undo->value);
+          b.set_value(undo->net, undo->element, undo->value);
+          undo.reset();
+          return 1;
+        }
+        std::uniform_int_distribution<std::size_t> element(
+            0, original.net_at(net).parasitics.size() - 1);
+        const std::size_t e = element(rng);
+        const double value =
+            original.net_at(net).parasitics[e].value * 0.2 *
+            (2 + level(rng));
+        undo = Undo{net_name, e, a.design().net_at(net).parasitics[e].value};
+        a.set_value(net_name, e, value);
+        b.set_value(net_name, e, value);
+        return 0;
+      }
+      case 2: {
+        const double resistance = 150.0 * level(rng);
+        a.set_drive_resistance(gate, resistance);
+        b.set_drive_resistance(gate, resistance);
+        return 2;
+      }
+      case 3: {
+        const double cin = 1e-15 * level(rng);
+        a.set_input_capacitance(gate, cin);
+        b.set_input_capacitance(gate, cin);
+        return 3;
+      }
+      case 4: {
+        const double delay = 1e-12 * level(rng);
+        a.set_intrinsic_delay(gate, delay);
+        b.set_intrinsic_delay(gate, delay);
+        return 4;
+      }
+      case 5:
+      default: {
+        if (k == 6 && added[net] > 0) {
+          const std::size_t last = a.design().net_at(net).parasitics.size() - 1;
+          a.remove_element(net_name, last);
+          b.remove_element(net_name, last);
+          --added[net];
+          return 6;
+        }
+        const timing::NetElement cap = timing::testutil::c(
+            "x" + std::to_string(level(rng) % 4 + 1), 2e-15 * level(rng));
+        a.add_element(net_name, cap);
+        b.add_element(net_name, cap);
+        ++added[net];
+        return 5;
+      }
+    }
+  }
+};
+
+}  // namespace
+
+TEST(WarmSession, EntryMemoMatchesTheKeyPathThroughEveryEdit) {
+  constexpr int kSteps = 320;
+  const Design design = layered_design(23u);
+  for (const int threads : {1, 4}) {
+    AnalysisOptions opt;
+    opt.threads = threads;
+    // Separate caches.  `memo` calls analyze(), serving unchanged stages
+    // through their entry memos; `keyed` calls analyze(options()),
+    // which rebuilds every key and so clears every memo first.
+    Session memo(design, opt);
+    Session keyed(design, opt);
+    EditStream stream(2024u, design);
+    std::vector<int> kinds(7, 0);
+    std::uint64_t reused = 0;
+    for (int step = 0; step <= kSteps; ++step) {
+      const std::string what = "threads " + std::to_string(threads) +
+                               " step " + std::to_string(step);
+      SCOPED_TRACE(what);
+      if (step > 0) ++kinds[stream.apply(memo, keyed)];
+      const TimingReport a = memo.analyze();
+      const TimingReport b = keyed.analyze(keyed.options());
+      expect_bitwise(a, b, what);
+      timing::testutil::expect_same_work_counters(a.awe_stats, b.awe_stats);
+      timing::testutil::expect_same_cache_stats(memo, keyed);
+      expect_bitwise(a, memo.design().analyze(opt), what + " vs cold");
+      reused += a.awe_stats.stages_reused;
+      ASSERT_FALSE(HasFailure()) << what;
+    }
+    for (int k = 0; k < 7; ++k) EXPECT_GT(kinds[k], 0) << "edit kind " << k;
+    EXPECT_GT(reused, 0u);
   }
 }
 

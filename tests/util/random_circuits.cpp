@@ -148,6 +148,34 @@ void expect_same_payload(const TimingReport& a, const TimingReport& b,
   }
 }
 
+void expect_same_cache_stats(const Session& a, const Session& b) {
+  const Session::CacheStats x = a.cache_stats();
+  const Session::CacheStats y = b.cache_stats();
+  EXPECT_EQ(x.stage_entries, y.stage_entries);
+  EXPECT_EQ(x.lint_entries, y.lint_entries);
+  EXPECT_EQ(x.hits, y.hits);
+  EXPECT_EQ(x.misses, y.misses);
+  EXPECT_EQ(x.invalidations, y.invalidations);
+  EXPECT_EQ(x.evictions, y.evictions);
+  EXPECT_EQ(x.lint_hits, y.lint_hits);
+  EXPECT_EQ(x.lint_misses, y.lint_misses);
+  EXPECT_EQ(x.reduction_entries, y.reduction_entries);
+  EXPECT_EQ(x.reduction_hits, y.reduction_hits);
+  EXPECT_EQ(x.reduction_misses, y.reduction_misses);
+}
+
+void expect_same_work_counters(const core::Stats& a, const core::Stats& b) {
+  EXPECT_EQ(a.stages, b.stages);
+  EXPECT_EQ(a.stages_reused, b.stages_reused);
+  EXPECT_EQ(a.stages_recomputed, b.stages_recomputed);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_EQ(a.cache_evictions, b.cache_evictions);
+  EXPECT_EQ(a.factorizations, b.factorizations);
+  EXPECT_EQ(a.substitutions, b.substitutions);
+  EXPECT_EQ(a.matches, b.matches);
+}
+
 namespace {
 
 // Shared scaffolding for the one-stage generators: gates, the net

@@ -14,7 +14,9 @@
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "core/stats.h"
 #include "timing/analyzer.h"
+#include "timing/session.h"
 
 namespace awesim::timing::testutil {
 
@@ -48,6 +50,14 @@ TimingReport random_report(std::uint32_t seed, int n_gates,
 /// work performed, which is exactly what warm runs save.
 void expect_same_payload(const TimingReport& a, const TimingReport& b,
                          bool compare_diagnostics = true);
+
+/// Every Session::cache_stats() field of `a` equals `b`'s.
+void expect_same_cache_stats(const Session& a, const Session& b);
+
+/// The work counters of two analyses are equal: stage reuse, stage-cache
+/// hits/misses/evictions, factorizations, substitutions and matches
+/// (wall seconds and phases excluded).
+void expect_same_work_counters(const core::Stats& a, const core::Stats& b);
 
 /// A generated single-stage design plus the handles a mutation sequence
 /// needs (Design keeps its net list private, so the generator records
