@@ -1,7 +1,7 @@
 #include "circuit/circuit.h"
 
 #include <cmath>
-#include <set>
+#include <unordered_set>
 
 namespace awesim::circuit {
 
@@ -28,6 +28,12 @@ NodeId Circuit::find_node(std::string_view name) const {
                             "'");
   }
   return it->second;
+}
+
+void Circuit::reserve(std::size_t elements, std::size_t nodes) {
+  elements_.reserve(elements);
+  node_names_.reserve(nodes);
+  node_ids_.reserve(nodes);
 }
 
 const std::string& Circuit::node_name(NodeId id) const {
@@ -186,24 +192,33 @@ const Element* Circuit::find_element(std::string_view name) const {
 void Circuit::validate() const {
   // Every registered node must touch at least one element; a dangling
   // node would make the MNA matrix structurally singular with a far less
-  // helpful error.
-  std::set<NodeId> touched;
-  touched.insert(kGround);
+  // helpful error.  Ids outside the node table touch nothing.
+  std::vector<char> touched(node_names_.size(), 0);
+  auto touch = [&](NodeId id) {
+    if (id >= 0 && static_cast<std::size_t>(id) < touched.size()) {
+      touched[static_cast<std::size_t>(id)] = 1;
+    }
+  };
+  touch(kGround);
   for (const auto& e : elements_) {
-    touched.insert(e.pos);
-    touched.insert(e.neg);
+    touch(e.pos);
+    touch(e.neg);
   }
   for (const auto& m : macros_) {
-    for (const NodeId port : m.ports) touched.insert(port);
+    for (const NodeId port : m.ports) touch(port);
   }
   for (std::size_t id = 1; id < node_names_.size(); ++id) {
-    if (touched.count(static_cast<NodeId>(id)) == 0) {
+    if (!touched[id]) {
       throw std::invalid_argument("Circuit: node '" + node_names_[id] +
                                   "' is not connected to any element");
     }
   }
 
-  std::set<std::string_view> names;
+  std::unordered_set<std::string_view> names;
+  names.reserve(elements_.size());
+  // First element of each name, built on the first CCCS/CCVS: a control
+  // may name an element that comes later in the list.
+  std::unordered_map<std::string_view, const Element*> first_named;
   for (const auto& e : elements_) {
     if (e.name.empty()) {
       throw std::invalid_argument("Circuit: element with empty name");
@@ -223,12 +238,17 @@ void Circuit::validate() const {
         break;
       case ElementKind::Cccs:
       case ElementKind::Ccvs: {
-        const Element* ctrl = find_element(e.ctrl_source);
-        if (ctrl == nullptr) {
+        if (first_named.empty()) {
+          first_named.reserve(elements_.size());
+          for (const auto& c : elements_) first_named.try_emplace(c.name, &c);
+        }
+        const auto it = first_named.find(e.ctrl_source);
+        if (it == first_named.end()) {
           throw std::invalid_argument("Circuit: '" + e.name +
                                       "' references unknown control source '" +
                                       e.ctrl_source + "'");
         }
+        const Element* ctrl = it->second;
         if (ctrl->kind != ElementKind::VoltageSource &&
             ctrl->kind != ElementKind::Inductor) {
           throw std::invalid_argument(

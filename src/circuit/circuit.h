@@ -4,11 +4,13 @@
 // linear controlled sources, and nonequilibrium initial conditions.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "circuit/waveform_spec.h"
@@ -29,6 +31,15 @@ enum class ElementKind {
   Vccs,  // G: voltage-controlled current source
   Cccs,  // F: current-controlled current source
   Ccvs,  // H: current-controlled voltage source
+};
+
+/// Transparent name hash: lets a std::string-keyed unordered container
+/// be probed with a std::string_view, no temporary string.
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view name) const noexcept {
+    return std::hash<std::string_view>{}(name);
+  }
 };
 
 /// Where an element came from in netlist source text (1-based; line 0
@@ -117,6 +128,7 @@ class Circuit {
   Circuit();
 
   /// Get-or-create a node by name.  "0", "gnd", and "GND" map to ground.
+  /// Ids are handed out in order of first appearance.
   NodeId node(std::string_view name);
 
   /// Look up an existing node; throws std::out_of_range if absent.
@@ -127,6 +139,10 @@ class Circuit {
 
   /// Number of nodes including ground.
   std::size_t node_count() const { return node_names_.size(); }
+
+  /// Capacity hint: room for `elements` elements and `nodes` nodes
+  /// (ground included) without regrowing.  Changes no content.
+  void reserve(std::size_t elements, std::size_t nodes);
 
   const std::vector<Element>& elements() const { return elements_; }
 
@@ -172,16 +188,21 @@ class Circuit {
   const Element* find_element(std::string_view name) const;
 
   /// Throws std::invalid_argument describing the first structural problem:
-  /// duplicate element names, non-positive R/C/L values, dangling
-  /// controlled-source references, or a CCCS/CCVS controlling element that
-  /// is not a voltage source.
+  /// a node no element or macro port touches (lowest id first), then, in
+  /// element order, an empty or duplicate element name (reported at its
+  /// second occurrence), a non-positive R/C/L value, a dangling
+  /// controlled-source reference, a CCCS/CCVS controlling element that is
+  /// not a voltage source or inductor, or an element shorting a node to
+  /// itself.  Linear in the circuit's size.
   void validate() const;
 
  private:
   Element& add(Element e);
 
   std::vector<std::string> node_names_;
-  std::map<std::string, NodeId, std::less<>> node_ids_;
+  // Lookup only (ids come from node_names_ order, never from hash order).
+  std::unordered_map<std::string, NodeId, NameHash, std::equal_to<>>
+      node_ids_;
   std::vector<Element> elements_;
   std::vector<MacroElement> macros_;
   std::map<NodeId, double> initial_node_voltages_;

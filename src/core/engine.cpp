@@ -353,6 +353,7 @@ const la::RealVector& Engine::equilibrium() {
 
 std::vector<Engine::AtomProblem>& Engine::atom_problems() {
   if (atoms_built_) return atoms_;
+  AWESIM_TRACE_SPAN("engine.atoms");
   ScopedTimer timer(stats_.seconds_setup);
   const std::size_t n = mna_.dim();
 

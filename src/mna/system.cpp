@@ -20,6 +20,13 @@ namespace {
 // into one event.
 constexpr double kEventMergeTolerance = 1e-15;
 
+// Elements whose branch current is an MNA unknown.
+bool carries_branch(ElementKind kind) {
+  return kind == ElementKind::VoltageSource ||
+         kind == ElementKind::Inductor || kind == ElementKind::Vcvs ||
+         kind == ElementKind::Ccvs;
+}
+
 }  // namespace
 
 MnaSystem::MnaSystem(const circuit::Circuit& ckt, Options options)
@@ -38,29 +45,55 @@ std::size_t MnaSystem::node_index(circuit::NodeId node) const {
 
 std::optional<std::size_t> MnaSystem::branch_index(
     std::string_view element) const {
-  for (const auto& [name, idx] : branch_indices_) {
-    if (name == element) return idx;
-  }
-  return std::nullopt;
+  const auto it = branch_indices_.find(element);
+  if (it == branch_indices_.end()) return std::nullopt;
+  return it->second;
 }
 
 void MnaSystem::stamp(const circuit::Circuit& ckt) {
   const std::size_t num_nodes = ckt.node_count() - 1;  // ground eliminated
 
-  // First pass: assign branch-current unknowns.
+  // First pass: number the branch-current unknowns in element order and
+  // size the triplet lists for the most entries each element can emit.
   std::size_t next_branch = num_nodes;
+  std::size_t g_entries = 0;
+  std::size_t c_entries = 0;
   for (const auto& e : ckt.elements()) {
     switch (e.kind) {
-      case ElementKind::VoltageSource:
-      case ElementKind::Inductor:
-      case ElementKind::Vcvs:
-      case ElementKind::Ccvs:
-        branch_indices_.emplace_back(e.name, next_branch++);
+      case ElementKind::Resistor:
+        g_entries += 4;
         break;
-      default:
+      case ElementKind::Capacitor:
+        c_entries += 4;
+        break;
+      case ElementKind::Inductor:
+        g_entries += 4;
+        c_entries += 1;
+        break;
+      case ElementKind::VoltageSource:
+      case ElementKind::Vccs:
+        g_entries += 4;
+        break;
+      case ElementKind::CurrentSource:
+        break;
+      case ElementKind::Vcvs:
+        g_entries += 6;
+        break;
+      case ElementKind::Cccs:
+        g_entries += 2;
+        break;
+      case ElementKind::Ccvs:
+        g_entries += 5;
         break;
     }
+    if (carries_branch(e.kind)) branch_indices_.emplace(e.name, next_branch++);
   }
+  for (const auto& m : ckt.macros()) {
+    g_entries += m.dim() * m.dim();
+    c_entries += m.dim() * m.dim();
+  }
+  g_triplets_.reserve(g_entries);
+  c_triplets_.reserve(c_entries);
   dim_ = next_branch;
   rhs_initial_.assign(dim_, 0.0);
 
@@ -80,11 +113,14 @@ void MnaSystem::stamp(const circuit::Circuit& ckt) {
       m.push_back({*ib, *ia, -v});
     }
   };
-  auto branch_of = [&](std::string_view name) -> std::size_t {
+  // A branch element's own unknown comes by position (the first pass's
+  // numbering); a CCCS/CCVS control name goes through the hashed table.
+  std::size_t branch = num_nodes;
+  auto control_of = [&](const std::string& name) -> std::size_t {
     const auto b = branch_index(name);
     if (!b) {
       throw std::invalid_argument("MnaSystem: no branch current for '" +
-                                  std::string(name) + "'");
+                                  name + "'");
     }
     return *b;
   };
@@ -111,13 +147,13 @@ void MnaSystem::stamp(const circuit::Circuit& ckt) {
         stamp_pair(c_triplets_, e.pos, e.neg, e.value);
         break;
       case ElementKind::Inductor: {
-        const std::size_t br = branch_of(e.name);
+        const std::size_t br = branch++;
         stamp_branch_voltage(br, e.pos, e.neg);
         c_triplets_.push_back({br, br, -e.value});
         break;
       }
       case ElementKind::VoltageSource: {
-        const std::size_t br = branch_of(e.name);
+        const std::size_t br = branch++;
         stamp_branch_voltage(br, e.pos, e.neg);
         rhs_initial_[br] += e.stimulus.initial_value();
         break;
@@ -133,7 +169,7 @@ void MnaSystem::stamp(const circuit::Circuit& ckt) {
         break;
       }
       case ElementKind::Vcvs: {
-        const std::size_t br = branch_of(e.name);
+        const std::size_t br = branch++;
         stamp_branch_voltage(br, e.pos, e.neg);
         const auto icp = idx(e.ctrl_pos);
         const auto icn = idx(e.ctrl_neg);
@@ -153,7 +189,7 @@ void MnaSystem::stamp(const circuit::Circuit& ckt) {
         break;
       }
       case ElementKind::Cccs: {
-        const std::size_t ctrl = branch_of(e.ctrl_source);
+        const std::size_t ctrl = control_of(e.ctrl_source);
         const auto ip = idx(e.pos);
         const auto in = idx(e.neg);
         if (ip) g_triplets_.push_back({*ip, ctrl, e.value});
@@ -161,8 +197,8 @@ void MnaSystem::stamp(const circuit::Circuit& ckt) {
         break;
       }
       case ElementKind::Ccvs: {
-        const std::size_t br = branch_of(e.name);
-        const std::size_t ctrl = branch_of(e.ctrl_source);
+        const std::size_t br = branch++;
+        const std::size_t ctrl = control_of(e.ctrl_source);
         stamp_branch_voltage(br, e.pos, e.neg);
         g_triplets_.push_back({br, ctrl, -e.value});
         break;

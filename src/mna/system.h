@@ -26,6 +26,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -130,7 +131,8 @@ class MnaSystem {
 
   /// Index of the branch current unknown of a named element (voltage
   /// source, inductor, VCVS, or CCVS); nullopt if the element carries no
-  /// branch unknown.
+  /// branch unknown.  Branch unknowns follow the node voltages in element
+  /// order.  O(1): one hashed lookup.
   std::optional<std::size_t> branch_index(std::string_view element) const;
 
   /// Dense G and C (built lazily; intended for analyses like the exact
@@ -219,7 +221,10 @@ class MnaSystem {
   mutable la::RealVector x0_;
   mutable bool x0_built_ = false;
   std::vector<SourceEvent> events_;
-  std::vector<std::pair<std::string, std::size_t>> branch_indices_;
+  // Lookup only; the unknowns themselves are numbered in element order.
+  std::unordered_map<std::string, std::size_t, circuit::NameHash,
+                     std::equal_to<>>
+      branch_indices_;
   mutable std::optional<Solver> g_solver_;
   mutable std::map<double, std::unique_ptr<Solver>> shifted_;
   mutable bool used_gmin_ = false;

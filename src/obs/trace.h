@@ -22,6 +22,9 @@
 // The canonical span taxonomy (DESIGN.md section 9):
 //   mna.assemble     one MNA stamp of an Engine's circuit (G, C, b)
 //   mna.factor       one (G + aC) LU factorization
+//   engine.atoms     one Engine's stimulus atoms: equilibrium and
+//                    particular solutions, index-1 structure check,
+//                    atom right-hand sides (mna.factor of G inside)
 //   engine.moments   moment-vector advancement / gathering
 //   pade.hankel      eq. 24 Hankel assembly + LU solve
 //   pade.roots       eq. 25 characteristic-polynomial rooting

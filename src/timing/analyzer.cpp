@@ -375,8 +375,13 @@ TimingReport analyze_design(const Design& design,
     gopt.required_time = options.required_time;
     auto pins =
         std::make_shared<const TimingGraph>(TimingGraph::build(report, gopt));
-    for (const auto& [gate, t] : report.gate_arrival) {
-      report.gate_slack[gate] = pins->slack_at(gate);
+    // Gate input pins come in gate_arrival (name) order, so each slack
+    // appends at the map's end.
+    for (const TimingNode& node : pins->nodes()) {
+      if (node.kind == PinKind::GateInput) {
+        report.gate_slack.emplace_hint(report.gate_slack.end(), node.owner,
+                                       node.slack);
+      }
     }
     report.worst_slack = pins->worst_slack();
     report.worst_slack_endpoint = pins->worst_endpoint();

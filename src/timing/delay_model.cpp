@@ -90,11 +90,11 @@ namespace {
 
 // Build the stage circuit for one net: ramp source -> driver resistance ->
 // parasitics -> sink input capacitances.  Returns the circuit and the
-// circuit nodes of the driver point and each sink point.
+// circuit node of each sink point, in the net's (name-sorted) sink_node
+// order.
 struct StageCircuit {
   circuit::Circuit ckt;
-  circuit::NodeId driver_node;
-  std::map<std::string, circuit::NodeId> sink_nodes;
+  std::vector<circuit::NodeId> sink_nodes;
 };
 
 StageCircuit build_stage(const Gate& driver, const Net& net,
@@ -103,6 +103,12 @@ StageCircuit build_stage(const Gate& driver, const Net& net,
   AWESIM_TRACE_SPAN("stage.build");
   StageCircuit sc;
   auto& ckt = sc.ckt;
+  // A connected net has at most one node per element or port past
+  // ground, "__in" and "DRV": the node hint is a bound, not a guess.
+  std::size_t ports = 0;
+  for (const auto& m : net.macros) ports += m.ports.size();
+  ckt.reserve(2 + net.parasitics.size() + net.sink_node.size(),
+              3 + net.parasitics.size() + ports + net.sink_node.size());
   const auto vin = ckt.node("__in");
   ckt.add_vsource("Vdrv", vin, circuit::kGround,
                   slew > 0.0
@@ -110,22 +116,21 @@ StageCircuit build_stage(const Gate& driver, const Net& net,
                       : circuit::Stimulus::step(0.0, swing));
   const auto drv = ckt.node("DRV");
   ckt.add_resistor("__Rdrv", vin, drv, driver.drive_resistance);
-  sc.driver_node = drv;
 
   std::size_t counter = 0;
   for (const auto& e : net.parasitics) {
     const auto a = ckt.node(e.node_a);
     const auto b = ckt.node(e.node_b);
-    const std::string name = "__p" + std::to_string(counter++);
+    std::string name = "__p" + std::to_string(counter++);
     switch (e.kind) {
       case NetElement::Kind::Resistor:
-        ckt.add_resistor(name, a, b, e.value);
+        ckt.add_resistor(std::move(name), a, b, e.value);
         break;
       case NetElement::Kind::Capacitor:
-        ckt.add_capacitor(name, a, b, e.value);
+        ckt.add_capacitor(std::move(name), a, b, e.value);
         break;
       case NetElement::Kind::Inductor:
-        ckt.add_inductor(name, a, b, e.value);
+        ckt.add_inductor(std::move(name), a, b, e.value);
         break;
     }
   }
@@ -142,9 +147,10 @@ StageCircuit build_stage(const Gate& driver, const Net& net,
     macro.sum_capacitance = m.sum_capacitance;
     ckt.add_macro(std::move(macro));
   }
+  sc.sink_nodes.reserve(net.sink_node.size());
   for (const auto& [sink, node_name] : net.sink_node) {
     const auto node = ckt.node(node_name);
-    sc.sink_nodes[sink] = node;
+    sc.sink_nodes.push_back(node);
     const auto it = gates.find(sink);
     if (it != gates.end() && it->second.input_capacitance > 0.0) {
       ckt.add_capacitor("__cin_" + sink, node, circuit::kGround,
@@ -224,21 +230,15 @@ StageEvaluation evaluate_stage(const Gate& driver, const Net& net,
   // Session); never double-lint inside the engine.
   eopt.preflight_lint = false;
 
-  // Sink order: sc.sink_nodes is a std::map, so sinks come out sorted
-  // by name -- part of the determinism contract.
-  std::vector<std::string> sink_names;
-  std::vector<circuit::NodeId> sink_nodes;
-  sink_names.reserve(sc.sink_nodes.size());
-  sink_nodes.reserve(sc.sink_nodes.size());
-  for (const auto& [sink, node] : sc.sink_nodes) {
-    sink_names.push_back(sink);
-    sink_nodes.push_back(node);
-  }
-
   // One batch solve for the whole net: the LU factorization and moment
-  // vectors are shared; each sink costs only its moment match.
-  const core::BatchResult batch = engine.approximate_all(sink_nodes, eopt);
-  for (std::size_t i = 0; i < sink_names.size(); ++i) {
+  // vectors are shared; each sink costs only its moment match.  Sinks
+  // come in net.sink_node order -- a std::map, so sorted by name, part
+  // of the determinism contract.
+  const core::BatchResult batch =
+      engine.approximate_all(sc.sink_nodes, eopt);
+  auto sink = net.sink_node.begin();
+  for (std::size_t i = 0; i < sc.sink_nodes.size(); ++i, ++sink) {
+    const std::string& sink_name = sink->first;
     const core::Result& result = batch.results[i];
     st.awe_order_used = std::max(st.awe_order_used, result.order_used);
     if (result.status >= core::ApproxStatus::OrderReduced) {
@@ -251,7 +251,7 @@ StageEvaluation evaluate_stage(const Gate& driver, const Net& net,
       d.message = std::string("sink answered from ladder rung '") +
                   core::to_string(result.status) + "'";
       d.element = net.name;
-      d.node = sink_names[i];
+      d.node = sink_name;
       st.diagnostics.push_back(std::move(d));
     }
     for (const auto& rd : result.diagnostics) {
@@ -275,7 +275,7 @@ StageEvaluation evaluate_stage(const Gate& driver, const Net& net,
     const std::optional<double> t_lo = t[1];
     const std::optional<double> t_hi = t[2];
     SinkTiming sink_t;
-    sink_t.gate = sink_names[i];
+    sink_t.gate = sink_name;
     sink_t.stage_delay = driver.intrinsic_delay + t_th.value_or(horizon);
     sink_t.slew = (t_hi && t_lo) ? *t_hi - *t_lo : horizon;
     sink_t.arrival = t_in + sink_t.stage_delay;

@@ -2,44 +2,81 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <functional>
+#include <ranges>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "obs/trace.h"
 
 namespace awesim::timing {
 
-std::size_t TimingGraph::add_node(std::string name, const std::string& owner,
-                                  PinKind kind,
-                                  std::map<std::string, std::size_t>& index) {
+namespace {
+
+// Index of `name` among `count` name-sorted keys (key(i) is the i-th, a
+// std::string_view), or TimingGraph::npos.  std::string's `<` is the
+// order std::map and std::set sort their keys in, so the graph's pins
+// search like the report maps they were built from.
+template <typename Key>
+std::size_t sorted_find(std::size_t count, std::string_view name, Key key) {
+  const auto ids = std::views::iota(std::size_t{0}, count);
+  const auto it = std::ranges::lower_bound(ids, name, std::less<>{}, key);
+  return it != ids.end() && key(*it) == name ? *it : TimingGraph::npos;
+}
+
+}  // namespace
+
+std::size_t TimingGraph::add_node(std::string name, std::string owner,
+                                  PinKind kind) {
   const std::size_t id = nodes_.size();
-  index.emplace(name, id);
   TimingNode node;
   node.name = std::move(name);
-  node.owner = owner;
+  node.owner = std::move(owner);
   node.kind = kind;
   nodes_.push_back(std::move(node));
   return id;
 }
 
+std::size_t TimingGraph::gate_ordinal(std::string_view gate) const {
+  return sorted_find(gate_count_, gate, [&](std::size_t k) {
+    return std::string_view(nodes_[2 * k].owner);
+  });
+}
+
+std::size_t TimingGraph::port_node(std::string_view port) const {
+  const std::size_t first = 2 * gate_count_;
+  const std::size_t k =
+      sorted_find(nodes_.size() - first, port, [&](std::size_t i) {
+        return std::string_view(nodes_[first + i].name);
+      });
+  return k == npos ? npos : first + k;
+}
+
 std::size_t TimingGraph::find(const std::string& pin_name) const {
-  if (const auto it = index_.find(pin_name); it != index_.end()) {
-    return it->second;
+  // A gate pin is "<gate>:in" or "<gate>:out"; the suffix follows the
+  // last ':', so a gate whose own name holds a ':' still splits right.
+  const std::string_view pin(pin_name);
+  const std::size_t colon = pin.rfind(':');
+  if (colon != std::string_view::npos) {
+    const std::string_view suffix = pin.substr(colon + 1);
+    if (suffix == "in" || suffix == "out") {
+      const std::size_t k = gate_ordinal(pin.substr(0, colon));
+      if (k != npos) return 2 * k + (suffix == "out" ? 1 : 0);
+    }
   }
-  const auto it = port_index_.find(pin_name);
-  return it == port_index_.end() ? npos : it->second;
+  return port_node(pin);
 }
 
 bool TimingGraph::has_owner(const std::string& name) const {
-  return index_.count(name + ":in") > 0 || port_index_.count(name) > 0;
+  return gate_ordinal(name) != npos || port_node(name) != npos;
 }
 
 const TimingNode& TimingGraph::gate_input(const std::string& gate) const {
-  const auto it = index_.find(gate + ":in");
-  if (it == index_.end()) {
+  const std::size_t k = gate_ordinal(gate);
+  if (k == npos) {
     throw std::invalid_argument("TimingGraph: unknown gate '" + gate + "'");
   }
-  return nodes_[it->second];
+  return nodes_[2 * k];
 }
 
 double TimingGraph::arrival_at(const std::string& gate) const {
@@ -55,17 +92,46 @@ TimingGraph TimingGraph::build(const TimingReport& report,
   AWESIM_TRACE_SPAN("graph.build");
   TimingGraph g;
 
-  // Gate pins first, in the (sorted) gate_arrival order; the gate arc
-  // <g>:in -> <g>:out is created alongside.  Delay 0: the stage model
-  // reports sink delays measured from the *driver gate input* (intrinsic
-  // delay folded in), so re-propagation reproduces the wavefront's
-  // arithmetic exactly -- arrival(g:out) = arrival(g:in) + 0.0 is
-  // bitwise arrival(g:in) for the non-negative times involved.
+  // Gate ordinals, in the (sorted) gate_arrival order: gate k owns pins
+  // 2k and 2k+1.  Drivers, sinks, port membership and sources all
+  // resolve through this one table (lookup only; ids come from the map
+  // order).  Its keys view the report's, which outlive this build.
+  g.gate_count_ = report.gate_arrival.size();
+  std::unordered_map<std::string_view, std::size_t> ordinal;
+  ordinal.reserve(g.gate_count_);
+  std::size_t k = 0;
+  for (const auto& [gate, t] : report.gate_arrival) ordinal.emplace(gate, k++);
+  auto ordinal_of = [&](std::string_view gate) {
+    const auto it = ordinal.find(gate);
+    return it == ordinal.end() ? npos : it->second;
+  };
+
+  // Port nodes for design-output sinks, name-sorted for determinism.
+  // A port named like a gate pin stays its own node.
+  std::vector<std::string_view> ports;
+  std::size_t net_arcs = 0;
+  for (const auto& st : report.stages) {
+    net_arcs += st.sinks.size();
+    for (const auto& s : st.sinks) {
+      if (ordinal_of(s.gate) == npos) ports.push_back(s.gate);
+    }
+  }
+  std::sort(ports.begin(), ports.end());
+  ports.erase(std::unique(ports.begin(), ports.end()), ports.end());
+
+  g.nodes_.reserve(2 * g.gate_count_ + ports.size());
+  g.arcs_.reserve(g.gate_count_ + net_arcs);
+
+  // Gate pins, with the gate arc <g>:in -> <g>:out alongside.  Delay 0:
+  // the stage model reports sink delays measured from the *driver gate
+  // input* (intrinsic delay folded in), so re-propagation reproduces the
+  // wavefront's arithmetic exactly -- arrival(g:out) = arrival(g:in) +
+  // 0.0 is bitwise arrival(g:in) for the non-negative times involved.
   for (const auto& [gate, t] : report.gate_arrival) {
     const std::size_t in =
-        g.add_node(gate + ":in", gate, PinKind::GateInput, g.index_);
+        g.add_node(gate + ":in", gate, PinKind::GateInput);
     const std::size_t out =
-        g.add_node(gate + ":out", gate, PinKind::GateOutput, g.index_);
+        g.add_node(gate + ":out", gate, PinKind::GateOutput);
     TimingArc arc;
     arc.from = in;
     arc.to = out;
@@ -75,33 +141,24 @@ TimingGraph TimingGraph::build(const TimingReport& report,
     g.nodes_[in].fanout.push_back(arc_id);
     g.nodes_[out].fanin.push_back(arc_id);
   }
-
-  // Port nodes for design-output sinks, name-sorted for determinism.
-  // Their own index: a port named like a gate pin stays its own node.
-  {
-    std::set<std::string> ports;
-    for (const auto& st : report.stages) {
-      for (const auto& s : st.sinks) {
-        if (report.gate_arrival.count(s.gate) == 0) ports.insert(s.gate);
-      }
-    }
-    for (const auto& p : ports) g.add_node(p, p, PinKind::Port, g.port_index_);
+  for (const std::string_view p : ports) {
+    g.add_node(std::string(p), std::string(p), PinKind::Port);
   }
 
   // Net arcs in report-stage order (the deterministic reduction order of
   // the wavefront), one per stage sink.
   for (const auto& st : report.stages) {
-    const auto driver = g.index_.find(st.driver_gate + ":out");
-    if (driver == g.index_.end()) {
+    const std::size_t driver = ordinal_of(st.driver_gate);
+    if (driver == npos) {
       throw std::invalid_argument(
           "TimingGraph: stage driver '" + st.driver_gate +
           "' is not in the report's gate_arrival map");
     }
-    const std::size_t from = driver->second;
+    const std::size_t from = 2 * driver + 1;
     for (const auto& s : st.sinks) {
-      const bool is_gate = report.gate_arrival.count(s.gate) > 0;
-      const std::size_t to = is_gate ? g.index_.at(s.gate + ":in")
-                                     : g.port_index_.at(s.gate);
+      const std::size_t sink = ordinal_of(s.gate);
+      const std::size_t to =
+          sink != npos ? 2 * sink : g.port_node(s.gate);
       TimingArc arc;
       arc.from = from;
       arc.to = to;
@@ -122,8 +179,8 @@ TimingGraph TimingGraph::build(const TimingReport& report,
   // pinned to t = 0 even if something feeds them), plus any pin with no
   // fanin at all.
   for (const auto& gate : report.source_gates) {
-    const auto it = g.index_.find(gate + ":in");
-    if (it != g.index_.end()) g.nodes_[it->second].is_source = true;
+    const std::size_t source = ordinal_of(gate);
+    if (source != npos) g.nodes_[2 * source].is_source = true;
   }
   for (auto& node : g.nodes_) {
     if (node.fanin.empty()) node.is_source = true;

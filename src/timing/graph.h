@@ -39,8 +39,8 @@
 
 #include <cstddef>
 #include <limits>
-#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "timing/analyzer.h"
@@ -139,16 +139,20 @@ class TimingGraph {
   }
 
  private:
-  std::size_t add_node(std::string name, const std::string& owner,
-                       PinKind kind, std::map<std::string, std::size_t>& index);
+  std::size_t add_node(std::string name, std::string owner, PinKind kind);
+  /// Gate ordinal (its pins are nodes 2k and 2k+1) or port node index by
+  /// name; npos when absent.  Binary searches over the name-sorted pins.
+  std::size_t gate_ordinal(std::string_view gate) const;
+  std::size_t port_node(std::string_view port) const;
   const TimingNode& gate_input(const std::string& gate) const;
   void propagate_arrivals();
   void propagate_required(const GraphOptions& options);
 
   std::vector<TimingNode> nodes_;
   std::vector<TimingArc> arcs_;
-  std::map<std::string, std::size_t> index_;       // gate pins
-  std::map<std::string, std::size_t> port_index_;  // design-output ports
+  // Gate k's pins are nodes 2k (input) and 2k+1 (output), gates in name
+  // order; the name-sorted ports follow them.
+  std::size_t gate_count_ = 0;
   std::vector<std::size_t> sources_;
   std::vector<std::size_t> endpoints_;
   std::vector<std::size_t> topo_;

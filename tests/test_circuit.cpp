@@ -1,6 +1,10 @@
 // Circuit model and stimulus descriptions.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <string_view>
+
 #include "circuit/circuit.h"
 
 namespace awesim::circuit {
@@ -121,6 +125,160 @@ TEST(Circuit, ValidateCatchesDanglingNode) {
   ckt.add_resistor("R1", ckt.node("a"), kGround, 1.0);
   ckt.node("orphan");  // registered but never used
   EXPECT_THROW(ckt.validate(), std::invalid_argument);
+}
+
+// validate() reports the first problem it meets: dangling nodes (lowest
+// id first) before any element rule, then element rules in element
+// order.  These pin the exact message and the offender named.
+std::string validate_error(const Circuit& ckt) {
+  try {
+    ckt.validate();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CircuitValidate, DanglingNodeLowestIdFirst) {
+  Circuit ckt;
+  const auto a = ckt.node("a");
+  ckt.node("b");  // dangling, id 2
+  const auto c = ckt.node("c");
+  ckt.node("d");  // dangling, id 4
+  ckt.add_resistor("R1", a, c, 1.0);
+  ckt.add_resistor("R1", c, kGround, -1.0);  // element rules come later
+  EXPECT_EQ(validate_error(ckt),
+            "Circuit: node 'b' is not connected to any element");
+}
+
+TEST(CircuitValidate, DuplicateReportedAtSecondOccurrence) {
+  Circuit ckt;
+  const auto a = ckt.node("a");
+  ckt.add_resistor("R1", a, kGround, 1.0);
+  ckt.add_resistor("R2", a, kGround, 1.0);
+  ckt.add_resistor("R1", a, kGround, -1.0);  // duplicate checked first
+  ckt.add_resistor("R2", a, a, 1.0);
+  EXPECT_EQ(validate_error(ckt), "Circuit: duplicate element name 'R1'");
+}
+
+TEST(CircuitValidate, EarlierElementRuleBeatsLaterDuplicate) {
+  Circuit ckt;
+  const auto a = ckt.node("a");
+  ckt.add_capacitor("C1", a, kGround, 0.0);
+  ckt.add_resistor("R1", a, kGround, 1.0);
+  ckt.add_resistor("R1", a, kGround, 1.0);
+  EXPECT_EQ(validate_error(ckt),
+            "Circuit: element 'C1' must have a positive value");
+}
+
+TEST(CircuitValidate, EmptyName) {
+  Circuit ckt;
+  const auto a = ckt.node("a");
+  ckt.add_resistor("R1", a, kGround, 1.0);
+  ckt.add_resistor("", a, kGround, -1.0);
+  ckt.add_resistor("", a, kGround, 1.0);
+  EXPECT_EQ(validate_error(ckt), "Circuit: element with empty name");
+}
+
+TEST(CircuitValidate, NonPositiveValues) {
+  const double bad[] = {0.0, -1.0, std::nan("")};
+  for (const double v : bad) {
+    Circuit r;
+    r.add_resistor("R1", r.node("a"), kGround, v);
+    EXPECT_EQ(validate_error(r),
+              "Circuit: element 'R1' must have a positive value");
+    Circuit c;
+    c.add_capacitor("C1", c.node("a"), kGround, v);
+    EXPECT_EQ(validate_error(c),
+              "Circuit: element 'C1' must have a positive value");
+    Circuit l;
+    l.add_inductor("L1", l.node("a"), kGround, v);
+    EXPECT_EQ(validate_error(l),
+              "Circuit: element 'L1' must have a positive value");
+  }
+}
+
+TEST(CircuitValidate, SelfShort) {
+  Circuit ckt;
+  const auto a = ckt.node("a");
+  ckt.add_resistor("R1", a, kGround, 1.0);
+  ckt.add_vsource("V1", a, a, Stimulus::dc(1.0));
+  ckt.add_resistor("R2", a, a, 1.0);
+  EXPECT_EQ(validate_error(ckt),
+            "Circuit: element 'V1' shorts a node to itself");
+}
+
+TEST(CircuitValidate, ControlSources) {
+  {
+    Circuit ckt;
+    const auto a = ckt.node("a");
+    ckt.add_resistor("R1", a, kGround, 1.0);
+    ckt.add_cccs("F1", a, kGround, "nosuch", 1.0);
+    ckt.add_ccvs("H1", a, kGround, "R1", 1.0);
+    EXPECT_EQ(validate_error(ckt),
+              "Circuit: 'F1' references unknown control source 'nosuch'");
+  }
+  {
+    Circuit ckt;
+    const auto a = ckt.node("a");
+    ckt.add_resistor("R1", a, kGround, 1.0);
+    ckt.add_ccvs("H1", a, kGround, "R1", 1.0);
+    EXPECT_EQ(validate_error(ckt),
+              "Circuit: 'H1' control element must be a voltage source or "
+              "inductor");
+  }
+  {
+    // A control may name an element declared after it, a voltage source
+    // or an inductor; the first element of a name is the one checked.
+    Circuit ckt;
+    const auto a = ckt.node("a");
+    const auto b = ckt.node("b");
+    ckt.add_cccs("F1", a, kGround, "V1", 1.0);
+    ckt.add_ccvs("H1", b, kGround, "L1", 1.0);
+    ckt.add_vsource("V1", a, kGround, Stimulus::dc(1.0));
+    ckt.add_inductor("L1", a, b, 1e-9);
+    EXPECT_EQ(validate_error(ckt), "");
+  }
+}
+
+TEST(CircuitValidate, MacroPortTouchesNode) {
+  Circuit ckt;
+  const auto a = ckt.node("a");
+  const auto p = ckt.node("p");  // touched only by the macro
+  ckt.add_resistor("R1", a, kGround, 1.0);
+  MacroElement m;
+  m.name = "M1";
+  m.ports = {a, p};
+  m.g = {1.0, -1.0, -1.0, 1.0};
+  m.c = {0.0, 0.0, 0.0, 1e-12};
+  ckt.add_macro(std::move(m));
+  EXPECT_EQ(validate_error(ckt), "");
+}
+
+TEST(Circuit, NodeIdsFollowFirstAppearance) {
+  Circuit ckt;
+  ckt.reserve(4, 3);  // a hint only; growth past it keeps every id
+  EXPECT_EQ(ckt.node("x"), 1);
+  EXPECT_EQ(ckt.node("y"), 2);
+  EXPECT_EQ(ckt.node("x"), 1);
+  EXPECT_EQ(ckt.node("gnd"), kGround);
+  EXPECT_EQ(ckt.node("GND"), kGround);
+  EXPECT_EQ(ckt.node("0"), kGround);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(ckt.node("n" + std::to_string(i)), 3 + i);
+  }
+  EXPECT_EQ(ckt.node_count(), 1003u);
+  EXPECT_EQ(ckt.node_name(kGround), "0");
+  EXPECT_EQ(ckt.node_name(2), "y");
+  EXPECT_EQ(ckt.node_name(1002), "n999");
+  // string_view probes need no terminator: "y" out of a longer buffer.
+  const std::string buffer = "xyz";
+  EXPECT_EQ(ckt.find_node(std::string_view(buffer).substr(1, 1)), 2);
+  EXPECT_EQ(ckt.find_node("n500"), 503);
+  EXPECT_EQ(ckt.find_node("gnd"), kGround);
+  EXPECT_EQ(ckt.find_node("GND"), kGround);
+  EXPECT_THROW(ckt.find_node("xy"), std::out_of_range);
+  EXPECT_THROW(ckt.find_node(""), std::out_of_range);
 }
 
 }  // namespace awesim::circuit

@@ -408,6 +408,55 @@ TEST(GraphSta, PortNamedLikeAGatePinIsItsOwnEndpoint) {
   EXPECT_EQ(graph.nodes()[graph.find("b:in")].kind, PinKind::GateInput);
 }
 
+// Pin lookups go by gate ordinal (gate k owns nodes 2k and 2k+1, the
+// name-sorted ports follow), and a pin name splits at its last ':', so
+// a gate whose own name holds a ':' resolves too.
+TEST(GraphSta, PinLookupsByOrdinal) {
+  TimingReport report;
+  report.gate_arrival = {{"a", 0.0}, {"a:in", 0.0}, {"b", 1e-12}};
+  report.source_gates = {"a", "a:in"};
+  StageTiming from_a;
+  from_a.driver_gate = "a";
+  from_a.net = "na";
+  from_a.sinks = {{"b", 1e-12, 1e-12, 1e-12}, {"z", 2e-12, 1e-12, 2e-12}};
+  StageTiming from_colon;
+  from_colon.driver_gate = "a:in";
+  from_colon.net = "nc";
+  from_colon.sinks = {{"b:out", 3e-12, 1e-12, 3e-12},
+                      {"m", 1e-12, 1e-12, 1e-12}};
+  report.stages = {from_a, from_colon};
+  const TimingGraph graph = TimingGraph::build(report);
+
+  ASSERT_EQ(graph.nodes().size(), 9u);  // 3 gates x 2 pins + 3 ports
+  const char* const names[] = {"a:in",   "a:out", "a:in:in", "a:in:out",
+                               "b:in",   "b:out", "b:out",   "m",
+                               "z"};
+  for (std::size_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(graph.nodes()[i].name, names[i]) << i;
+  }
+  EXPECT_EQ(graph.find("a:in"), 0u);
+  EXPECT_EQ(graph.find("a:out"), 1u);
+  EXPECT_EQ(graph.find("a:in:in"), 2u);
+  EXPECT_EQ(graph.find("a:in:out"), 3u);
+  EXPECT_EQ(graph.find("b:out"), 5u);  // the gate pin shadows the port
+  EXPECT_EQ(graph.find("m"), 7u);
+  EXPECT_EQ(graph.find("z"), 8u);
+  for (const char* ghost : {"a", "b", "a:", "c:in", "a:in:x", ""}) {
+    EXPECT_EQ(graph.find(ghost), TimingGraph::npos) << ghost;
+  }
+  EXPECT_TRUE(graph.has_owner("a:in"));
+  EXPECT_TRUE(graph.has_owner("b:out"));  // the port
+  EXPECT_TRUE(graph.has_owner("z"));
+  EXPECT_FALSE(graph.has_owner("b:in"));
+  EXPECT_FALSE(graph.has_owner("c"));
+  EXPECT_EQ(graph.arrival_at("b"), 1e-12);
+  EXPECT_EQ(graph.nodes()[graph.find("z")].arrival, 2e-12);
+  EXPECT_EQ(graph.nodes()[graph.find("m")].arrival, 1e-12);
+  EXPECT_THROW(graph.slack_at("z"), std::invalid_argument);
+  EXPECT_THROW(graph.arrival_at("a:in:in"), std::invalid_argument);
+  EXPECT_TRUE(graph.nodes()[graph.find("a:in:in")].is_source);
+}
+
 // ---------------------------------------------------------------------
 // Audit-analyzer agreement: on seeded random gate designs (forward
 // arcs, some back arcs, random primary inputs, some design outputs) the

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
 
 #include "circuit/circuit.h"
 #include "mna/system.h"
@@ -226,6 +228,92 @@ TEST(Mna, ValidationRejectsBadCircuits) {
     ckt.add_cccs("F1", ckt.node("a"), kGround, "nosuch", 1.0);
     EXPECT_THROW(MnaSystem{ckt}, std::invalid_argument);
   }
+}
+
+// Branch unknowns follow the node voltages in element order; CCCS/CCVS
+// controls resolve by name, a forward reference included.  Every stamp
+// value is exact in binary, so the dense matrices compare bitwise.
+TEST(Mna, ControlledLadderStampsExactly) {
+  Circuit ckt;
+  const auto in = ckt.node("in");  // unknown 0
+  const auto a = ckt.node("a");    // 1
+  const auto b = ckt.node("b");    // 2
+  const auto c = ckt.node("c");    // 3
+  ckt.add_vsource("V1", in, kGround, Stimulus::dc(1.0));  // branch 4
+  ckt.add_inductor("L1", in, a, 0.5);                     // branch 5
+  ckt.add_resistor("R1", a, kGround, 2.0);
+  ckt.add_capacitor("C1", a, kGround, 0.25);
+  ckt.add_cccs("F1", b, kGround, "L1", 3.0);
+  ckt.add_cccs("F2", a, kGround, "L2", 0.5);  // forward reference
+  ckt.add_resistor("R2", b, kGround, 4.0);
+  ckt.add_ccvs("H1", c, kGround, "V1", 5.0);  // branch 6
+  ckt.add_resistor("R3", c, kGround, 8.0);
+  ckt.add_inductor("L2", b, c, 2.0);  // branch 7
+  MnaSystem mna(ckt);
+
+  ASSERT_EQ(mna.dim(), 8u);
+  EXPECT_EQ(mna.branch_index("V1"), std::optional<std::size_t>(4));
+  EXPECT_EQ(mna.branch_index("L1"), std::optional<std::size_t>(5));
+  EXPECT_EQ(mna.branch_index("H1"), std::optional<std::size_t>(6));
+  EXPECT_EQ(mna.branch_index("L2"), std::optional<std::size_t>(7));
+  EXPECT_FALSE(mna.branch_index("F1").has_value());
+  EXPECT_FALSE(mna.branch_index("R1").has_value());
+
+  la::RealMatrix g(8, 8);
+  g(0, 4) = 1.0;  // V1
+  g(4, 0) = 1.0;
+  g(0, 5) = 1.0;  // L1
+  g(5, 0) = 1.0;
+  g(1, 5) = -1.0;
+  g(5, 1) = -1.0;
+  g(1, 1) = 0.5;   // R1
+  g(2, 5) = 3.0;   // F1 <- i(L1)
+  g(1, 7) = 0.5;   // F2 <- i(L2)
+  g(2, 2) = 0.25;  // R2
+  g(3, 6) = 1.0;   // H1
+  g(6, 3) = 1.0;
+  g(6, 4) = -5.0;   // H1 <- i(V1)
+  g(3, 3) = 0.125;  // R3
+  g(2, 7) = 1.0;    // L2
+  g(7, 2) = 1.0;
+  g(3, 7) = -1.0;
+  g(7, 3) = -1.0;
+  la::RealMatrix cm(8, 8);
+  cm(5, 5) = -0.5;  // L1
+  cm(1, 1) = 0.25;  // C1
+  cm(7, 7) = -2.0;  // L2
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t j = 0; j < 8; ++j) {
+      EXPECT_EQ(mna.G()(i, j), g(i, j)) << "G(" << i << "," << j << ")";
+      EXPECT_EQ(mna.C()(i, j), cm(i, j)) << "C(" << i << "," << j << ")";
+    }
+  }
+}
+
+// A long L-R-C ladder: one branch unknown per inductor, numbered in
+// element order after the node voltages.
+TEST(Mna, LongInductorLadderBuilds) {
+  constexpr int kSections = 12000;
+  Circuit ckt;
+  auto prev = ckt.node("in");
+  ckt.add_vsource("V1", prev, kGround, Stimulus::step(0.0, 1.0));
+  for (int k = 1; k <= kSections; ++k) {
+    const std::string s = std::to_string(k);
+    const auto m = ckt.node("m" + s);
+    const auto n = ckt.node("n" + s);
+    ckt.add_inductor("L" + s, prev, m, 1e-9);
+    ckt.add_resistor("R" + s, m, n, 1.0);
+    ckt.add_capacitor("C" + s, n, kGround, 1e-15);
+    prev = n;
+  }
+  MnaSystem mna(ckt);
+  const std::size_t nodes = 1 + 2 * kSections;
+  EXPECT_EQ(mna.dim(), nodes + 1 + kSections);
+  EXPECT_EQ(mna.branch_index("V1"), std::optional<std::size_t>(nodes));
+  EXPECT_EQ(mna.branch_index("L1"), std::optional<std::size_t>(nodes + 1));
+  EXPECT_EQ(mna.branch_index("L" + std::to_string(kSections)),
+            std::optional<std::size_t>(nodes + kSections));
+  EXPECT_FALSE(mna.branch_index("R1").has_value());
 }
 
 }  // namespace awesim::mna
