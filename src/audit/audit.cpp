@@ -1,5 +1,6 @@
 #include "audit/audit.h"
 
+#include <algorithm>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "audit/design_netlist.h"
+#include "core/parallel.h"
 #include "obs/trace.h"
 #include "timing/stage_cache.h"
 
@@ -101,34 +103,7 @@ void run_graph_tier(const timing::Design& design,
   }
 }
 
-/// Nets grouped by reduction_content_key.  Two nets in one class have
-/// equal parasitics (kinds, node names, value bits), equal macros and
-/// equal boundary node sets, so everything the audit derives from those
-/// -- eligibility, oracle topology, value-less shape -- is class work.
-struct ContentClasses {
-  /// Per class, its nets in net order; classes in first-member order.
-  std::vector<std::vector<std::size_t>> members;
-  /// Per net, its class.
-  std::vector<std::size_t> of_net;
-};
-
-ContentClasses content_classes(const timing::Design& design,
-                               const reduce::ReduceOptions& options) {
-  ContentClasses classes;
-  classes.of_net.reserve(design.net_count());
-  // Lookup-only: the class order is first appearance in net order.
-  std::unordered_map<std::string, std::size_t> index;
-  index.reserve(design.net_count());
-  for (std::size_t i = 0; i < design.net_count(); ++i) {
-    const auto [it, fresh] = index.try_emplace(
-        reduce::reduction_content_key(design.net_at(i), options),
-        classes.members.size());
-    if (fresh) classes.members.emplace_back();
-    classes.members[it->second].push_back(i);
-    classes.of_net.push_back(it->second);
-  }
-  return classes;
-}
+using reduce::ContentClasses;
 
 check::OracleElement::Kind oracle_kind(timing::NetElement::Kind kind) {
   switch (kind) {
@@ -189,19 +164,21 @@ CellWork cell_work(const timing::Net& net,
 
 void run_conditioning_tier(const timing::Design& design,
                            const AuditOptions& options,
-                           const ContentClasses& classes, Emitter& em) {
+                           const ContentClasses& classes,
+                           core::ThreadPool& pool, Emitter& em) {
   AuditReport& report = *em.report;
   report.nets.resize(design.net_count());
-  // Class work once per content class; per net only the instance's
-  // driver resistance and sink pin caps go through the numeric step.
-  check::OracleInstance instance;
-  for (const std::vector<std::size_t>& members : classes.members) {
-    const timing::Net& first = design.net_at(members.front());
+  // On the pool, a class per job: the class work once, then per member
+  // only the instance's driver resistance and sink pin caps go through
+  // the numeric step, each into the member's own slot.
+  pool.parallel_for(classes.members.size(), [&](std::size_t c) {
+    const std::vector<std::size_t>& members = classes.members[c];
     CellWork cell;
     {
       AWESIM_TRACE_SPAN("audit.cell");
-      cell = cell_work(first, options.reduce);
+      cell = cell_work(design.net_at(members.front()), options.reduce);
     }
+    check::OracleInstance instance;
     for (const std::size_t i : members) {
       const timing::Net& net = design.net_at(i);
       const auto gate_it = design.gates().find(design.net_driver(i));
@@ -220,7 +197,8 @@ void run_conditioning_tier(const timing::Design& design,
       assessment.estimate =
           check::assess(cell.topology, instance, options.oracle);
     }
-  }
+  });
+  // Serially, in net order: names and diagnostics.
   for (std::size_t i = 0; i < design.net_count(); ++i) {
     const timing::Net& net = design.net_at(i);
     NetAssessment& assessment = report.nets[i];
@@ -252,7 +230,8 @@ std::string skeleton_key(const timing::Net& net) {
 }
 
 void run_repetition_tier(const timing::Design& design,
-                         const ContentClasses& classes, Emitter& em) {
+                         const ContentClasses& classes,
+                         core::ThreadPool& pool, Emitter& em) {
   AuditReport& report = *em.report;
   // Exact groups are the content classes: the \x01R content key
   // discipline from src/reduce -- name-agnostic, so instances of one
@@ -278,18 +257,22 @@ void run_repetition_tier(const timing::Design& design,
   }
 
   // Shape groups: the class's skeleton plus each net's sink-node order,
-  // formed in net order (so groups come in first-member order).  Both
-  // maps are lookup-only.
+  // formed in net order (so groups come in first-member order).  The
+  // skeletons are serialized on the pool, one slot per class, and
+  // numbered serially in class order.  Both maps are lookup-only.
+  std::vector<std::string> skeleton(classes.members.size());
+  pool.parallel_for(classes.members.size(), [&](std::size_t c) {
+    skeleton[c] = skeleton_key(design.net_at(classes.members[c].front()));
+  });
   std::unordered_map<std::string, std::size_t> skeletons;
   std::vector<std::size_t> class_skeleton;
   class_skeleton.reserve(classes.members.size());
-  for (const std::vector<std::size_t>& members : classes.members) {
+  for (std::string& key : skeleton) {
     class_skeleton.push_back(
-        skeletons
-            .try_emplace(skeleton_key(design.net_at(members.front())),
-                         skeletons.size())
+        skeletons.try_emplace(std::move(key), skeletons.size())
             .first->second);
   }
+  skeleton = {};
   std::unordered_map<std::string, std::size_t> shape_index;
   std::vector<std::vector<std::size_t>> shapes;
   for (std::size_t i = 0; i < design.net_count(); ++i) {
@@ -361,6 +344,13 @@ void run_repetition_tier(const timing::Design& design,
 AuditReport audit_design(const timing::Design& design,
                          const AuditOptions& options,
                          const DesignSourceMap* sources) {
+  return detail::audit_design(design, options, sources, 0);
+}
+
+AuditReport detail::audit_design(const timing::Design& design,
+                                 const AuditOptions& options,
+                                 const DesignSourceMap* sources,
+                                 std::size_t threads) {
   AuditReport report;
   Emitter em{&report, sources};
   if (options.graph_rules) {
@@ -368,21 +358,25 @@ AuditReport audit_design(const timing::Design& design,
     run_graph_tier(design, options, em);
   }
   if (!options.conditioning && !options.repetition) return report;
+  core::ThreadPool pool(std::min(
+      threads == 0 ? core::ThreadPool::hardware_threads() : threads,
+      std::max<std::size_t>(design.net_count(), 1)));
   // The content classes are shared infrastructure: the conditioning
   // tier does its class work once per class, the repetition tier's
   // exact groups are the classes -- serialize each net's key once.
   ContentClasses classes;
   {
     AWESIM_TRACE_SPAN("audit.classes");
-    classes = content_classes(design, options.reduce);
+    classes = reduce::content_classes(design, options.reduce, pool);
+    classes.keys = {};  // the tiers need the grouping only
   }
   if (options.conditioning) {
     AWESIM_TRACE_SPAN("audit.conditioning");
-    run_conditioning_tier(design, options, classes, em);
+    run_conditioning_tier(design, options, classes, pool, em);
   }
   if (options.repetition) {
     AWESIM_TRACE_SPAN("audit.repetition");
-    run_repetition_tier(design, classes, em);
+    run_repetition_tier(design, classes, pool, em);
   }
   return report;
 }

@@ -106,9 +106,23 @@ struct AuditReport {
 
 /// Audit a gate-level design.  `sources` (may be null) supplies
 /// file:line:column provenance for findings on parsed designs.
+///
+/// The content keys and the class work run on a core::ThreadPool of one
+/// thread per hardware core, each result into a per-net or per-class
+/// slot; the diagnostics are emitted afterwards, serially, in the tier
+/// order above.  The report is bit-identical at every thread count.
 AuditReport audit_design(const timing::Design& design,
                          const AuditOptions& options = {},
                          const DesignSourceMap* sources = nullptr);
+
+namespace detail {
+/// audit_design on a pool of `threads` threads (0: one per hardware
+/// core); the thread-count differential tests' entry point.
+AuditReport audit_design(const timing::Design& design,
+                         const AuditOptions& options,
+                         const DesignSourceMap* sources,
+                         std::size_t threads);
+}  // namespace detail
 
 /// Audit a flat circuit: conditioning tier only (a circuit has no gate
 /// graph and no net population to dedup).  `filename` stamps the

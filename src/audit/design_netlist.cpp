@@ -1,14 +1,17 @@
 #include "audit/design_netlist.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "core/parallel.h"
 #include "netlist/parser.h"
 #include "obs/trace.h"
 
@@ -50,12 +53,14 @@ bool is_directive(std::string_view token, std::string_view directive) {
 /// included) and whitespace-splits each line into `tokens`, which is
 /// reused across lines; a token starting with '*' begins a comment that
 /// eats the rest of the line.  Calls visit(tokens, line_no) for every
-/// line, empty ones included, until visit returns false.  Returns the
-/// number of lines visited.
+/// line, empty ones included, until visit returns false; the first line
+/// is line `lines_before + 1`.  Returns the last line number visited
+/// (`lines_before` when none).
 template <typename Visit>
-std::size_t scan_lines(std::string_view text, Visit visit) {
+std::size_t scan_lines(std::string_view text, Visit visit,
+                       std::size_t lines_before = 0) {
   std::vector<Token> tokens;
-  std::size_t line_no = 0;
+  std::size_t line_no = lines_before;
   std::size_t pos = 0;
   while (pos < text.size()) {
     std::size_t end = text.find('\n', pos);
@@ -396,19 +401,155 @@ bool looks_like_design(std::string_view text) {
   return found;
 }
 
-DesignParse parse_design(std::string_view text, std::string filename) {
-  AWESIM_TRACE_SPAN("audit.parse");
-  Parser p;
-  p.out.sources.file = std::move(filename);
-  const std::size_t lines =
-      scan_lines(text, [&](const std::vector<Token>& tok, std::size_t line) {
+namespace {
+
+/// Feeds every card of `text`, whose first line is line
+/// `lines_before + 1`, to `p`, up to a .end card (which sets `*ended`).
+/// Returns the last line number visited.
+std::size_t parse_cards(Parser& p, std::string_view text,
+                        std::size_t lines_before, bool* ended) {
+  return scan_lines(
+      text,
+      [&](const std::vector<Token>& tok, std::size_t line) {
         if (tok.empty()) return true;
-        if (is_directive(tok[0].text, ".end")) return false;
+        if (is_directive(tok[0].text, ".end")) {
+          *ended = true;
+          return false;
+        }
         p.card(tok, line);
         return true;
-      });
+      },
+      lines_before);
+}
+
+DesignParse parse_serial(std::string_view text, std::string filename) {
+  Parser p;
+  p.out.sources.file = std::move(filename);
+  bool ended = false;
+  const std::size_t lines = parse_cards(p, text, 0, &ended);
   p.finish(lines == 0 ? 1 : lines);
   return std::move(p.out);
+}
+
+/// Below this many bytes a chunk does not pay for its thread, so a text
+/// shorter than two chunks parses serially.
+constexpr std::size_t kMinChunkBytes = 64 * 1024;
+
+/// Whether the line starting at `pos` opens with the .net directive, as
+/// scan_lines tokenizes it.
+bool net_card_at(std::string_view text, std::size_t pos) {
+  while (pos < text.size() && text[pos] != '\n' && is_space(text[pos])) {
+    ++pos;
+  }
+  const std::size_t start = pos;
+  while (pos < text.size() && !is_space(text[pos])) ++pos;
+  return is_directive(text.substr(start, pos - start), ".net");
+}
+
+/// Where each chunk starts: `text` cut into `chunks` near-equal parts,
+/// each cut moved forward to the start of a line that opens with .net,
+/// so no net spans two chunks.  Fewer starts when the .net lines run
+/// out.
+std::vector<std::size_t> chunk_starts(std::string_view text,
+                                      std::size_t chunks) {
+  std::vector<std::size_t> starts{0};
+  for (std::size_t k = 1; k < chunks; ++k) {
+    std::size_t pos = std::max(text.size() / chunks * k, starts.back() + 1);
+    if (text[pos - 1] != '\n') {
+      pos = text.find('\n', pos);
+      pos = pos == std::string_view::npos ? text.size() : pos + 1;
+    }
+    while (pos < text.size() && !net_card_at(text, pos)) {
+      pos = text.find('\n', pos);
+      pos = pos == std::string_view::npos ? text.size() : pos + 1;
+    }
+    if (pos >= text.size()) break;
+    starts.push_back(pos);
+  }
+  return starts;
+}
+
+/// The chunked parse: each chunk through its own Parser on the pool,
+/// merged in file order.  Empty when the serial parser must decide: a
+/// chunk recorded a diagnostic or ended inside a net, the merge met a
+/// duplicate gate or net, or finish() found an error.  Otherwise every
+/// field equals the serial parse's.
+std::optional<DesignParse> parse_chunked(std::string_view text,
+                                         const std::string& filename,
+                                         std::size_t threads) {
+  const std::vector<std::size_t> starts =
+      chunk_starts(text, std::min(threads, text.size() / kMinChunkBytes));
+  const std::size_t chunks = starts.size();
+  if (chunks < 2) return std::nullopt;
+  const auto chunk_text = [&](std::size_t k) {
+    const std::size_t end = k + 1 < chunks ? starts[k + 1] : text.size();
+    return text.substr(starts[k], end - starts[k]);
+  };
+  core::ThreadPool pool(chunks);
+  // Each chunk's first line number: the newlines ahead of it.
+  std::vector<std::size_t> lines_before(chunks, 0);
+  pool.parallel_for(chunks - 1, [&](std::size_t k) {
+    const std::string_view t = chunk_text(k);
+    lines_before[k + 1] =
+        static_cast<std::size_t>(std::count(t.begin(), t.end(), '\n'));
+  });
+  for (std::size_t k = 1; k < chunks; ++k) {
+    lines_before[k] += lines_before[k - 1];
+  }
+  std::vector<Parser> parsers(chunks);
+  std::vector<std::size_t> last_line(chunks, 0);
+  std::vector<char> ended(chunks, 0);
+  pool.parallel_for(chunks, [&](std::size_t k) {
+    AWESIM_TRACE_SPAN("audit.chunk");
+    Parser& p = parsers[k];
+    p.out.sources.file = filename;
+    bool stop = false;
+    last_line[k] = parse_cards(p, chunk_text(k), lines_before[k], &stop);
+    ended[k] = stop;
+  });
+  // A .end in chunk k ends the text there.
+  std::size_t used = 0;
+  while (used < chunks && !ended[used]) ++used;
+  used = std::min(used + 1, chunks);
+  Parser& merged = parsers[0];
+  for (std::size_t k = 0; k < used; ++k) {
+    Parser& p = parsers[k];
+    if (!p.out.diagnostics.empty() || p.open.has_value()) return std::nullopt;
+    if (k == 0) continue;
+    merged.out.sources.gates.merge(p.out.sources.gates);
+    merged.out.sources.nets.merge(p.out.sources.nets);
+    // A name already merged stays behind: a duplicate.
+    if (!p.out.sources.gates.empty() || !p.out.sources.nets.empty()) {
+      return std::nullopt;
+    }
+    merged.out.sources.net_elements.merge(p.out.sources.net_elements);
+    merged.gate_names.merge(p.gate_names);
+    std::move(p.gates.begin(), p.gates.end(),
+              std::back_inserter(merged.gates));
+    std::move(p.nets.begin(), p.nets.end(), std::back_inserter(merged.nets));
+    std::move(p.primary_inputs.begin(), p.primary_inputs.end(),
+              std::back_inserter(merged.primary_inputs));
+  }
+  merged.finish(last_line[used - 1]);
+  if (!merged.out.diagnostics.empty()) return std::nullopt;
+  return std::move(merged.out);
+}
+
+}  // namespace
+
+DesignParse parse_design(std::string_view text, std::string filename) {
+  return detail::parse_design(text, std::move(filename), 0);
+}
+
+DesignParse detail::parse_design(std::string_view text, std::string filename,
+                                 std::size_t threads) {
+  AWESIM_TRACE_SPAN("audit.parse");
+  if (threads == 0) threads = core::ThreadPool::hardware_threads();
+  if (std::optional<DesignParse> chunked =
+          parse_chunked(text, filename, threads)) {
+    return std::move(*chunked);
+  }
+  return parse_serial(text, std::move(filename));
 }
 
 DesignParse parse_design_file(const std::string& path) {

@@ -74,7 +74,21 @@ struct DesignParse {
 /// netlist, not a flat SPICE circuit).
 bool looks_like_design(std::string_view text);
 
+/// Parse a design netlist.  A text of at least two chunks' worth (a
+/// fixed minimum chunk size) is cut at .net lines into one chunk per
+/// hardware core, the chunks are parsed on a core::ThreadPool and merged
+/// in file order; when a chunk records a diagnostic or ends inside a
+/// net, or the merge finds a duplicate name or any other error, the
+/// whole text is parsed again serially.  So the result -- every
+/// diagnostic included -- is the serial parser's at every thread count.
 DesignParse parse_design(std::string_view text, std::string filename);
+
+namespace detail {
+/// parse_design with at most `threads` chunks (0: one per hardware
+/// core); the thread-count differential tests' entry point.
+DesignParse parse_design(std::string_view text, std::string filename,
+                         std::size_t threads);
+}  // namespace detail
 
 /// File variant; an unreadable file yields one Error diagnostic.
 DesignParse parse_design_file(const std::string& path);

@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -240,16 +241,23 @@ struct Linter {
         });
     if (!any_controlled) return;  // the common case pays one scan only
 
+    // Each element by name, first occurrence kept -- the element
+    // Circuit::find_element returns -- so every control resolves in one
+    // hash lookup.
     std::vector<char> touched(ckt.node_count(), 0);
     touched[circuit::kGround] = 1;
+    std::unordered_map<std::string_view, const Element*> by_name;
+    by_name.reserve(ckt.elements().size());
     for (const auto& e : ckt.elements()) {
       touched[static_cast<std::size_t>(e.pos)] = 1;
       touched[static_cast<std::size_t>(e.neg)] = 1;
+      by_name.try_emplace(e.name, &e);
     }
 
     for (const auto& e : ckt.elements()) {
       if (e.kind == ElementKind::Cccs || e.kind == ElementKind::Ccvs) {
-        const Element* ctrl = ckt.find_element(e.ctrl_source);
+        const auto found = by_name.find(e.ctrl_source);
+        const Element* ctrl = found == by_name.end() ? nullptr : found->second;
         if (ctrl == nullptr) {
           emit(core::DiagCode::DanglingControl, core::Severity::Error,
                std::string(kind_name(e.kind)) +

@@ -248,12 +248,19 @@ const la::RealMatrix& MnaSystem::C() const {
 
 void MnaSystem::build_events(const circuit::Circuit& ckt) {
   // Merge the per-source breakpoints into global events keyed by time.
+  // A breakpoint joins the earliest event within the merge tolerance of
+  // that event's time.  Any such event lies within
+  // 2 * kEventMergeTolerance * max(1, |t|) of t (the tolerance is far
+  // below 1/2), so only that window is tested, in ascending time order.
   std::map<double, SourceEvent> merged;
   auto event_at = [&](double t) -> SourceEvent& {
-    for (auto& [time, ev] : merged) {
-      if (std::abs(time - t) <=
-          kEventMergeTolerance * std::max(1.0, std::abs(time))) {
-        return ev;
+    const double window =
+        2.0 * kEventMergeTolerance * std::max(1.0, std::abs(t));
+    for (auto it = merged.lower_bound(t - window);
+         it != merged.end() && it->first <= t + window; ++it) {
+      if (std::abs(it->first - t) <=
+          kEventMergeTolerance * std::max(1.0, std::abs(it->first))) {
+        return it->second;
       }
     }
     SourceEvent ev;

@@ -40,15 +40,21 @@
 //   paths.search     one K-worst path query (k_worst_paths)
 //   check.lint       one static lint pass over a circuit
 //   audit.parse      one design-netlist parse (audit::parse_design)
+//   audit.chunk      one chunk of a chunked design parse, on the pool
 //   audit.graph      the audit's graph tier
-//   audit.classes    content keys serialized and nets grouped into
-//                    content classes (once per audit_design)
+//   audit.classes    content keys serialized (on the pool) and nets
+//                    grouped into content classes (once per
+//                    audit_design)
 //   audit.conditioning  the conditioning tier (audit.cell included)
 //   audit.cell       one content class's eligibility and oracle topology
 //   audit.repetition the repetition tier
-//   reduce.key       one net's reduction key serialized and looked up in
-//                    the reduction store (reduce::lookup_or_reduce)
+//   reduce.key       the reduction keys of one reduce_design: content
+//                    keys serialized on the pool and grouped into
+//                    classes; or one net's key serialized in
+//                    reduce::lookup_or_reduce
 //   reduce.collapse  one net reduction attempt (reduce::reduce_net)
+//   reduce.commit    reduce_design's serial net-order pass through the
+//                    reduction store (lookups, inserts, tallies)
 //   session.lookup   one wave's serial cache pre-pass (keys, stage and
 //                    lint lookups) in a Session analysis
 //   session.reuse    one stage served from the Session stage cache

@@ -3,16 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "check/partition.h"
 #include "core/fault.h"
+#include "core/parallel.h"
 #include "la/lu.h"
 #include "la/matrix.h"
 #include "la/sparse.h"
@@ -529,16 +532,43 @@ NetReduction reduce_net(const timing::Net& net, const ReduceOptions& options) {
 
 namespace {
 
-timing::detail::CachedReduction to_cached(const NetReduction& r) {
+timing::detail::CachedReduction to_cached(NetReduction r) {
   timing::detail::CachedReduction cached;
   cached.reduced = r.reduced;
   cached.interior_eliminated = r.interior_eliminated;
-  cached.diagnostics = r.diagnostics;
+  cached.diagnostics = std::move(r.diagnostics);
   if (r.reduced) {
-    cached.parasitics = r.net.parasitics;
-    cached.macros = r.net.macros;
+    cached.parasitics = std::move(r.net.parasitics);
+    cached.macros = std::move(r.net.macros);
   }
   return cached;
+}
+
+/// The store half of lookup_or_reduce, under the serialized `key`: a
+/// hit serves the stored entry; a miss takes `*collapsed` when it holds
+/// this net's reduction (consuming it), else reduces the net inline, and
+/// inserts the result.
+std::shared_ptr<const timing::detail::CachedReduction> serve_through_store(
+    const std::string& key, const timing::Net& net,
+    const ReduceOptions& options, timing::detail::StageCache& cache,
+    core::Diagnostics* diagnostics, bool* cache_hit,
+    std::optional<timing::detail::CachedReduction>* collapsed) {
+  if (auto cached = cache.lookup_reduction(key, net.name, diagnostics)) {
+    *cache_hit = true;
+    return cached;
+  }
+  *cache_hit = false;
+  std::shared_ptr<const timing::detail::CachedReduction> fresh;
+  if (collapsed != nullptr && collapsed->has_value()) {
+    fresh = std::make_shared<const timing::detail::CachedReduction>(
+        std::move(**collapsed));
+    collapsed->reset();
+  } else {
+    fresh = std::make_shared<const timing::detail::CachedReduction>(
+        to_cached(reduce_net(net, options)));
+  }
+  cache.insert_reduction(key, *fresh);
+  return fresh;
 }
 
 }  // namespace
@@ -548,19 +578,91 @@ std::shared_ptr<const timing::detail::CachedReduction> lookup_or_reduce(
     timing::detail::StageCache* cache, core::Diagnostics* diagnostics,
     bool* cache_hit) {
   *cache_hit = false;
+  if (cache == nullptr) {
+    return std::make_shared<const timing::detail::CachedReduction>(
+        to_cached(reduce_net(net, options)));
+  }
   std::string key;
-  if (cache != nullptr) {
+  {
     AWESIM_TRACE_SPAN("reduce.key");
     key = timing::detail::reduction_key(reduction_content_key(net, options));
-    if (auto cached = cache->lookup_reduction(key, net.name, diagnostics)) {
-      *cache_hit = true;
-      return cached;
+  }
+  return serve_through_store(key, net, options, *cache, diagnostics,
+                             cache_hit, nullptr);
+}
+
+namespace {
+
+/// A content key's bytes with their hash, taken on the pool alongside
+/// the serialization, so the serial grouping hashes nothing.
+struct HashedKey {
+  std::string_view bytes;
+  std::size_t hash = 0;
+
+  bool operator==(const HashedKey& other) const {
+    return hash == other.hash && bytes == other.bytes;
+  }
+};
+
+struct HashedKeyHash {
+  std::size_t operator()(const HashedKey& key) const { return key.hash; }
+};
+
+}  // namespace
+
+ContentClasses content_classes(const timing::Design& design,
+                               const ReduceOptions& options,
+                               core::ThreadPool& pool) {
+  const std::size_t n = design.net_count();
+  ContentClasses classes;
+  classes.of_net.reserve(n);
+  // Reserved to the net count, so the index's views into the class keys
+  // stay valid while classes are appended.  Lookup-only: the class
+  // order is first appearance in net order.
+  classes.keys.reserve(n);
+  std::unordered_map<HashedKey, std::size_t, HashedKeyHash> index;
+  index.reserve(n);
+  constexpr std::size_t kNew = static_cast<std::size_t>(-1);
+  // A batch of nets at a time.  On the pool, each key is serialized,
+  // hashed and looked up among the classes of earlier batches (the
+  // index is read-only meanwhile); a key found there is dropped at
+  // once.  Serially, in net order, the rest open classes or join those
+  // opened earlier in the batch.  So only the keys of a batch's new
+  // classes outlive their lookup.
+  const std::size_t batch = 16 * pool.size();
+  std::vector<std::string> keys(std::min(batch, n));
+  std::vector<std::size_t> hashes(keys.size());
+  std::vector<std::size_t> found(keys.size());
+  for (std::size_t start = 0; start < n; start += batch) {
+    const std::size_t count = std::min(batch, n - start);
+    pool.parallel_for(count, [&](std::size_t k) {
+      std::string key =
+          reduction_content_key(design.net_at(start + k), options);
+      hashes[k] = std::hash<std::string_view>{}(key);
+      const auto it = index.find(HashedKey{key, hashes[k]});
+      found[k] = it == index.end() ? kNew : it->second;
+      if (it == index.end()) keys[k] = std::move(key);
+    });
+    for (std::size_t k = 0; k < count; ++k) {
+      std::size_t c = found[k];
+      if (c == kNew) {
+        auto it = index.find(HashedKey{keys[k], hashes[k]});
+        if (it == index.end()) {
+          classes.keys.push_back(std::move(keys[k]));
+          it = index
+                   .emplace(HashedKey{classes.keys.back(), hashes[k]},
+                            classes.members.size())
+                   .first;
+          classes.members.emplace_back();
+        }
+        keys[k] = std::string();
+        c = it->second;
+      }
+      classes.members[c].push_back(start + k);
+      classes.of_net.push_back(c);
     }
   }
-  auto fresh = std::make_shared<timing::detail::CachedReduction>(
-      to_cached(reduce_net(net, options)));
-  if (cache != nullptr) cache->insert_reduction(key, *fresh);
-  return fresh;
+  return classes;
 }
 
 timing::Design stitch_design(
@@ -588,32 +690,92 @@ timing::Design stitch_design(
   return out;
 }
 
+namespace {
+
+/// Adds net `net`'s reduction to the design totals and its diagnostics,
+/// re-stamped with the instance's name (cached refusal records are
+/// name-agnostic).
+void tally(const timing::detail::CachedReduction& reduction,
+           const timing::Net& net, DesignReduction& out) {
+  if (reduction.reduced) {
+    ++out.nets_reduced;
+    out.interior_eliminated += reduction.interior_eliminated;
+    for (const timing::NetMacro& mm : reduction.macros) out.states += mm.states;
+  }
+  for (core::Diagnostic d : reduction.diagnostics) {
+    d.element = net.name;
+    out.diagnostics.push_back(std::move(d));
+  }
+}
+
+}  // namespace
+
 DesignReduction reduce_design(const timing::Design& design,
                               const ReduceOptions& options,
                               timing::detail::StageCache* cache) {
+  return detail::reduce_design(design, options, cache, 0);
+}
+
+DesignReduction detail::reduce_design(const timing::Design& design,
+                                      const ReduceOptions& options,
+                                      timing::detail::StageCache* cache,
+                                      std::size_t threads) {
+  using timing::detail::CachedReduction;
+  const std::size_t n = design.net_count();
   DesignReduction out;
-  out.nets_total = design.net_count();
-  std::vector<std::shared_ptr<const timing::detail::CachedReduction>>
-      reductions;
-  reductions.reserve(design.net_count());
-  for (std::size_t i = 0; i < design.net_count(); ++i) {
-    const timing::Net& net = design.net_at(i);
-    bool hit = false;
-    auto cached =
-        lookup_or_reduce(net, options, cache, &out.diagnostics, &hit);
-    if (hit) ++out.cache_hits;
-    if (cached->reduced) {
-      ++out.nets_reduced;
-      out.interior_eliminated += cached->interior_eliminated;
-      for (const timing::NetMacro& mm : cached->macros) out.states += mm.states;
+  out.nets_total = n;
+  core::ThreadPool pool(std::min(
+      threads == 0 ? core::ThreadPool::hardware_threads() : threads,
+      std::max<std::size_t>(n, 1)));
+  std::vector<std::shared_ptr<const CachedReduction>> reductions(n);
+  if (cache == nullptr) {
+    // No store: every net reduces, each into its own slot.
+    pool.parallel_for(n, [&](std::size_t i) {
+      reductions[i] = std::make_shared<const CachedReduction>(
+          to_cached(reduce_net(design.net_at(i), options)));
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      tally(*reductions[i], design.net_at(i), out);
     }
-    // Cached refusal records are name-agnostic; re-stamp them with the
-    // instance actually being analyzed.
-    for (core::Diagnostic d : cached->diagnostics) {
-      d.element = net.name;
-      out.diagnostics.push_back(std::move(d));
+  } else {
+    ContentClasses classes;
+    {
+      AWESIM_TRACE_SPAN("reduce.key");
+      classes = content_classes(design, options, pool);
     }
-    reductions.push_back(std::move(cached));
+    // Each class's content key, made a store key in place.
+    std::vector<std::string>& keys = classes.keys;
+    for (std::string& key : keys) {
+      key = timing::detail::reduction_key(std::move(key));
+    }
+    // Ahead, on the pool: the collapse of every class the store does not
+    // hold, on the class's first member -- the net whose lookup will miss
+    // first, and so the one a net-at-a-time walk reduces.
+    std::vector<std::size_t> absent;
+    for (std::size_t c = 0; c < keys.size(); ++c) {
+      if (!cache->holds_reduction(keys[c])) absent.push_back(c);
+    }
+    std::vector<std::optional<CachedReduction>> collapsed(keys.size());
+    pool.parallel_for(absent.size(), [&](std::size_t k) {
+      const std::size_t c = absent[k];
+      collapsed[c] =
+          to_cached(reduce_net(design.net_at(classes.members[c].front()),
+                               options));
+    });
+    // In net order, the store calls of a net-at-a-time walk.  A miss
+    // takes its class's collapse; a class that misses again (an eviction
+    // or a failed verification) or that had none collapses inline.
+    AWESIM_TRACE_SPAN("reduce.commit");
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t c = classes.of_net[i];
+      const timing::Net& net = design.net_at(i);
+      bool hit = false;
+      reductions[i] = serve_through_store(keys[c], net, options, *cache,
+                                          &out.diagnostics, &hit,
+                                          &collapsed[c]);
+      if (hit) ++out.cache_hits;
+      tally(*reductions[i], net, out);
+    }
   }
   out.design = stitch_design(design, reductions);
   return out;

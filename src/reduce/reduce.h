@@ -67,6 +67,10 @@
 #include "core/diagnostic.h"
 #include "timing/analyzer.h"
 
+namespace awesim::core {
+class ThreadPool;
+}
+
 namespace awesim::timing::detail {
 class StageCache;
 struct CachedReduction;
@@ -164,6 +168,31 @@ Eligibility net_eligibility(const timing::Net& net,
 std::string reduction_content_key(const timing::Net& net,
                                   const ReduceOptions& options);
 
+/// Nets grouped by reduction_content_key.  Two nets in one class have
+/// equal parasitics (kinds, node names, value bits), equal macros and
+/// equal boundary node sets, so everything derived from those alone --
+/// the reduction, eligibility, the audit's oracle topology and shape --
+/// is class work.
+struct ContentClasses {
+  /// Per class, its nets in net order; classes in first-member order.
+  std::vector<std::vector<std::size_t>> members;
+  /// Per net, its class.
+  std::vector<std::size_t> of_net;
+  /// Per class, its content key (the bytes reduction_content_key gives
+  /// every member).
+  std::vector<std::string> keys;
+};
+
+/// Group `design`'s nets into content classes.  A batch of nets at a
+/// time, the keys are serialized on `pool` and looked up among the
+/// classes of earlier batches; the rest are grouped serially in net
+/// order, so the result is the same at every pool size.  A member's key
+/// is dropped as soon as it is grouped, and only one key per class is
+/// kept.
+ContentClasses content_classes(const timing::Design& design,
+                               const ReduceOptions& options,
+                               core::ThreadPool& pool);
+
 /// Reduce one net.  Never throws on circuit content: every failure mode
 /// refuses into the flat fallback (see the gate list above).
 NetReduction reduce_net(const timing::Net& net,
@@ -210,8 +239,24 @@ struct DesignReduction {
 /// repeated subcircuits -- buses, clock-tree cells, tiled meshes --
 /// reduce once and every further instance rehydrates; refusals are
 /// cached too (negative entries) so hopeless nets are not re-examined.
+///
+/// The work runs on a core::ThreadPool of one thread per hardware core:
+/// the content keys and the collapses the store cannot serve go to the
+/// pool, and a serial pass in net order then makes exactly the store
+/// calls a net-at-a-time lookup_or_reduce walk makes (same lookups,
+/// inserts, checksums, fault probes, counters and FIFO evictions).  The
+/// result is bit-identical at every thread count.
 DesignReduction reduce_design(const timing::Design& design,
                               const ReduceOptions& options = {},
                               timing::detail::StageCache* cache = nullptr);
+
+namespace detail {
+/// reduce_design on a pool of `threads` threads (0: one per hardware
+/// core); the thread-count differential tests' entry point.
+DesignReduction reduce_design(const timing::Design& design,
+                              const ReduceOptions& options,
+                              timing::detail::StageCache* cache,
+                              std::size_t threads);
+}  // namespace detail
 
 }  // namespace awesim::reduce

@@ -299,6 +299,11 @@ void StageCache::insert_reduction(const std::string& key,
   counters_.evictions += reductions_.insert(key, std::move(entry)).second;
 }
 
+bool StageCache::holds_reduction(std::string_view key) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return reductions_.contains(key);
+}
+
 StageCache::Counters StageCache::counters() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return counters_;

@@ -245,6 +245,11 @@ class StageCache {
       const std::string& key, const std::string& net_name,
       core::Diagnostics* diags);
   void insert_reduction(const std::string& key, CachedReduction reduction);
+  /// Whether the reduction store holds `key`: a peek that counts
+  /// nothing, verifies nothing and consults no fault probe.
+  /// reduce::reduce_design uses it to pick the collapses it runs ahead
+  /// on its pool; every net's counted lookup_reduction still follows.
+  bool holds_reduction(std::string_view key) const;
 
   Counters counters() const;
   std::size_t stage_entries() const;
@@ -263,6 +268,9 @@ class StageCache {
    public:
     explicit FifoStore(std::size_t capacity) : capacity_(capacity) {}
     V* find(std::string_view key);
+    bool contains(std::string_view key) const {
+      return index_.find(key) != index_.end();
+    }
     void erase(std::string_view key);
     /// Stores `value` under `key` unless present; returns the value
     /// stored under `key` (the present one, if any) and the number of

@@ -9,8 +9,8 @@
 // within a class, two sinks on one node, sink nodes outside the
 // parasitics or at ground, degenerate driver resistances, parallel
 // resistors and self-loops on DRV, unreachable components, inductors,
-// macros and near-miss values.  Registered under the ctest label
-// "audit".
+// macros and near-miss values -- through the public call and on pools
+// of 1, 2 and 8 threads.  Registered under the ctest label "audit".
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -440,8 +440,15 @@ TEST(AuditDifferential, SeededDesignsMatchTheReferenceTiers) {
       }
       const DesignSourceMap* sources = variant % 2 == 0 ? &d.sources
                                                         : nullptr;
-      expect_same_report(audit_design(d.design, options, sources),
-                         reference_audit_design(d.design, options, sources));
+      const AuditReport want =
+          reference_audit_design(d.design, options, sources);
+      expect_same_report(audit_design(d.design, options, sources), want);
+      // The class work on pools of every size, bitwise.
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE(threads);
+        expect_same_report(
+            detail::audit_design(d.design, options, sources, threads), want);
+      }
     }
   }
 }

@@ -12,6 +12,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "check/lint.h"
 #include "circuits/paper_circuits.h"
@@ -277,6 +278,33 @@ TEST(LintRules, DuplicateNamesAndSelfShortsAreErrors) {
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.errors, 2u);
   ASSERT_NE(find_code(report, core::DiagCode::ValidationError), nullptr);
+}
+
+TEST(LintRules, RepeatedControlNameResolvesToItsFirstOccurrence) {
+  // Two elements named "X": the first a resistor, the second a V
+  // source.  A control names its first occurrence, as
+  // Circuit::find_element does, so F1 is told it carries no current,
+  // and F2's control, whose first "V2" is a V source, resolves cleanly.
+  circuit::Circuit ckt;
+  const auto a = ckt.node("a");
+  const auto b = ckt.node("b");
+  ckt.add_cccs("F1", b, circuit::kGround, "X", 2.0);
+  ckt.add_cccs("F2", b, circuit::kGround, "V2", 2.0);
+  ckt.add_resistor("X", a, circuit::kGround, 1e3);
+  ckt.add_vsource("X", a, circuit::kGround, circuit::Stimulus::step(0, 1));
+  ckt.add_vsource("V2", b, circuit::kGround, circuit::Stimulus::dc(0));
+  ckt.add_resistor("V2", b, circuit::kGround, 1e3);
+  ckt.add_resistor("RB", b, circuit::kGround, 1e3);
+  const LintReport report = lint(ckt);
+  std::vector<const core::Diagnostic*> dangling;
+  for (const auto& d : report.diagnostics) {
+    if (d.code == core::DiagCode::DanglingControl) dangling.push_back(&d);
+  }
+  ASSERT_EQ(dangling.size(), 1u) << core::to_string(report.diagnostics);
+  EXPECT_EQ(dangling[0]->element, "F1");
+  EXPECT_EQ(dangling[0]->message,
+            "CCCS control element 'X' carries no branch current (must be a "
+            "voltage source or inductor)");
 }
 
 TEST(LintRules, GminRescuableFloatingNodeIsAWarning) {

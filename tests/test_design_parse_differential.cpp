@@ -4,7 +4,10 @@
 // primary inputs, the whole source map, and every diagnostic field --
 // must be identical on the netlist corpus, on generated tree and mesh
 // designs, on whitespace/value variants, and on a seeded byte-mutation
-// leg.  Registered under the ctest labels "audit" and "malformed".
+// leg -- through the public call and with at most 1, 2 and 8 chunks,
+// including designs large enough to split and mutants that put an error
+// in every chunk.  Registered under the ctest labels "audit" and
+// "malformed".
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +24,7 @@
 #include <vector>
 
 #include "audit/design_netlist.h"
+#include "obs/trace.h"
 #include "util/reference_design_parse.h"
 
 namespace awesim::audit {
@@ -123,10 +127,16 @@ void expect_same_parse(const DesignParse& got, const DesignParse& want) {
   }
 }
 
+/// The public parse and the parse with at most 1, 2 and 8 chunks, each
+/// against the reference.
 void expect_same_text(const std::string& text, const std::string& label) {
   SCOPED_TRACE(label);
-  expect_same_parse(parse_design(text, label),
-                    testutil::reference_parse_design(text, label));
+  const DesignParse want = testutil::reference_parse_design(text, label);
+  expect_same_parse(parse_design(text, label), want);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(threads);
+    expect_same_parse(detail::parse_design(text, label, threads), want);
+  }
 }
 
 std::string read_file(const std::filesystem::path& path) {
@@ -145,8 +155,10 @@ std::vector<std::filesystem::path> corpus_files() {
 }
 
 /// A seeded gate design in the perfbench card style: a binary tree of
-/// RC-tree nets, or a chain of cross-linked RC meshes.
-std::string generated_design(std::uint32_t seed, bool mesh) {
+/// RC-tree nets, or a chain of cross-linked RC meshes; `gates` 0 picks
+/// a small default.
+std::string generated_design(std::uint32_t seed, bool mesh,
+                             std::size_t gates = 0) {
   std::mt19937 rng(seed);
   const auto uniform = [&](double lo, double hi) {
     return std::uniform_real_distribution<double>(lo, hi)(rng);
@@ -154,7 +166,7 @@ std::string generated_design(std::uint32_t seed, bool mesh) {
   const auto below = [&](std::size_t n) {
     return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
   };
-  const std::size_t gates = mesh ? 12 : 15;
+  if (gates == 0) gates = mesh ? 12 : 15;
   std::ostringstream out;
   out.precision(6);
   out << "* generated " << (mesh ? "mesh" : "tree") << " design\n";
@@ -365,6 +377,110 @@ TEST(DesignParseDifferential, GeneratedTreeAndMeshDesignsMatch) {
       ASSERT_TRUE(parse_design(text, "gen").design.has_value());
       expect_same_text(text, "seed " + std::to_string(seed) +
                                  (mesh ? " mesh" : " tree"));
+    }
+  }
+}
+
+/// The number of chunks the last parse_design calls parsed, from the
+/// audit.chunk span count (0 when tracing is compiled out).
+template <typename Parse>
+std::uint64_t chunks_parsed(Parse parse) {
+  const bool was = obs::tracing_enabled();
+  obs::set_tracing(true);
+  const obs::PhaseBreakdown before = obs::snapshot();
+  parse();
+  std::uint64_t chunks = 0;
+  for (const obs::NamedPhaseStats& p : obs::since(before)) {
+    if (p.name == "audit.chunk") chunks = p.stats.count;
+  }
+  obs::set_tracing(was);
+  return chunks;
+}
+
+/// Designs large enough to split, several ways of writing the .net
+/// lines the chunks start at: each parse at 1, 2 and 8 chunks is the
+/// reference's, and the chunked path really runs.
+TEST(DesignParseDifferential, ChunkedParsesMatchAtEveryThreadCount) {
+  for (const bool mesh : {false, true}) {
+    const std::string text = generated_design(11, mesh, mesh ? 420 : 700);
+    ASSERT_GT(text.size(), 8u * 64 * 1024);
+    const std::vector<std::string> texts = {
+        text,
+        replace_all(text, "\n.net ", "\n.NeT "),
+        replace_all(text, "\n.net ", "\n* .net fake\n \t.net "),
+        replace_all(text, "\n", "\r\n"),
+        text.substr(0, text.size() - 6),  // no .end: the last net still open
+    };
+    for (std::size_t i = 0; i < texts.size(); ++i) {
+      expect_same_text(texts[i], std::string(mesh ? "mesh" : "tree") +
+                                     " variant " + std::to_string(i));
+    }
+    if (obs::tracing_compiled_in()) {
+      EXPECT_EQ(chunks_parsed([&] {
+                  EXPECT_TRUE(
+                      detail::parse_design(text, "gen", 8).design.has_value());
+                }),
+                8u);
+      EXPECT_EQ(chunks_parsed([&] { detail::parse_design(text, "gen", 2); }),
+                2u);
+      EXPECT_EQ(chunks_parsed([&] { detail::parse_design(text, "gen", 1); }),
+                0u);
+      EXPECT_EQ(chunks_parsed([&] { parse_design(kBase, "small"); }), 0u);
+    }
+  }
+}
+
+/// An error, a missing .endnet, a duplicate gate or net, a .end and the
+/// errors only the whole design shows (an undeclared driver or primary
+/// input), each put at every chunk boundary of an 8-way split: the
+/// chunked parse falls back to the serial parser (or, for the .end,
+/// drops the chunks after it), so every diagnostic is the reference's.
+TEST(DesignParseDifferential, ChunkMutantsGiveTheSerialDiagnostics) {
+  const std::string text = generated_design(12, true, 420);
+  std::vector<std::size_t> net_at;  // offset of each .net line
+  for (std::size_t pos = text.find("\n.net "); pos != std::string::npos;
+       pos = text.find("\n.net ", pos + 1)) {
+    net_at.push_back(pos + 1);
+  }
+  ASSERT_EQ(net_at.size(), 420u);
+  const auto line_end = [&](std::size_t pos) {
+    return text.find('\n', pos) + 1;
+  };
+  // Near each of the seven cuts of an 8-way split (the cut moves
+  // forward to a .net line, so these nets end one chunk or open the
+  // next), the first net and the last.
+  std::vector<std::size_t> positions;
+  for (std::size_t p = 0; p < 8; ++p) {
+    positions.push_back(net_at.size() * p / 8);
+  }
+  positions.push_back(net_at.size() - 1);
+  for (const std::size_t j : positions) {
+    const std::size_t at = net_at[j];
+    const std::size_t first_card = line_end(at);
+    const std::string name = "n" + std::to_string(j);
+    std::vector<std::pair<std::string, std::string>> mutants;
+    std::string m = text;
+    m.replace(first_card, line_end(first_card) - first_card,
+              "R0 DRV m0 bad\n");
+    mutants.emplace_back("bad value", m);
+    m = text;
+    m.erase(text.find(".endnet\n", at), 8);
+    mutants.emplace_back("missing .endnet", m);
+    mutants.emplace_back("duplicate gate",
+                         std::string(text).insert(at, ".gate g1\n"));
+    m = text;
+    m.replace(at, line_end(at) - at,
+              ".net g" + std::to_string(j) + (j == 0 ? " n1\n" : " n0\n"));
+    mutants.emplace_back("duplicate net", m);
+    mutants.emplace_back(".end", std::string(text).insert(at, ".end\n"));
+    m = text;
+    m.replace(at, line_end(at) - at, ".net nobody " + name + "\n");
+    mutants.emplace_back("undeclared driver", m);
+    mutants.emplace_back("undeclared input",
+                         std::string(text).insert(at, ".input nobody\n"));
+    for (const auto& [what, mutant] : mutants) {
+      expect_same_text(mutant, what + " at net " + std::to_string(j));
+      if (HasFailure()) return;
     }
   }
 }

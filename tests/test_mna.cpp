@@ -2,9 +2,14 @@
 // nodes, controlled sources.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "circuit/circuit.h"
 #include "mna/system.h"
@@ -125,6 +130,98 @@ TEST(Mna, EventsMergeAcrossSources) {
   // Both steps land at t=0: exactly one merged event.
   ASSERT_EQ(mna.events().size(), 1u);
   EXPECT_EQ(mna.events()[0].time, 0.0);
+}
+
+/// The breakpoint merge as a linear scan: each breakpoint joins the
+/// first event, in ascending time, within the merge tolerance of that
+/// event's time.
+std::vector<SourceEvent> scanned_events(const Circuit& ckt,
+                                        const MnaSystem& mna) {
+  constexpr double kTolerance = 1e-15;
+  std::map<double, SourceEvent> merged;
+  const auto event_at = [&](double t) -> SourceEvent& {
+    for (auto& [time, ev] : merged) {
+      if (std::abs(time - t) <= kTolerance * std::max(1.0, std::abs(time))) {
+        return ev;
+      }
+    }
+    SourceEvent ev;
+    ev.time = t;
+    ev.value_jump.assign(mna.dim(), 0.0);
+    ev.slope_change.assign(mna.dim(), 0.0);
+    return merged.emplace(t, std::move(ev)).first->second;
+  };
+  for (const auto& e : ckt.elements()) {
+    const bool vsource = e.kind == circuit::ElementKind::VoltageSource;
+    if (!vsource && e.kind != circuit::ElementKind::CurrentSource) continue;
+    for (const auto& seg : e.stimulus.segments()) {
+      SourceEvent& ev = event_at(seg.time);
+      if (vsource) {
+        const std::size_t br = *mna.branch_index(e.name);
+        ev.value_jump[br] += seg.value_jump;
+        ev.slope_change[br] += seg.slope_change;
+        continue;
+      }
+      if (e.pos != kGround) {
+        ev.value_jump[mna.node_index(e.pos)] -= seg.value_jump;
+        ev.slope_change[mna.node_index(e.pos)] -= seg.slope_change;
+      }
+      if (e.neg != kGround) {
+        ev.value_jump[mna.node_index(e.neg)] += seg.value_jump;
+        ev.slope_change[mna.node_index(e.neg)] += seg.slope_change;
+      }
+    }
+  }
+  std::vector<SourceEvent> events;
+  for (auto& [time, ev] : merged) events.push_back(std::move(ev));
+  return events;
+}
+
+bool same_bits(const la::RealVector& a, const la::RealVector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Mna, EventMergeMatchesTheLinearScanBitwise) {
+  // Base breakpoints below 1 s (absolute tolerance) and above 1 s
+  // (relative tolerance); further sources put breakpoints 0.5x, 0.75x,
+  // 1.5x and 2.4x the tolerance after them, so some merge into the base
+  // event, some open their own, and some sit within the tolerance of
+  // two events and must join the earlier one.
+  for (const double origin : {0.0, 1e3}) {
+    SCOPED_TRACE(origin);
+    Circuit ckt;
+    const auto a = ckt.node("a");
+    const auto b = ckt.node("b");
+    ckt.add_resistor("R1", a, b, 1.0);
+    ckt.add_resistor("R2", b, kGround, 1.0);
+    const auto pwl = [&](double offset, double scale) {
+      std::vector<std::pair<double, double>> points;
+      for (int k = 0; k < 64; ++k) {
+        const double t = origin + 1e-9 * k;
+        const double tol = 1e-15 * std::max(1.0, std::abs(t));
+        points.emplace_back(t + offset * tol, scale * ((k * 7) % 5 - 2.0));
+      }
+      return Stimulus::pwl(points);
+    };
+    ckt.add_vsource("V1", a, kGround, pwl(0.0, 1.0));
+    ckt.add_isource("I1", kGround, b, pwl(1.5, 1e-3));
+    ckt.add_vsource("V2", b, a, pwl(0.5, 2.0));
+    ckt.add_isource("I2", a, kGround, pwl(0.75, -1e-3));
+    ckt.add_isource("I3", kGround, a, pwl(2.4, 3e-3));
+    ckt.add_vsource("V3", b, kGround, pwl(1.5, -0.5));
+    MnaSystem mna(ckt);
+    const std::vector<SourceEvent> want = scanned_events(ckt, mna);
+    ASSERT_GT(want.size(), 64u);  // the 1.5x breakpoints open events
+    ASSERT_EQ(mna.events().size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const SourceEvent& got = mna.events()[i];
+      EXPECT_EQ(std::memcmp(&got.time, &want[i].time, sizeof(double)), 0)
+          << i;
+      EXPECT_TRUE(same_bits(got.value_jump, want[i].value_jump)) << i;
+      EXPECT_TRUE(same_bits(got.slope_change, want[i].slope_change)) << i;
+    }
+  }
 }
 
 TEST(Mna, RhsAtTracksPwl) {

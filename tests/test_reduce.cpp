@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -411,6 +412,180 @@ TEST(ReduceDesign, StoreNeverServesANetThatCarriesItsOwnMacros) {
     // The macro net comes back as it went in.
     const std::size_t m = macro_first ? 0 : 1;
     expect_same_net(stored.design.net_at(m), design.net_at(m));
+  }
+}
+
+/// Everything one reduce_design call leaves behind that a thread count
+/// could change: the result and the store's reduction counters.
+struct StoreRun {
+  DesignReduction reduction;
+  timing::detail::StageCache::Counters counters;
+  std::size_t entries = 0;
+};
+
+void expect_same_run(const StoreRun& got, const StoreRun& want) {
+  const DesignReduction& a = got.reduction;
+  const DesignReduction& b = want.reduction;
+  EXPECT_EQ(a.nets_total, b.nets_total);
+  EXPECT_EQ(a.nets_reduced, b.nets_reduced);
+  EXPECT_EQ(a.interior_eliminated, b.interior_eliminated);
+  EXPECT_EQ(a.states, b.states);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  ASSERT_EQ(a.design.net_count(), b.design.net_count());
+  for (std::size_t i = 0; i < a.design.net_count(); ++i) {
+    EXPECT_EQ(a.design.net_driver(i), b.design.net_driver(i));
+    expect_same_net(a.design.net_at(i), b.design.net_at(i));
+  }
+  EXPECT_EQ(a.design.primary_inputs(), b.design.primary_inputs());
+  ASSERT_EQ(a.diagnostics.size(), b.diagnostics.size());
+  for (std::size_t i = 0; i < a.diagnostics.size(); ++i) {
+    EXPECT_EQ(a.diagnostics[i].code, b.diagnostics[i].code) << i;
+    EXPECT_EQ(a.diagnostics[i].severity, b.diagnostics[i].severity) << i;
+    EXPECT_EQ(a.diagnostics[i].message, b.diagnostics[i].message) << i;
+    EXPECT_EQ(a.diagnostics[i].element, b.diagnostics[i].element) << i;
+  }
+  EXPECT_EQ(got.counters.reduction_hits, want.counters.reduction_hits);
+  EXPECT_EQ(got.counters.reduction_misses, want.counters.reduction_misses);
+  EXPECT_EQ(got.counters.evictions, want.counters.evictions);
+  EXPECT_EQ(got.counters.invalidations, want.counters.invalidations);
+  EXPECT_EQ(got.entries, want.entries);
+}
+
+/// reduce_design as a net-at-a-time walk: lookup_or_reduce per net in
+/// net order, the sequence of store calls the pooled walk must replay.
+DesignReduction reference_reduce_design(const Design& design,
+                                        const ReduceOptions& options,
+                                        timing::detail::StageCache* cache) {
+  DesignReduction out;
+  out.nets_total = design.net_count();
+  std::vector<std::shared_ptr<const timing::detail::CachedReduction>> all;
+  for (std::size_t i = 0; i < design.net_count(); ++i) {
+    const Net& net = design.net_at(i);
+    bool hit = false;
+    auto r = lookup_or_reduce(net, options, cache, &out.diagnostics, &hit);
+    if (hit) ++out.cache_hits;
+    if (r->reduced) {
+      ++out.nets_reduced;
+      out.interior_eliminated += r->interior_eliminated;
+      for (const timing::NetMacro& m : r->macros) out.states += m.states;
+    }
+    for (core::Diagnostic d : r->diagnostics) {
+      d.element = net.name;
+      out.diagnostics.push_back(std::move(d));
+    }
+    all.push_back(std::move(r));
+  }
+  out.design = stitch_design(design, all);
+  return out;
+}
+
+TEST(ReduceDesign, PooledWalkReplaysTheNetAtATimeStoreTraffic) {
+  // 36 nets of 6 line cells, with a refused small net every ninth
+  // position, so classes interleave and refusals ride along.
+  MegaSpec spec;
+  spec.style = MegaSpec::Style::Chain;
+  spec.target_nodes = 36 * 40;
+  spec.cell_nodes = 40;
+  spec.variants = 6;
+  spec.seed = 17;
+  const Design cells = mega_design(spec);
+  const auto small = rc_line_design(23, 5);
+  const Net& small_net = small.design.net_at(0);
+  Design design;
+  for (const auto& [name, gate] : cells.gates()) design.add_gate(gate);
+  for (const std::string& pi : cells.primary_inputs()) {
+    design.set_primary_input(pi);
+  }
+  for (std::size_t i = 0; i < cells.net_count(); ++i) {
+    Net net = cells.net_at(i);
+    if (i % 9 == 4) {
+      const std::string name = net.name;
+      const auto sinks = net.sink_node;
+      net = small_net;
+      net.name = name;
+      net.sink_node.clear();
+      for (const auto& [gate, node] : sinks) {
+        (void)node;
+        net.sink_node[gate] = small_net.sink_node.begin()->second;
+      }
+    }
+    design.add_net(cells.net_driver(i), std::move(net));
+  }
+  // Net 5 alone: its class's first member comes after five classes
+  // that miss, so in a store held at capacity their inserts evict the
+  // entry before net 5 looks it up.
+  Design net5_only;
+  for (const auto& [name, gate] : cells.gates()) net5_only.add_gate(gate);
+  net5_only.add_net(design.net_driver(5), design.net_at(5));
+
+  enum class Store { Fresh, Warm, Full, FaultedFresh, FaultedWarm };
+  const auto prepare = [&](Store kind, const ReduceOptions& options) {
+    auto store = std::make_shared<timing::detail::StageCache>();
+    if (kind == Store::Warm || kind == Store::FaultedWarm) {
+      reference_reduce_design(design, options, store.get());
+    }
+    if (kind == Store::Full) {
+      reference_reduce_design(net5_only, options, store.get());
+      for (std::size_t i = store->reduction_entries();
+           i < timing::detail::StageCache::kMaxReductionEntries; ++i) {
+        store->insert_reduction(
+            timing::detail::reduction_key("filler" + std::to_string(i)),
+            timing::detail::CachedReduction{});
+      }
+    }
+    return store;
+  };
+  const auto run = [&](Store kind, const ReduceOptions& options,
+                       std::size_t threads) {
+    auto store = prepare(kind, options);
+    std::optional<ScopedFaultInjection> arm;
+    if (kind == Store::FaultedFresh || kind == Store::FaultedWarm) {
+      // Net 7 (class 1, after its first member, net 1) fails store
+      // verification and then its own collapse; net 20 only fails
+      // verification; net 2, the first member of its class, fails the
+      // collapse the pool runs ahead for that class.
+      arm.emplace(std::vector<FaultRule>{
+          FaultRule{"reduce.cache", design.net_at(7).name, -1},
+          FaultRule{"reduce.cache", design.net_at(20).name, -1},
+          FaultRule{"reduce.collapse", design.net_at(7).name, -1},
+          FaultRule{"reduce.collapse", design.net_at(2).name, -1}});
+    }
+    StoreRun out;
+    out.reduction = threads == 0
+                        ? reference_reduce_design(design, options,
+                                                  store.get())
+                        : detail::reduce_design(design, options, store.get(),
+                                                threads);
+    out.counters = store->counters();
+    out.entries = store->reduction_entries();
+    return out;
+  };
+  for (const bool refuse_all : {false, true}) {
+    SCOPED_TRACE(refuse_all ? "tolerance drill" : "default options");
+    ReduceOptions options;
+    if (refuse_all) options.tolerance = -1.0;  // a typed refusal per class
+    for (const Store kind : {Store::Fresh, Store::Warm, Store::Full,
+                             Store::FaultedFresh, Store::FaultedWarm}) {
+      SCOPED_TRACE(static_cast<int>(kind));
+      const StoreRun want = run(kind, options, 0);
+      if (kind == Store::Full) EXPECT_GT(want.counters.evictions, 0u);
+      if (kind == Store::FaultedFresh || kind == Store::FaultedWarm) {
+        EXPECT_EQ(want.counters.invalidations, 2u);
+        EXPECT_TRUE(has_code(want.reduction.diagnostics,
+                             DiagCode::CacheInvalidated));
+      }
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE(threads);
+        expect_same_run(run(kind, options, threads), want);
+      }
+    }
+  }
+  // Without a store every net reduces, on the pool, each into its slot.
+  const StoreRun flat{reference_reduce_design(design, {}, nullptr), {}, 0};
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    expect_same_run(
+        StoreRun{detail::reduce_design(design, {}, nullptr, threads), {}, 0},
+        flat);
   }
 }
 
