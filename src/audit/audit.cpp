@@ -258,19 +258,27 @@ void run_repetition_tier(const timing::Design& design,
 
   // Shape groups: the class's skeleton plus each net's sink-node order,
   // formed in net order (so groups come in first-member order).  The
-  // skeletons are serialized on the pool, one slot per class, and
-  // numbered serially in class order.  Both maps are lookup-only.
-  std::vector<std::string> skeleton(classes.members.size());
-  pool.parallel_for(classes.members.size(), [&](std::size_t c) {
-    skeleton[c] = skeleton_key(design.net_at(classes.members[c].front()));
-  });
+  // skeletons are serialized on the pool a batch of classes at a time
+  // and numbered serially in class order.  A skeleton the map keeps is
+  // copied there, so what outlives a batch is allocated by the calling
+  // thread, not left in the pool threads' allocator arenas.  Both maps
+  // are lookup-only.
+  const std::size_t class_count = classes.members.size();
   std::unordered_map<std::string, std::size_t> skeletons;
   std::vector<std::size_t> class_skeleton;
-  class_skeleton.reserve(classes.members.size());
-  for (std::string& key : skeleton) {
-    class_skeleton.push_back(
-        skeletons.try_emplace(std::move(key), skeletons.size())
-            .first->second);
+  class_skeleton.reserve(class_count);
+  const std::size_t batch = 64 * pool.size();
+  std::vector<std::string> skeleton(std::min(batch, class_count));
+  for (std::size_t start = 0; start < class_count; start += batch) {
+    const std::size_t count = std::min(batch, class_count - start);
+    pool.parallel_for(count, [&](std::size_t k) {
+      skeleton[k] =
+          skeleton_key(design.net_at(classes.members[start + k].front()));
+    });
+    for (std::size_t k = 0; k < count; ++k) {
+      class_skeleton.push_back(
+          skeletons.try_emplace(skeleton[k], skeletons.size()).first->second);
+    }
   }
   skeleton = {};
   std::unordered_map<std::string, std::size_t> shape_index;

@@ -1,6 +1,7 @@
 #include "core/parallel.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace awesim::core {
 
@@ -28,7 +29,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::work(std::unique_lock<std::mutex>& lock) {
   // Claim-and-run loop; entered with the lock held.
   const auto* fn = fn_;
-  while (next_ < count_) {
+  for (std::size_t ran = 0; next_ < count_ && ran < per_thread_; ++ran) {
     const std::size_t i = next_++;
     lock.unlock();
     std::exception_ptr error;
@@ -57,6 +58,21 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
+  run(count, fn, count);
+}
+
+void ThreadPool::parallel_for_one_per_thread(
+    std::size_t count, const std::function<void(std::size_t)>& fn) {
+  if (count > size()) {
+    throw std::invalid_argument(
+        "parallel_for_one_per_thread: more jobs than threads");
+  }
+  run(count, fn, 1);
+}
+
+void ThreadPool::run(std::size_t count,
+                     const std::function<void(std::size_t)>& fn,
+                     std::size_t per_thread) {
   if (count == 0) return;
   if (count == 1 || workers_.empty()) {
     // A one-job wave runs inline: waking every worker to claim nothing
@@ -69,6 +85,7 @@ void ThreadPool::parallel_for(std::size_t count,
   next_ = 0;
   count_ = count;
   remaining_ = count;
+  per_thread_ = per_thread;
   errors_.clear();
   ++generation_;
   work_ready_.notify_all();

@@ -44,10 +44,20 @@ class ThreadPool {
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 
+  /// parallel_for with each job on a thread of its own: count <= size()
+  /// jobs, each thread runs at most one.  For jobs whose allocations
+  /// outlive the call: each thread's allocator arena then holds one
+  /// job's share, however the threads are scheduled.  Throws
+  /// std::invalid_argument when count > size().
+  void parallel_for_one_per_thread(
+      std::size_t count, const std::function<void(std::size_t)>& fn);
+
   /// std::thread::hardware_concurrency with a >= 1 floor.
   static std::size_t hardware_threads();
 
  private:
+  void run(std::size_t count, const std::function<void(std::size_t)>& fn,
+           std::size_t per_thread);
   void work(std::unique_lock<std::mutex>& lock);
   void worker_loop();
 
@@ -59,6 +69,7 @@ class ThreadPool {
   std::size_t next_ = 0;
   std::size_t count_ = 0;
   std::size_t remaining_ = 0;
+  std::size_t per_thread_ = 0;  // jobs one thread may claim per batch
   std::uint64_t generation_ = 0;
   bool stop_ = false;
   std::vector<std::pair<std::size_t, std::exception_ptr>> errors_;

@@ -546,8 +546,9 @@ timing::detail::CachedReduction to_cached(NetReduction r) {
 
 /// The store half of lookup_or_reduce, under the serialized `key`: a
 /// hit serves the stored entry; a miss takes `*collapsed` when it holds
-/// this net's reduction (consuming it), else reduces the net inline, and
-/// inserts the result.
+/// this net's reduction (copying it, so the stored entry is allocated
+/// by the calling thread, and dropping the pool's), else reduces the
+/// net inline, and inserts the result.
 std::shared_ptr<const timing::detail::CachedReduction> serve_through_store(
     const std::string& key, const timing::Net& net,
     const ReduceOptions& options, timing::detail::StageCache& cache,
@@ -561,7 +562,7 @@ std::shared_ptr<const timing::detail::CachedReduction> serve_through_store(
   std::shared_ptr<const timing::detail::CachedReduction> fresh;
   if (collapsed != nullptr && collapsed->has_value()) {
     fresh = std::make_shared<const timing::detail::CachedReduction>(
-        std::move(**collapsed));
+        **collapsed);
     collapsed->reset();
   } else {
     fresh = std::make_shared<const timing::detail::CachedReduction>(
@@ -628,12 +629,17 @@ ContentClasses content_classes(const timing::Design& design,
   // index is read-only meanwhile); a key found there is dropped at
   // once.  Serially, in net order, the rest open classes or join those
   // opened earlier in the batch.  So only the keys of a batch's new
-  // classes outlive their lookup.
-  const std::size_t batch = 16 * pool.size();
-  std::vector<std::string> keys(std::min(batch, n));
+  // classes outlive their lookup, and a class keeps a copy made by the
+  // calling thread: the pool threads' allocator arenas hold a batch of
+  // keys at most.  The batches start at one net per thread and double:
+  // while few classes are known, most keys of a batch are held.
+  const std::size_t max_batch = 16 * pool.size();
+  std::vector<std::string> keys(std::min(max_batch, n));
   std::vector<std::size_t> hashes(keys.size());
   std::vector<std::size_t> found(keys.size());
-  for (std::size_t start = 0; start < n; start += batch) {
+  std::size_t batch = pool.size();
+  for (std::size_t start = 0; start < n;
+       start += batch, batch = std::min(2 * batch, max_batch)) {
     const std::size_t count = std::min(batch, n - start);
     pool.parallel_for(count, [&](std::size_t k) {
       std::string key =
@@ -648,7 +654,7 @@ ContentClasses content_classes(const timing::Design& design,
       if (c == kNew) {
         auto it = index.find(HashedKey{keys[k], hashes[k]});
         if (it == index.end()) {
-          classes.keys.push_back(std::move(keys[k]));
+          classes.keys.push_back(std::string(keys[k]));
           it = index
                    .emplace(HashedKey{classes.keys.back(), hashes[k]},
                             classes.members.size())

@@ -1,11 +1,16 @@
 // Stage-based timing analyzer on top of AWE.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/parallel.h"
 #include "obs/trace.h"
 #include "timing/analyzer.h"
 
@@ -361,6 +366,26 @@ TEST(Timing, TracedParallelAnalysisIsRaceFreeAndDeterministic) {
     EXPECT_TRUE(saw_job);
     EXPECT_TRUE(saw_crossings);
   }
+}
+
+TEST(ThreadPoolOnePerThread, EachJobRunsOnAThreadOfItsOwn) {
+  core::ThreadPool pool(4);
+  for (const std::size_t count : {4u, 3u, 1u}) {
+    for (int round = 0; round < 50; ++round) {
+      std::vector<std::thread::id> ran_on(count);
+      pool.parallel_for_one_per_thread(count, [&](std::size_t i) {
+        ran_on[i] = std::this_thread::get_id();
+      });
+      EXPECT_EQ(std::set<std::thread::id>(ran_on.begin(), ran_on.end()).size(),
+                count);
+    }
+  }
+  EXPECT_THROW(pool.parallel_for_one_per_thread(5, [](std::size_t) {}),
+               std::invalid_argument);
+  // The pool still runs ordinary batches afterwards.
+  std::vector<int> hits(64, 0);
+  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 64);
 }
 
 }  // namespace awesim::timing
